@@ -397,7 +397,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     One fixed scenario -- a YCSB run with a mid-run server crash -- and
     three headline numbers tracked across commits: commit-path p50/p99
     from the span tracer, recovery wall-clock from the ``recovery.*``
-    spans, and the simulator's event rate (events per wall-clock second).
+    spans, and the simulator's speed as committed transactions per
+    wall-clock second (events per second is reported beside it, but a
+    change that removes events lowers it without slowing anything).
     """
     import json
     import os
@@ -436,6 +438,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
     rm = cluster.rm_status()
     events = cluster.kernel.event_count
+    committed = result.committed
     scenario = {
         "seed": args.seed,
         "duration_s": args.duration,
@@ -475,6 +478,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "events": events,
             "wall_clock_s": round(wall_s, 3),
             "events_per_s": round(events / wall_s, 1) if wall_s > 0 else None,
+            "commits_per_s": round(committed / wall_s, 1) if wall_s > 0 else None,
+            "events_per_commit": round(events / committed, 2) if committed else 0.0,
         },
         "workload": result.summary(),
     }
@@ -508,7 +513,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         f"{rm['replayed_fragments']} fragments)"
     )
     print(f"simulator: {events} events in {wall_s:.1f}s wall "
-          f"({payload['simulator']['events_per_s']:.0f} events/s)")
+          f"({payload['simulator']['commits_per_s']:.0f} commits/s, "
+          f"{payload['simulator']['events_per_commit']:.1f} events/commit, "
+          f"{payload['simulator']['events_per_s']:.0f} events/s)")
     print(f"wrote {path}")
     return 0
 

@@ -22,7 +22,8 @@ Two implementations live here:
   over the few dozen entries of the active window.
 
 Both expose the same tiny interface: ``push(entry)``, ``pop()``,
-``peek()`` (``None`` when empty), and ``__len__``.
+``peek()`` (``None`` when empty), an O(1) ``__bool__`` and an exact
+``__len__``.
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ class HeapEventQueue:
     def peek(self) -> Optional[Entry]:
         heap = self._heap
         return heap[0] if heap else None
+
+    def __bool__(self) -> bool:
+        return bool(self._heap)
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -131,10 +135,13 @@ class CalendarEventQueue:
             near = self._advance()
         return near[0]
 
+    def __bool__(self) -> bool:
+        # O(1): an occupied far bucket always has its index in the heap.
+        return bool(self._near or self._bucket_heap)
+
     def __len__(self) -> int:
-        # Computed on demand: length is only consulted on slow paths
-        # (emptiness checks in step()/run_until_complete, diagnostics),
-        # never in the run() dispatch loop.
+        # Computed on demand (linear in the occupied buckets): length is
+        # for diagnostics only; emptiness checks go through __bool__.
         return len(self._near) + sum(len(b) for b in self._far.values())
 
 

@@ -66,7 +66,8 @@ class Event:
 
     Lifecycle: *pending* -> *triggered* (value or exception set, queued in the
     kernel) -> *processed* (callbacks executed).  Events may only be
-    triggered once.
+    triggered once.  The simulator's own same-instant hand-offs skip the
+    queue (see :meth:`_complete`).
     """
 
     __slots__ = ("kernel", "callbacks", "_value", "_ok", "_defused")
@@ -132,6 +133,21 @@ class Event:
         kernel._seq = seq = kernel._seq + 1
         kernel._queue.push((kernel.now, priority, seq, self))
         return self
+
+    def _complete(self, ok: bool, value: Any) -> None:
+        """Trigger *and* process the event now, inside the caller.
+
+        For a same-instant hand-off within one causal chain (an RPC reply
+        reaching its caller, a free slot's grant, a handler nobody waits
+        on returning): the waiters run here rather than after a
+        zero-delay trip through the kernel queue, so no kernel event is
+        spent where no simulated time passes.  The event must be pending.
+        """
+        self._ok = ok
+        self._value = value
+        callbacks, self.callbacks = self.callbacks, None
+        for callback in callbacks:
+            callback(self)
 
     def defuse(self) -> None:
         """Mark a failure as handled so the kernel does not escalate it."""

@@ -114,6 +114,17 @@ class Kernel:
         without allocating the event machinery.  Fire-and-forget only:
         there is no handle to wait on or cancel.
         """
+        self.call_at(self.now + delay, fn, arg)
+
+    def call_at(self, when: float, fn: Callable[[Any], None], arg: Any = None) -> None:
+        """Schedule ``fn(arg)`` at the absolute instant ``when``.
+
+        :meth:`call_later` for a caller that already holds the firing time
+        -- a re-armed deadline fires at the exact float first computed for
+        it, not at ``now + (when - now)``.
+        """
+        if when < self.now:
+            raise ScheduleError(f"call_at({when}) is in the past (now={self.now})")
         self._seq = seq = self._seq + 1
         pool = self._cb_pool
         if pool:
@@ -122,7 +133,7 @@ class Kernel:
             cb.arg = arg
         else:
             cb = _Callback(fn, arg)
-        self._queue.push((self.now + delay, NORMAL, seq, cb))
+        self._queue.push((when, NORMAL, seq, cb))
 
     def _note_process_failure(self, process: Process, exc: BaseException) -> None:
         if not isinstance(exc, Interrupt):

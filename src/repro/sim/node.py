@@ -15,17 +15,20 @@ as :class:`~repro.errors.RemoteError`.
 from __future__ import annotations
 
 from collections import OrderedDict
+from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.errors import NodeDown, RemoteError, RpcTimeout
 from repro.sim.events import Event, Interrupt
 from repro.sim.kernel import Kernel
 from repro.sim.network import Message, Network
-from repro.sim.process import ProcGen, Process
+from repro.sim.process import HandlerProcess, ProcGen, Process
 from repro.sim.retry import DEFAULT_RPC_RETRY, RetryPolicy
 
 #: Recently-seen request ids kept per node for duplicate suppression.
 _SEEN_REQUESTS_CAP = 4096
+
+_NEVER = float("inf")
 
 
 class Node:
@@ -42,6 +45,12 @@ class Node:
         self._pending_calls: Dict[int, Event] = {}
         # req_id -> per-item reply events of an outstanding call_batch().
         self._pending_batches: Dict[int, List[Event]] = {}
+        # RPC deadlines, earliest first: (when, req_id, dst, method,
+        # timeout).  One kernel timer is armed for the earliest (it fires
+        # at ``_timer_at``); an answered call's entry is dropped lazily
+        # when it surfaces, so a call that is answered costs no event.
+        self._deadlines: List[Tuple[float, int, str, str, float]] = []
+        self._timer_at = _NEVER
         # Transport-level at-most-once delivery: the fabric may duplicate
         # a message (chaos layer), but each request id executes a handler
         # at most once -- like TCP retransmission dedup.  Application
@@ -71,8 +80,7 @@ class Node:
 
         ``name`` may be a string or a tuple of string parts; either way the
         display name is only assembled if someone reads it (names exist for
-        error messages and repr, yet RPC dispatch spawns ~one process per
-        request).
+        error messages and repr).
         """
         if name is None:
             lazy = (self.addr, "/proc")
@@ -104,6 +112,8 @@ class Node:
         self._procs.clear()
         self._pending_calls.clear()
         self._pending_batches.clear()
+        self._deadlines.clear()
+        self._timer_at = _NEVER  # disowns a timer still in the kernel queue
         self._seen_requests.clear()
         for hook in list(self.crash_hooks):
             hook()
@@ -158,9 +168,7 @@ class Node:
             )
         )
         if timeout is not None:
-            self.kernel.call_later(
-                timeout, self._expire_call, (req_id, dst, method, timeout)
-            )
+            self._set_deadline(req_id, dst, method, timeout)
         return result
 
     def call_with_retry(
@@ -244,19 +252,8 @@ class Node:
             )
         )
         if timeout is not None:
-            self.kernel.call_later(
-                timeout, self._expire_batch, (req_id, dst, method, timeout)
-            )
+            self._set_deadline(req_id, dst, method, timeout)
         return events
-
-    def _expire_batch(self, info: Tuple[int, str, str, float]) -> None:
-        req_id, dst, method, timeout = info
-        events = self._pending_batches.pop(req_id, None)
-        if events is None:
-            return
-        for event in events:
-            if not event.triggered:
-                event.fail(RpcTimeout(dst, method, timeout))
 
     def cast(self, dst: str, method: str, size: int = 256, **payload: Any) -> None:
         """Fire-and-forget request (no reply correlation)."""
@@ -268,11 +265,37 @@ class Node:
             )
         )
 
-    def _expire_call(self, info: Tuple[int, str, str, float]) -> None:
-        req_id, dst, method, timeout = info
-        event = self._pending_calls.pop(req_id, None)
-        if event is not None and not event.triggered:
-            event.fail(RpcTimeout(dst, method, timeout))
+    def _set_deadline(self, req_id: int, dst: str, method: str, timeout: float) -> None:
+        when = self.kernel.now + timeout
+        heappush(self._deadlines, (when, req_id, dst, method, timeout))
+        if when < self._timer_at:
+            self._timer_at = when
+            self.kernel.call_at(when, self._on_deadline, when)
+
+    def _on_deadline(self, when: float) -> None:
+        """Fail every call whose deadline is ``when``; re-arm for the next."""
+        if when != self._timer_at:
+            return  # superseded by an earlier deadline's timer, or a crash
+        deadlines = self._deadlines
+        calls, batches = self._pending_calls, self._pending_batches
+        while deadlines:
+            due, req_id, dst, method, timeout = deadlines[0]
+            if due > when:
+                if req_id in calls or req_id in batches:
+                    break  # the earliest deadline still owed
+                heappop(deadlines)  # answered since it was set
+                continue
+            heappop(deadlines)
+            event = calls.pop(req_id, None)
+            expired = batches.pop(req_id, ()) if event is None else (event,)
+            for event in expired:
+                if not event.triggered:
+                    event.fail(RpcTimeout(dst, method, timeout))
+        if deadlines:
+            self._timer_at = due = deadlines[0][0]
+            self.kernel.call_at(due, self._on_deadline, due)
+        else:
+            self._timer_at = _NEVER
 
     # ------------------------------------------------------------------
     # RPC server side
@@ -284,10 +307,13 @@ class Node:
             event = self._pending_calls.pop(message.req_id, None)
             if event is None or event.triggered:
                 return  # late reply after timeout; drop
+            # The reply's arrival and the caller's resumption are one
+            # instant: run the waiter from here, not via the queue.
             if message.ok:
-                event.succeed(message.payload.get("result"))
+                value = message.payload.get("result")
             else:
-                event.fail(RemoteError(message.src, message.method, message.error or "?"))
+                value = RemoteError(message.src, message.method, message.error or "?")
+            event._complete(message.ok, value)
             return
 
         if message.kind == "batch_response":
@@ -298,10 +324,9 @@ class Node:
                 if event.triggered:
                     continue  # this item already timed out
                 ok, value = outcome
-                if ok:
-                    event.succeed(value)
-                else:
-                    event.fail(RemoteError(message.src, message.method, value or "?"))
+                if not ok:
+                    value = RemoteError(message.src, message.method, value or "?")
+                event._complete(ok, value)
             return
 
         if message.req_id:
@@ -343,10 +368,9 @@ class Node:
                         * len(message.payload["items"]),
                     )
                     return
-            message._refs += 1
-            self.spawn(
+            self._start_handler(
                 self._run_batch_handler(message, batch_handler, item_handler),
-                name=("rpc-batch:", method),
+                message, "rpc-batch:",
             )
             return
 
@@ -365,12 +389,23 @@ class Node:
             self._reply_error(message, repr(exc))
             return
         if hasattr(outcome, "send") and hasattr(outcome, "throw"):
-            # The handler keeps the request until it replies; hold a pool
-            # reference so the shell is not recycled under it.
-            message._refs += 1
-            self.spawn(self._run_handler(message, outcome), name=("rpc:", method))
+            self._start_handler(self._run_handler(message, outcome), message, "rpc:")
         else:
             self._reply(message, outcome)
+
+    def _start_handler(self, generator: ProcGen, message: Message, prefix: str) -> None:
+        """Run a generator handler as a process of this node, starting now.
+
+        Unlike :meth:`spawn`, the handler's first step runs here, inside
+        the delivery of its request (see :class:`HandlerProcess`).
+        """
+        # The handler keeps the request until it replies; hold a pool
+        # reference so the shell is not recycled under it.
+        message._refs += 1
+        HandlerProcess(
+            self.kernel, generator, (self.addr, "/", prefix, message.method),
+            self._procs,
+        )
 
     def _run_handler(self, message: Message, generator: ProcGen) -> ProcGen:
         try:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import types
 import typing
-from typing import Any, Generator, Optional
+from typing import Any, Dict, Generator, Optional
 
 from repro.errors import ScheduleError
 from repro.sim.events import Event, Interrupt, PENDING, URGENT, _Callback
@@ -46,12 +46,23 @@ class Process(Event):
         # each implicit ``self._resume`` lookup would mint a fresh bound
         # method object.
         self._resume = self._do_resume
+        self._start()
+
+    def _start(self) -> None:
         # Kick the generator off from the kernel loop, never synchronously
-        # inside the caller.  A scheduled callback with a None outcome is
-        # schedule-identical to the old already-succeeded init event (one
-        # sequence number, URGENT priority) without the Event machinery.
+        # inside the caller: a scheduled callback with a None outcome
+        # (URGENT priority) without the Event machinery.
+        kernel = self.kernel
         kernel._seq = seq = kernel._seq + 1
         kernel._queue.push((kernel.now, URGENT, seq, _Callback(self._resume, None)))
+
+    def _exit(self, ok: bool, value: Any) -> None:
+        """The generator returned or raised: trigger the process's own event."""
+        if ok:
+            self.succeed(value)
+        else:
+            self.fail(value)
+            self.kernel._note_process_failure(self, value)
 
     @property
     def name(self) -> str:
@@ -114,21 +125,18 @@ class Process(Event):
                     event._defused = True
                     nxt = generator.throw(event._value)
             except StopIteration as stop:
-                self.succeed(stop.value)
+                self._exit(True, stop.value)
                 return
             except BaseException as exc:  # generator died
-                self.fail(exc)
-                self.kernel._note_process_failure(self, exc)
+                self._exit(False, exc)
                 return
 
             try:
                 callbacks = nxt.callbacks
             except AttributeError:
-                exc2 = ScheduleError(
+                self._exit(False, ScheduleError(
                     f"process {self.name!r} yielded non-event {nxt!r}"
-                )
-                self.fail(exc2)
-                self.kernel._note_process_failure(self, exc2)
+                ))
                 return
 
             if callbacks is None:
@@ -142,3 +150,37 @@ class Process(Event):
     def __repr__(self) -> str:
         state = "alive" if self.is_alive else ("done" if self.ok else "failed")
         return f"<Process {self.name} {state}>"
+
+
+class HandlerProcess(Process):
+    """An RPC handler: begun by the delivery that spawns it, ended in place.
+
+    The request's arrival and the handler's first step are one instant of
+    one causal chain, and nobody waits on a handler (its reply is a
+    message), so neither the start nor the end is worth a kernel event:
+    the generator runs up to its first wait inside the constructor, and
+    on return the process deregisters from ``owner`` -- the node's
+    process table, joined *before* the first step so that a crash during
+    it still interrupts the handler -- without queueing itself.
+    """
+
+    __slots__ = ("_owner",)
+
+    def __init__(
+        self, kernel: "Kernel", generator: ProcGen, name: Any,
+        owner: Dict["Process", None],
+    ) -> None:
+        self._owner = owner
+        owner[self] = None
+        super().__init__(kernel, generator, name)
+
+    def _start(self) -> None:
+        self._do_resume(None)
+
+    def _exit(self, ok: bool, value: Any) -> None:
+        self._owner.pop(self, None)
+        if ok:
+            self._complete(True, value)
+        else:
+            # A handler bug: queue the failure for the kernel to escalate.
+            super()._exit(False, value)

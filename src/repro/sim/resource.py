@@ -33,6 +33,11 @@ class Resource:
         self.capacity = capacity
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
+        # The grant for a slot that is free: already processed, so a
+        # process yielding it resumes at once and no kernel event is spent
+        # where nothing queues.  One shared instance -- it carries no state.
+        self._granted = Event(kernel)
+        self._granted._complete(True, self)
 
     @property
     def in_use(self) -> int:
@@ -47,16 +52,17 @@ class Resource:
     def request(self) -> Event:
         """Return an event that fires once a slot is granted to the caller.
 
-        The caller must eventually :meth:`release` the slot.  If the waiting
-        process is interrupted it must call :meth:`cancel` with the pending
-        event so the slot is not granted to a ghost.
+        With a slot free it is taken here and now and the returned event is
+        already processed; otherwise the request queues FIFO.  The caller
+        must eventually :meth:`release` the slot.  If the waiting process
+        is interrupted it must call :meth:`cancel` with the pending event
+        so the slot is not granted to a ghost.
         """
-        event = Event(self.kernel)
         if self._in_use < self.capacity:
             self._in_use += 1
-            event.succeed(self)
-        else:
-            self._waiters.append(event)
+            return self._granted
+        event = Event(self.kernel)
+        self._waiters.append(event)
         return event
 
     def cancel(self, event: Event) -> None:
@@ -91,11 +97,12 @@ class Resource:
         out even if the process is interrupted mid-wait.
         """
         grant = self.request()
-        try:
-            yield grant
-        except BaseException:
-            self.cancel(grant)
-            raise
+        if grant.callbacks is not None:  # no slot free: wait in the queue
+            try:
+                yield grant
+            except BaseException:
+                self.cancel(grant)
+                raise
         try:
             if duration > 0:
                 yield self.kernel.timeout(duration)

@@ -112,6 +112,21 @@ def test_empty_queue_behaviour():
         heap.pop()
 
 
+@pytest.mark.parametrize("impl", ["calendar", "heap"])
+def test_truthiness_is_emptiness_and_len_stays_exact(impl):
+    queue = make_queue(impl)
+    assert not queue and len(queue) == 0
+    queue.push((1000.0, 1, 1, object()))  # far bucket only
+    assert queue and len(queue) == 1
+    queue.push((0.0, 1, 2, object()))
+    assert queue.peek()[0] == 0.0  # migrates a bucket into the near heap
+    assert queue and len(queue) == 2
+    queue.pop()
+    assert queue and len(queue) == 1  # near drained, far still occupied
+    queue.pop()
+    assert not queue and len(queue) == 0
+
+
 def test_bucket_width_must_be_positive():
     with pytest.raises(ValueError):
         CalendarEventQueue(0.0)

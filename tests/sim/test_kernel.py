@@ -259,3 +259,57 @@ def test_immediate_events_processed_in_fifo_order():
         k.process(proc(k, name))
     k.run()
     assert order == ["first", "second", "third"]
+
+
+@pytest.mark.parametrize("queue_impl", ["calendar", "heap"])
+def test_run_until_complete_does_not_scale_with_standing_timers(queue_impl, monkeypatch):
+    """The per-step emptiness check is O(1): it never measures the queue,
+    however many far-future timers stand in it."""
+    k = Kernel(queue_impl=queue_impl)
+    for i in range(10_000):
+        k.call_later(1000.0 + i, lambda _arg: None)
+
+    def walked(self):
+        raise AssertionError("emptiness check measured the whole queue")
+
+    monkeypatch.setattr(type(k._queue), "__len__", walked)
+
+    def ticker(k):
+        for _ in range(200):
+            yield k.timeout(0.01)
+        return k.now
+
+    assert k.run_until_complete(k.process(ticker(k))) == pytest.approx(2.0)
+    k.step()  # the other caller of the emptiness check
+
+
+def test_call_at_fires_at_the_exact_instant():
+    k = Kernel()
+    fired = []
+    k.run(until=0.1)
+    when = k.now + 0.7  # not representable as now + (when - now) in general
+    k.call_at(when, lambda arg: fired.append((k.now, arg)), "x")
+    k.call_later(0.2, lambda arg: fired.append((k.now, arg)), "earlier")
+    k.run()
+    assert fired == [(0.1 + 0.2, "earlier"), (when, "x")]
+    with pytest.raises(ScheduleError):
+        k.call_at(k.now - 1.0, lambda _arg: None)
+
+
+def test_kernel_process_never_starts_inside_the_caller():
+    k = Kernel()
+    started = []
+
+    def child(k):
+        started.append(k.now)
+        yield k.timeout(0)
+
+    def parent(k):
+        k.process(child(k))
+        assert not started  # kicked off from the kernel loop, not here
+        yield k.timeout(0)
+
+    k.process(parent(k))
+    assert not started
+    k.run()
+    assert started == [0.0]

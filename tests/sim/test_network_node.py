@@ -23,6 +23,14 @@ class EchoNode(Node):
         yield self.kernel.timeout(0.1)
         raise ValueError("delayed kapow")
 
+    def rpc_instant(self, sender):
+        return "no wait"
+        yield  # a generator handler that never suspends
+
+    def rpc_instant_boom(self, sender):
+        raise ValueError("kapow at once")
+        yield
+
 
 def make_pair():
     k = Kernel()
@@ -173,3 +181,53 @@ def test_reregistering_live_address_requires_replace():
     # node at the same address silently replaces -- the restart path.
     n2 = Node(k, net, "x")
     assert net.node("x") is n2
+
+
+@pytest.mark.parametrize("method, kwargs, outcome", [
+    ("instant", {}, "no wait"),
+    ("instant_boom", {}, RemoteError),
+    ("slow_boom", {}, RemoteError),
+    ("slow_echo", {"text": "x", "delay": 0.2}, "x"),
+])
+def test_finished_handler_leaves_nothing_behind(method, kwargs, outcome):
+    """However a generator handler ends, it leaves the node's process
+    table and gives back its hold on the request message."""
+    k, net, a, b = make_pair()
+    result = run_call(k, a, "b", method, timeout=1.0, **kwargs)
+    if isinstance(outcome, str):
+        assert result["value"] == outcome
+    else:
+        assert isinstance(result["error"], outcome)
+    assert not b._procs
+    # Request and reply shells are both back in the pool, unreferenced.
+    assert len(net._pool) == 2 and all(m._refs == 0 for m in net._pool)
+
+
+def test_handler_interrupted_by_crash_leaves_nothing_behind():
+    k, net, a, b = make_pair()
+    event = a.call("b", "slow_echo", text="x", delay=0.5)
+    k.run(until=0.05)
+    assert len(b._procs) == 1  # the handler, mid-wait
+    b.crash()
+    k.run()
+    assert not b._procs and not event.triggered
+    assert len(net._pool) == 1 and net._pool[0]._refs == 0
+
+
+def test_handler_starts_inside_the_delivery_and_is_crashable_at_once():
+    """A handler's first step runs in the delivery of its request, already
+    registered with the node: a crash in that very step interrupts it."""
+    k, _net, a, b = make_pair()
+    steps = []
+
+    def rpc_self_destruct(sender):
+        steps.append(("started", len(b._procs)))
+        b.crash()
+        yield k.timeout(0.1)
+        steps.append("survived the crash")
+
+    b.rpc_self_destruct = rpc_self_destruct
+    result = run_call(k, a, "b", "self_destruct", timeout=1.0)
+    assert steps == [("started", 1)]
+    assert isinstance(result["error"], RpcTimeout)
+    assert not b._procs

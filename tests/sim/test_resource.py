@@ -80,6 +80,89 @@ def test_interrupted_waiter_does_not_leak_slot():
     assert res.in_use == 0
 
 
+def test_fifo_order_under_contention_with_staggered_arrivals():
+    k = Kernel()
+    res = Resource(k, capacity=2)
+    served = []
+
+    def worker(k, res, name, arrive, hold):
+        yield k.timeout(arrive)
+        yield from res.use(hold)
+        served.append((name, k.now))
+
+    # a and b take the free slots at once; c, d, e queue in arrival order
+    # and are granted as slots come back, whoever holds them.
+    for name, arrive, hold in (
+        ("a", 0.0, 3.0), ("b", 0.0, 1.0), ("c", 0.1, 1.0),
+        ("d", 0.2, 0.5), ("e", 0.3, 0.1),
+    ):
+        k.process(worker(k, res, name, arrive, hold))
+    k.run()
+    assert served == [("b", 1.0), ("c", 2.0), ("d", 2.5), ("e", 2.6), ("a", 3.0)]
+    assert res.in_use == 0 and res.queue_length == 0
+
+
+def test_holder_interrupted_mid_use_returns_its_slot():
+    k = Kernel()
+    res = Resource(k, capacity=1)
+    seen = []
+
+    def holder(k, res):
+        try:
+            yield from res.use(10.0)
+        except Interrupt:
+            seen.append(("holder-interrupted", k.now))
+
+    def waiter(k, res):
+        yield k.timeout(1.0)
+        yield from res.use(1.0)
+        seen.append(("waiter", k.now))
+
+    h = k.process(holder(k, res))
+    k.process(waiter(k, res))
+    k.call_later(2.0, lambda _arg: h.interrupt("crash"))
+    k.run()
+    # The queued waiter gets the slot the moment the holder is cut off.
+    assert seen == [("holder-interrupted", 2.0), ("waiter", 3.0)]
+    assert res.in_use == 0
+
+
+def test_free_slot_is_taken_without_suspending():
+    k = Kernel()
+    res = Resource(k, capacity=1)
+    # use(0.0) on a free resource never yields: it is over in one step.
+    with pytest.raises(StopIteration):
+        next(res.use(0.0))
+    assert res.in_use == 0
+    # Holding for a while yields the service timeout only, slot in hand.
+    held = res.use(1.0)
+    assert type(next(held)).__name__ == "Timeout"
+    assert res.in_use == 1
+    held.close()
+    assert res.in_use == 0
+
+    def worker(k, res):
+        yield from res.use(0.0)
+        yield from res.use(0.0)
+
+    before = k.event_count
+    k.run_until_complete(k.process(worker(k, res)))
+    assert k.event_count - before == 1  # the process's own kick-off, nothing for the slots
+
+
+def test_request_on_a_free_resource_is_granted_in_place():
+    k = Kernel()
+    res = Resource(k, capacity=1)
+    grant = res.request()
+    assert grant.processed and grant.value is res and res.in_use == 1
+    queued = res.request()
+    assert not queued.triggered and res.queue_length == 1
+    res.cancel(grant)  # cancelling a grant gives the slot to the next in line
+    assert queued.triggered and res.in_use == 1
+    res.cancel(queued)
+    assert res.in_use == 0
+
+
 def test_capacity_must_be_positive():
     k = Kernel()
     with pytest.raises(ScheduleError):

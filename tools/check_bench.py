@@ -5,17 +5,20 @@ Usage:
     python tools/check_bench.py FRESH.json [--baseline BENCH_N.json]
                                 [--max-regression 0.20]
 
-Compares the simulator event rate (``simulator.events_per_s``) of a
-fresh ``repro bench`` snapshot against the newest committed
-``BENCH_<n>.json`` (or an explicit ``--baseline``) and exits non-zero if
-the fresh rate falls more than ``--max-regression`` below it.  Also
-cross-checks the semantic invariants that must never move for the
-committed scenario: same-seed commit/abort counts, when the fresh run
-used the same scenario parameters as the baseline.
+Compares the simulator's speed -- committed transactions per host second,
+``workload.committed / simulator.wall_clock_s`` -- of a fresh ``repro
+bench`` snapshot against the newest committed ``BENCH_<n>.json`` (or an
+explicit ``--baseline``) and exits non-zero if the fresh rate falls more
+than ``--max-regression`` below it.  Events per second is *not* gated: it
+drops when a change removes events, which is an improvement.  Also
+cross-checks what must never move for the committed scenario: same-seed
+committed / aborted / failed counts, when the fresh run used the same
+scenario parameters as the baseline -- the cheapest proof that the
+schedule did not move.  The event count itself is free to change.
 
-The events/s gate is deliberately rate-based so a shortened CI bench
-(smaller ``--duration``) still compares meaningfully against the
-full-length committed baseline.
+The gate is deliberately rate-based so a shortened CI bench (smaller
+``--duration``) still compares meaningfully against the full-length
+committed baseline.
 """
 
 import argparse
@@ -38,6 +41,12 @@ def newest_committed_baseline() -> str:
     return taken[max(taken)]
 
 
+def commits_per_s(snapshot: dict) -> float:
+    """Committed transactions per host second of one bench snapshot
+    (computed, so baselines older than ``simulator.commits_per_s`` work)."""
+    return snapshot["workload"]["committed"] / snapshot["simulator"]["wall_clock_s"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("fresh", help="bench JSON produced by this run")
@@ -47,7 +56,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--max-regression", type=float, default=0.20,
-        help="maximum tolerated fractional events/s drop (default 0.20)",
+        help="maximum tolerated fractional commits/s drop (default 0.20)",
     )
     args = parser.parse_args(argv)
 
@@ -57,18 +66,18 @@ def main(argv=None) -> int:
     with open(args.fresh) as fh:
         fresh = json.load(fh)
 
-    base_rate = baseline["simulator"]["events_per_s"]
-    fresh_rate = fresh["simulator"]["events_per_s"]
+    base_rate = commits_per_s(baseline)
+    fresh_rate = commits_per_s(fresh)
     floor = base_rate * (1.0 - args.max_regression)
     print(
-        f"events/s: fresh {fresh_rate:.1f} vs baseline {base_rate:.1f} "
+        f"commits/s: fresh {fresh_rate:.1f} vs baseline {base_rate:.1f} "
         f"({baseline_path}); floor {floor:.1f} "
         f"(-{args.max_regression:.0%})"
     )
     failures = []
     if fresh_rate < floor:
         failures.append(
-            f"events/s regressed: {fresh_rate:.1f} < {floor:.1f} "
+            f"commits/s regressed: {fresh_rate:.1f} < {floor:.1f} "
             f"({(1 - fresh_rate / base_rate):.1%} below baseline)"
         )
 
@@ -79,12 +88,6 @@ def main(argv=None) -> int:
             got = fresh["workload"][key]
             if got != want:
                 failures.append(f"workload {key} changed: {got} != {want}")
-        if fresh["simulator"]["events"] != baseline["simulator"]["events"]:
-            failures.append(
-                "simulated event count changed: "
-                f"{fresh['simulator']['events']} != "
-                f"{baseline['simulator']['events']}"
-            )
     else:
         base_iso = (baseline.get("scenario") or {}).get("isolation", "si")
         fresh_iso = (fresh.get("scenario") or {}).get("isolation", "si")
