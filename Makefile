@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-verbose chaos chaos-disk chaos-kill chaos-tm-shard chaos-ssi check-sweep bench bench-standing bench-compare bench-figs bench-paper examples demo clean apidoc
+.PHONY: install test test-fast test-verbose chaos chaos-disk chaos-kill chaos-tm-shard chaos-ssi check-sweep bench bench-standing bench-compare bench-figs bench-paper examples demo clean apidoc loc
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -98,3 +98,7 @@ clean:
 
 apidoc:
 	$(PYTHON) tools/gen_api_docs.py
+
+# Lines per src/repro package and the count of repro.config fields.
+loc:
+	@$(PYTHON) tools/loc.py

@@ -38,36 +38,16 @@ def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
              "the recovery middleware)",
     )
     parser.add_argument(
-        "--queue-impl", choices=("calendar", "heap"), default="calendar",
-        help="kernel event-queue implementation (identical pop order; "
-             "calendar is the fast default, heap the reference)",
-    )
-    parser.add_argument(
-        "--queue-bucket-width", type=float, default=0.005, metavar="SECONDS",
-        help="calendar-queue bucket width in simulated seconds",
-    )
-    parser.add_argument(
-        "--flush-max-batch", type=int, default=1, metavar="N",
-        help="max txn-flush fragments coalesced into one batched RPC per "
-             "region server (1 = batching off)",
-    )
-    parser.add_argument(
-        "--flush-coalesce-window", type=float, default=0.0, metavar="SECONDS",
-        help="how long a client's per-server flush coalescer gathers "
-             "fragments before shipping a batch (0 = ship immediately)",
-    )
-    parser.add_argument(
         "--tm-shards", type=int, default=1, metavar="N",
         help="partition the transaction manager into N shards (tm0..tmN-1, "
-             "cross-shard commits via non-blocking 2PC; 1 = classic single "
-             "TM, bit-identical to the pre-sharding schedule)",
+             "cross-shard commits via non-blocking 2PC; 1 = a lone TM "
+             "owning every key)",
     )
     parser.add_argument(
         "--isolation", choices=("si", "ssi"), default="si",
-        help="certification isolation level: si = classic snapshot "
-             "isolation (bit-identical to the calibrated schedule), ssi = "
-             "serializable snapshot isolation (clients ship read-sets, the "
-             "TM aborts rw-antidependency pivots at certification)",
+        help="certification isolation level: si = snapshot isolation, "
+             "ssi = serializable snapshot isolation (clients ship read-sets, "
+             "the TM aborts rw-antidependency pivots at certification)",
     )
 
 
@@ -107,10 +87,6 @@ def _build(args: argparse.Namespace) -> SimCluster:
     config.workload.n_clients = args.clients
     config.kv.n_region_servers = args.servers
     config.kv.n_regions = args.regions
-    config.sim.queue_impl = getattr(args, "queue_impl", "calendar")
-    config.sim.queue_bucket_width = getattr(args, "queue_bucket_width", 0.005)
-    config.kv.flush_max_batch = getattr(args, "flush_max_batch", 1)
-    config.kv.flush_coalesce_window = getattr(args, "flush_coalesce_window", 0.0)
     config.txn.tm_shards = getattr(args, "tm_shards", 1)
     config.txn.isolation = getattr(args, "isolation", "si")
     if args.sync_wal:

@@ -65,11 +65,7 @@ class SimCluster:
     def __init__(self, config: Optional[ClusterConfig] = None) -> None:
         self.config = config or ClusterConfig()
         cfg = self.config
-        self.kernel = Kernel(
-            seed=cfg.seed,
-            queue_impl=cfg.sim.queue_impl,
-            bucket_width=cfg.sim.queue_bucket_width,
-        )
+        self.kernel = Kernel(seed=cfg.seed)
         self.net = Network(
             self.kernel,
             LatencyModel(
@@ -121,53 +117,28 @@ class SimCluster:
                 for i in range(cfg.txn.log_shards)
             ]
 
-        # TM and RM co-hosted: one 2-core VM's worth of shared CPU.  With
-        # ``txn.tm_shards > 1`` the TM becomes an array of shard processes
-        # tm0..tmN-1 (authority at tm0) sharing that CPU; ``self.tm``
-        # stays the authority shard so single-TM call sites keep working.
+        # TM and RM co-hosted: one 2-core VM's worth of shared CPU.  The TM
+        # is an array of ``txn.tm_shards`` shard processes sharing that CPU
+        # (one of them by default); ``self.tm`` is the authority shard.
         self.tm_rm_cpu = Resource(self.kernel, capacity=2)
-        n_tm_shards = cfg.txn.tm_shards
-        if n_tm_shards > 1:
-            if cfg.txn.log_shards > 0:
-                raise ValueError(
-                    "txn.tm_shards > 1 is incompatible with the distributed "
-                    "recovery log (txn.log_shards)"
-                )
-            addrs = tm_shard_addrs(n_tm_shards)
-            self.tms: List[TransactionManager] = [
-                TransactionManager(
-                    self.kernel,
-                    self.net,
-                    addr=addrs[i],
-                    settings=cfg.txn,
-                    shared_cpu=self.tm_rm_cpu,
-                    shard_index=i,
-                    shard_addrs=addrs,
-                )
-                for i in range(n_tm_shards)
-            ]
-            self.tm = self.tms[0]
-        else:
-            self.tm = TransactionManager(
+        addrs = tm_shard_addrs(cfg.txn.tm_shards)
+        self.tms: List[TransactionManager] = [
+            TransactionManager(
                 self.kernel,
                 self.net,
+                addr=addr,
                 settings=cfg.txn,
                 shared_cpu=self.tm_rm_cpu,
-                logger_shards=[shard.addr for shard in self.logger_shards] or None,
+                logger_shards=[shard.addr for shard in self.logger_shards],
+                shard_index=i,
+                shard_addrs=addrs,
             )
-            self.tms = [self.tm]
+            for i, addr in enumerate(addrs)
+        ]
+        self.tm = self.tms[0]
         self.rm: Optional[RecoveryManager] = None
         if cfg.recovery.enabled:
-            self.rm = RecoveryManager(
-                self.kernel,
-                self.net,
-                settings=cfg.recovery,
-                kv_settings=cfg.kv,
-                tm_addr=[tm.addr for tm in self.tms]
-                if n_tm_shards > 1
-                else "tm",
-                shared_cpu=self.tm_rm_cpu,
-            )
+            self.rm = self._new_recovery_manager()
         self.master = Master(
             self.kernel,
             self.net,
@@ -307,9 +278,7 @@ class SimCluster:
             client_id=addr,
             durability=durability,
             tracker=agent,
-            tm_addrs=[tm.addr for tm in self.tms]
-            if cfg.txn.tm_shards > 1
-            else None,
+            tm_addrs=[tm.addr for tm in self.tms],
             isolation=cfg.txn.isolation,
         )
         if self.history_recorder is not None:
@@ -457,7 +426,7 @@ class SimCluster:
         self.run(rs.restart())
 
     def crash_tm_shard(self, index: int) -> None:
-        """Crash one TM shard process (sharded TM only).
+        """Crash one TM shard process.
 
         Single-shard transactions on other shards keep committing; cross-
         shard transactions touching this shard park until it restarts
@@ -475,24 +444,27 @@ class SimCluster:
         """
         tm = self.tms[index]
         tm.revive()
-        proc = tm.spawn(tm.restart(), name="tm-restart")
-        proc.defuse()
+        # Not defused: a restart that raises anything but the Interrupt
+        # of a second crash (which kills the process quietly) fails the
+        # run instead of leaving a half-rebuilt shard serving requests.
+        tm.spawn(tm.restart(), name="tm-restart")
+
+    def _new_recovery_manager(self) -> RecoveryManager:
+        return RecoveryManager(
+            self.kernel,
+            self.net,
+            settings=self.config.recovery,
+            kv_settings=self.config.kv,
+            tm_addr=[tm.addr for tm in self.tms],
+            shared_cpu=self.tm_rm_cpu,
+        )
 
     def restart_recovery_manager(self) -> RecoveryManager:
         """Kill and restart the recovery manager (Section 3.3)."""
         if self.rm is None:
             raise RuntimeError("recovery is disabled in this cluster")
         self.rm.crash()
-        self.rm = RecoveryManager(
-            self.kernel,
-            self.net,
-            settings=self.config.recovery,
-            kv_settings=self.config.kv,
-            tm_addr=[tm.addr for tm in self.tms]
-            if len(self.tms) > 1
-            else "tm",
-            shared_cpu=self.tm_rm_cpu,
-        )
+        self.rm = self._new_recovery_manager()
         proc = self.rm.spawn(self.rm.start(recover=True), name="restart")
         proc.defuse()
         return self.rm

@@ -15,23 +15,6 @@ from typing import Optional
 
 
 @dataclass
-class SimSettings:
-    """Discrete-event kernel tuning (never changes simulation results --
-    both event queues pop in identical ``(time, priority, seq)`` order)."""
-
-    #: Event-queue implementation: "calendar" (two-level bucketed calendar,
-    #: the default and the faster of the two on deep schedules) or "heap"
-    #: (single binary heap, the reference the property tests compare
-    #: against).
-    queue_impl: str = "calendar"
-    #: Calendar bucket width in simulated seconds.  Wide enough that a
-    #: bucket collects a few dozen entries, narrow enough that the active
-    #: bucket's heap stays small; the default is tuned on the standing
-    #: benchmark scenario.
-    queue_bucket_width: float = 0.005
-
-
-@dataclass
 class NetworkSettings:
     """One-way message delay model (switched 100 Mbps LAN) plus the chaos
     layer's fault knobs (all zero by default: a polite, loss-free LAN)."""
@@ -144,16 +127,6 @@ class KvSettings:
     #: Client-side operation timeout and retry pacing.
     client_op_timeout: float = 2.0
     client_retry_delay: float = 0.25
-    #: Max transactional-flush fragments coalesced into one batched RPC per
-    #: region server (``Node.call_batch``).  1 disables batching: every
-    #: fragment travels as its own ``txn_flush`` request (the calibrated
-    #: default schedule).
-    flush_max_batch: int = 1
-    #: How long a client's per-server flush coalescer waits after the first
-    #: queued fragment before shipping the batch, gathering fragments from
-    #: concurrent transactions on the same client.  Only meaningful with
-    #: ``flush_max_batch > 1``; 0 ships what is queued immediately.
-    flush_coalesce_window: float = 0.0
 
 
 @dataclass
@@ -193,34 +166,29 @@ class TxnSettings:
     #: original verdict instead of being re-certified (which would
     #: self-conflict and double-certify).
     commit_cache_size: int = 50_000
-    #: Ship group commits to logger shards through the batched RPC path
-    #: (``Node.call_batch`` + ``rpc_shard_append_batch``): one wire message
-    #: per group, one shard-side sync, per-record acks.  Off by default --
-    #: the plain ``shard_append`` call is the calibrated schedule.
-    shard_append_batch_rpc: bool = False
-    #: Number of transaction-manager shards.  1 keeps the single TM at
-    #: address "tm" (the calibrated schedule, bit-for-bit).  >1 partitions
-    #: the certification keyspace by hash across shards ``tm0..tmN-1``:
-    #: single-shard transactions commit exactly as today at their owner
-    #: shard, cross-shard transactions run a non-blocking 2PC variant
-    #: (Gray & Lamport's commit-consensus shape) with the commit decision
-    #: registered durably at the timestamp-authority shard (``tm0``) so no
-    #: single coordinator crash can wedge a transaction.
+    #: Number of transaction-manager shards.  The certification keyspace
+    #: is partitioned by hash across them (``tm0..tmN-1``; a lone TM is
+    #: the one-shard case, at address "tm", and owns every key).  A
+    #: write-set with one owner commits at that shard -- certify, stamp,
+    #: one group-commit append; one spanning several runs a non-blocking
+    #: 2PC variant (Gray & Lamport's commit-consensus shape) with the
+    #: commit decision registered durably at the timestamp-authority
+    #: shard (``tm0``) so no single coordinator crash can wedge a
+    #: transaction.
     tm_shards: int = 1
     #: How long a participant shard waits on an undecided prepared
     #: transaction before resolving it itself against the decision
     #: registry (presumed abort).  Only meaningful with ``tm_shards > 1``.
     indoubt_resolve_timeout: float = 1.0
-    #: Certification isolation level.  "si" is classic snapshot isolation
-    #: (first-committer-wins, the calibrated schedule, bit-for-bit).
+    #: Certification isolation level.  "si" is snapshot isolation
+    #: (first-committer-wins).
     #: "ssi" layers serializable snapshot isolation on top: clients ship
     #: their read-sets at commit, and the certifier tracks
     #: rw-antidependency edges against concurrent committers, aborting any
     #: transaction that would complete a dangerous structure (a pivot with
-    #: both an incoming and an outgoing rw-edge).  With ``tm_shards > 1``
-    #: the rw-edge window lives on the authority shard and every commit
-    #: decision -- local or via the cross-shard decision registry --
-    #: certifies against it.
+    #: both an incoming and an outgoing rw-edge).  The rw-edge window
+    #: lives on the authority shard and every commit decision -- a stamp
+    #: grant or a cross-shard registry decision -- certifies against it.
     isolation: str = "si"
 
 
@@ -269,7 +237,6 @@ class ClusterConfig:
     """Complete parameterisation of one simulated cluster + workload."""
 
     seed: int = 0
-    sim: SimSettings = field(default_factory=SimSettings)
     network: NetworkSettings = field(default_factory=NetworkSettings)
     dfs: DfsSettings = field(default_factory=DfsSettings)
     zk: ZkSettings = field(default_factory=ZkSettings)

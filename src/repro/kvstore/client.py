@@ -18,31 +18,11 @@ from repro.errors import KvError, ReproError, RpcError
 from repro.kvstore.keys import WireCell
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.spans import tracer_for
-from repro.sim.events import Event, Interrupt
 from repro.sim.node import Node
-from repro.sim.resource import SimQueue
 from repro.sim.retry import RetryPolicy
 
 #: Region map entry: (start, end, region_id, server).
 MapEntry = Tuple[str, Optional[str], str, Optional[str]]
-
-
-def _forward(source: Event, sink: Event) -> None:
-    """Propagate ``source``'s outcome to ``sink`` when it triggers."""
-
-    def _cb(event: Event) -> None:
-        if sink.triggered:
-            return
-        if event._ok:
-            sink.succeed(event._value)
-        else:
-            event._defused = True
-            sink.fail(event._value)
-
-    if source.callbacks is None:
-        _cb(source)  # already processed (e.g. failed synchronously)
-    else:
-        source.callbacks.append(_cb)
 
 
 class KvClient:
@@ -84,9 +64,6 @@ class KvClient:
             self._n_retries,
         ) = self.registry.counters("gets", "flush_fragments", "retries")
         self._tracer = tracer_for(host.kernel)
-        # Per-server flush coalescers (started lazily; only used when
-        # ``flush_max_batch > 1`` routes fragments through call_batch).
-        self._flush_queues: Dict[str, SimQueue] = {}
 
     def metrics(self) -> dict:
         """Uniform registry snapshot for this key-value client."""
@@ -308,106 +285,6 @@ class KvClient:
                 self.invalidate(table)
                 yield self._backoff(attempt)
 
-    # ------------------------------------------------------------------
-    # batched flush path (flush_max_batch > 1)
-    # ------------------------------------------------------------------
-    def _flush_enqueue(self, server: str, item: dict) -> Event:
-        """Hand one fragment to ``server``'s coalescer; returns its ack event."""
-        queue = self._flush_queues.get(server)
-        if queue is None:
-            queue = self._flush_queues[server] = SimQueue(self.host.kernel)
-            self.host.spawn(
-                self._flush_committer(server, queue),
-                name=("flush-batcher:", server),
-            )
-        done = Event(self.host.kernel)
-        queue.put((item, done))
-        return done
-
-    def _flush_committer(self, server: str, queue: SimQueue):
-        """Per-server batcher: waits ``flush_coalesce_window`` after the
-        first queued fragment, then ships everything queued meanwhile as
-        chunks of at most ``flush_max_batch`` through one batched RPC each
-        -- fragments from concurrent transactions on this client coalesce
-        into single network events with per-fragment acks."""
-        try:
-            while True:
-                first = yield queue.get()
-                window = self.settings.flush_coalesce_window
-                if window > 0:
-                    yield self.host.sleep(window)
-                batch = [first] + queue.drain()
-                max_batch = max(self.settings.flush_max_batch, 1)
-                while batch:
-                    chunk = batch[:max_batch]
-                    batch = batch[max_batch:]
-                    items = [item for item, _done in chunk]
-                    size = sum(max(64 * len(i["cells"]), 64) for i in items)
-                    events = self.host.call_batch(
-                        server,
-                        "txn_flush",
-                        items,
-                        timeout=self.settings.client_op_timeout,
-                        size=size,
-                    )
-                    for (_item, done), event in zip(chunk, events):
-                        _forward(event, done)
-        except Interrupt:
-            return
-
-    def _flush_round_batched(
-        self,
-        table: str,
-        txn_ts: int,
-        groups: Dict[str, List[WireCell]],
-        piggyback_tp: Optional[int],
-        from_recovery: bool,
-        txn: Optional[str],
-    ):
-        """One batched flush round.  (Generator API.)
-
-        Routes each region's fragment to its server's coalescer and
-        awaits the per-fragment acks.  Returns ``(acks, failed_cells)``;
-        failed cells are re-grouped by the caller's round loop.
-        """
-        pending = []
-        failed: List[WireCell] = []
-        for region_id, fragment in groups.items():
-            try:
-                _region, server = yield from self.locate(table, fragment[0][0])
-            except (RpcError, KvError):
-                server = None
-            if server is None:
-                failed.extend(fragment)
-                continue
-            self._n_flush_fragments.inc()
-            span = self._tracer.begin(
-                "flush.region", txn=txn, region=region_id, batched=True
-            )
-            done = self._flush_enqueue(
-                server,
-                {
-                    "region_id": region_id,
-                    "txn_ts": txn_ts,
-                    "cells": fragment,
-                    "piggyback_tp": piggyback_tp,
-                    "from_recovery": from_recovery,
-                },
-            )
-            pending.append((region_id, fragment, span, done))
-        acks: Dict[str, object] = {}
-        for region_id, fragment, span, done in pending:
-            try:
-                acks[region_id] = yield done
-                span.end()
-            except ReproError:
-                span.tags["failed"] = True
-                self._tracer.truncate_open(
-                    lambda s, sid=span.span_id: s.span_id == sid
-                )
-                failed.extend(fragment)
-        return acks, failed
-
     def flush_write_set(
         self,
         table: str,
@@ -444,21 +321,6 @@ class KvClient:
                     raise
                 self.invalidate(table)
                 yield self._backoff(rounds)
-                continue
-            if self.settings.flush_max_batch > 1:
-                round_acks, failed = yield from self._flush_round_batched(
-                    table, txn_ts, groups, piggyback_tp, from_recovery, txn
-                )
-                acks.update(round_acks)
-                if failed and max_retries is not None and rounds > max_retries:
-                    raise KvError(
-                        f"flush of txn {txn_ts} gave up with "
-                        f"{len(failed)} cells undelivered"
-                    )
-                if failed:
-                    self.invalidate(table)
-                    yield self._backoff(rounds)
-                remaining = failed
                 continue
             procs = [
                 (

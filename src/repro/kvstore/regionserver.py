@@ -682,28 +682,6 @@ class RegionServer(ZkWatcherMixin, Node):
             )
         return {"region": region_id, "seq": seq}
 
-    def rpc_txn_flush_batch(self, sender: str, items: List[dict]):
-        """Batch-aware apply: N coalesced ``txn_flush`` fragments, one RPC.
-
-        Reached through :meth:`~repro.sim.node.Node.call_batch` -- the
-        whole batch arrives as one scheduled network event and leaves as
-        one response carrying per-item outcomes.  Each fragment runs
-        through the exact :meth:`rpc_txn_flush` path (same WAL append,
-        same simulated CPU charge), and a fragment that fails -- a stale
-        grouping after a split, an offline region -- fails alone instead
-        of poisoning its batch-mates.
-        """
-        results = []
-        for item in items:
-            try:
-                ack = yield from self.rpc_txn_flush(sender, **item)
-                results.append((True, ack))
-            except Interrupt:
-                raise
-            except Exception as exc:
-                results.append((False, repr(exc)))
-        return results
-
     # ------------------------------------------------------------------
     # memstore flushing
     # ------------------------------------------------------------------

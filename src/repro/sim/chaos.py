@@ -60,13 +60,11 @@ class ChaosSettings:
     # -- cluster shape ----------------------------------------------------
     n_servers: int = 3
     n_regions: int = 6
-    #: Certification isolation level (``txn.isolation``): "si" is the
-    #: classic snapshot-isolation storm, bit-for-bit; "ssi" certifies
+    #: Certification isolation level (``txn.isolation``): "ssi" certifies
     #: rw-antidependencies too, and the oracle then additionally requires
     #: the recorded history's serialization graph to be fully acyclic.
     isolation: str = "si"
-    #: TM shard count (``txn.tm_shards``); 1 is the classic single TM and
-    #: reproduces the pre-sharding storms bit-for-bit.
+    #: TM shard count (``txn.tm_shards``).
     tm_shards: int = 1
     #: Kill-a-TM-shard injections inside the storm: each crashes one
     #: randomly drawn TM shard and restarts it after a dwell, exercising

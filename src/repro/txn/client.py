@@ -66,10 +66,11 @@ class TxnClient:
         self.isolation = isolation
         self.host = host
         self.kv = kv
-        #: Sharded-TM topology (authority shard first).  ``None`` keeps the
-        #: classic single TM at ``tm_addr``; with shards, begins/aborts go
-        #: to the authority and commits route to the write-set's owner (or
-        #: its coordinator, the lowest participating shard).
+        #: TM topology (authority shard first): begins/aborts go to the
+        #: authority and commits route to the write-set's owner (or its
+        #: coordinator, the lowest participating shard).  ``SimCluster``
+        #: always passes the list; ``None`` (direct constructions in
+        #: tests) means the one TM at ``tm_addr``.
         self.tm_addrs = list(tm_addrs) if tm_addrs else None
         self.n_tm_shards = len(self.tm_addrs) if self.tm_addrs else 1
         self.tm_addr = self.tm_addrs[0] if self.tm_addrs else tm_addr
@@ -258,8 +259,8 @@ class TxnClient:
             ]
             owner_set = sorted(set(owners))
             if owner_set:
-                # Single owner: commit exactly as today, at that shard.
-                # Several owners: the lowest one coordinates the 2PC.
+                # Single owner: commit at that shard.  Several owners:
+                # the lowest one coordinates the 2PC.
                 target = self.tm_addrs[owner_set[0]]
             # Shorter per-attempt timeout: a commit parked on a crashed
             # shard should fail over to a retry (and a revived shard)

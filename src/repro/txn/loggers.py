@@ -93,36 +93,6 @@ class LoggerShard(Node):
         self.stats.group_sizes.append(len(parsed))
         return len(parsed)
 
-    def rpc_shard_append_batch(self, sender: str, items: List[dict]):
-        """Batch-aware append (see :meth:`~repro.sim.node.Node.call_batch`).
-
-        One disk sync covers the whole group -- the group-commit sync --
-        while every record gets its own ``(ok, commit_ts)`` ack, so the
-        TM-side batcher can resolve each transaction's durability event
-        individually from a single wire round-trip.
-        """
-        parsed = [LogRecord.from_wire(item["record"]) for item in items]
-        nbytes = sum(max(r.nbytes, 96) for r in parsed)
-        span = self._tracer.begin(
-            "log.group_sync", shard=self.addr, batch=len(parsed)
-        )
-        yield from self.disk.sync_write(nbytes)
-        span.end()
-        results = []
-        for record in parsed:
-            idx = bisect.bisect_left(self._timestamps, record.commit_ts)
-            if not (
-                idx < len(self._timestamps)
-                and self._timestamps[idx] == record.commit_ts
-            ):
-                self._timestamps.insert(idx, record.commit_ts)
-                self._records.insert(idx, record)
-                self.stats.appended += 1
-            results.append((True, record.commit_ts))
-        self.stats.syncs += 1
-        self.stats.group_sizes.append(len(parsed))
-        return results
-
     def rpc_shard_fetch(
         self, sender: str, after_ts: int, client_id: Optional[str] = None
     ) -> List[dict]:
@@ -201,37 +171,22 @@ class DistributedRecoveryLog:
                     span = tracer_for(self.host.kernel).begin(
                         "log.shard_append", shard=shard, batch=len(chunk)
                     )
-                    batched_rpc = self.settings.shard_append_batch_rpc
                     while True:
                         try:
-                            if batched_rpc:
-                                # One wire message, one shard-side group
-                                # sync, a per-record ack event each.
-                                events = self.host.call_batch(
-                                    shard,
-                                    "shard_append",
-                                    [{"record": w} for w in wire],
-                                    timeout=10.0,
-                                    size=max(nbytes, 96),
-                                )
-                                for event in events:
-                                    yield event
-                            else:
-                                yield self.host.call(
-                                    shard,
-                                    "shard_append",
-                                    timeout=10.0,
-                                    size=max(nbytes, 96),
-                                    records=wire,
-                                )
+                            yield self.host.call(
+                                shard,
+                                "shard_append",
+                                timeout=10.0,
+                                size=max(nbytes, 96),
+                                records=wire,
+                            )
                             span.end()
                             break
                         except Exception:
                             # Logging nodes are reliable stable storage in
                             # the paper's model, but the *network* to them
                             # may hiccup; duplicates are deduplicated at
-                            # the shard, so retrying is safe (whole-chunk
-                            # retry in the batched case too).
+                            # the shard, so retrying is safe.
                             yield self.host.sleep(0.05)
                     for record, done in chunk:
                         self._store_stats(record)

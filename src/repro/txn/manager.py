@@ -45,7 +45,7 @@ def _read_pairs(reads):
         return []
     return [((r[0], r[1], r[2]), r[3]) for r in reads]
 
-#: Shard-to-shard RPC retry (prepare / decide / ts_next): bounded, so a
+#: Shard-to-shard RPC retry (prepare / decide / stamp): bounded, so a
 #: coordinator stuck behind a dead peer eventually surfaces the failure to
 #: the client's own retry loop instead of hanging forever.
 SHARD_RPC_RETRY = RetryPolicy(
@@ -60,7 +60,7 @@ SHARD_FANOUT_RETRY = RetryPolicy(
 )
 
 #: Oracle re-seed margin after an authority-shard crash: timestamps may
-#: have been granted (over ``ts_next``) and lost with their callers, so
+#: have been granted (over ``stamp``) and lost with their callers, so
 #: the reborn counter skips far past everything any survivor witnessed --
 #: re-minting an old timestamp would fabricate duplicate commit stamps.
 TS_RESEED_MARGIN = 100_000
@@ -83,12 +83,11 @@ class TransactionManager(Node):
     ) -> None:
         super().__init__(kernel, net, addr)
         self.settings = settings or TxnSettings()
-        #: Sharded-TM topology.  ``shard_addrs`` lists every TM shard
-        #: (authority first); ``None`` is the classic single TM and keeps
-        #: every hot path bit-identical to the unsharded schedule.
+        #: Topology: ``shard_addrs`` lists every TM shard, authority first;
+        #: a lone TM is the one-shard case and owns every key.
         self.shard_index = shard_index
-        self.shard_addrs = list(shard_addrs) if shard_addrs else None
-        self.n_shards = len(self.shard_addrs) if self.shard_addrs else 1
+        self.shard_addrs = list(shard_addrs) if shard_addrs else [addr]
+        self.n_shards = len(self.shard_addrs)
         #: Shard 0 is the timestamp authority and decision registrar.
         self.is_authority = shard_index == 0
         self.oracle = TimestampOracle()
@@ -99,15 +98,19 @@ class TransactionManager(Node):
             )
         #: The SSI rw-antidependency window (``isolation="ssi"`` only).
         #: Serializability is a global property, so the window lives where
-        #: every commit decision already lands: the single TM, or the
-        #: authority shard -- whose oracle stamps and decision registry
-        #: serialize all commits -- when sharded.
+        #: every commit decision already lands: the authority shard, whose
+        #: oracle stamps and decision registry serialize all commits.
         self.ssi: Optional[SSIWindow] = None
         if self.settings.isolation == "ssi" and self.is_authority:
             self.ssi = SSIWindow(horizon=self.settings.certification_horizon)
-        if logger_shards:
-            if self.n_shards > 1:
+        if self.n_shards > 1:
+            if logger_shards:
                 raise ValueError("tm_shards > 1 is incompatible with log_shards")
+            if self.settings.snapshot_visibility == "flushed":
+                raise ValueError(
+                    "tm_shards > 1 requires snapshot_visibility='latest'"
+                )
+        if logger_shards:
             from repro.txn.loggers import DistributedRecoveryLog
 
             self.log = DistributedRecoveryLog(self, logger_shards, self.settings)
@@ -125,8 +128,18 @@ class TransactionManager(Node):
             self._n_aborts,
             self._n_read_only,
             self._n_duplicate_commits,
+            self._n_prepares,
+            self._n_decide_commits,
+            self._n_decide_aborts,
+            self._n_cross_shard_commits,
+            self._n_decisions_applied,
+            self._n_indoubt_resolved,
+            self._n_ts_grants,
         ) = self.registry.counters(
-            "begins", "commits", "aborts", "read_only", "duplicate_commits"
+            "begins", "commits", "aborts", "read_only", "duplicate_commits",
+            "prepares", "decide_commits", "decide_aborts",
+            "cross_shard_commits", "decisions_applied", "indoubt_resolved",
+            "ts_grants",
         )
         self._tracer = tracer_for(kernel)
         # Idempotent commit handling: remember each transaction's verdict
@@ -151,56 +164,35 @@ class TransactionManager(Node):
         # commit that will ever be acknowledged to that client.
         self._fenced: set = set()
         self._inflight_commits: Dict[str, int] = {}
+        # Highest commit timestamp this shard has witnessed anywhere
+        # (grants, decisions, peers) -- the authority re-seed floor.
+        self._max_seen_ts = 0
+        # Keys held by prepared-but-undecided transactions: certifying
+        # against a reserved key conflicts, so an in-doubt write-set
+        # can never be silently overwritten while its fate is open.
+        self._reserved: Dict[Tuple[str, str, str], Tuple[str, int]] = {}
+        # The durable prepare journal (stable storage: survives a
+        # crash).  One entry per prepared-here transaction, dropped
+        # when its decision is applied.
+        self._prepared: Dict[Tuple[str, int], dict] = {}
+        # Decisions already applied to this shard's slice, for
+        # idempotent duplicate decision deliveries.
+        self._applied: "OrderedDict[Tuple[str, int], dict]" = OrderedDict()
+        # Authority only: the durable first-writer-wins decision
+        # registry -- the replicated commit decision of Gray &
+        # Lamport's non-blocking commit, collapsed onto the authority
+        # shard's stable storage.  Any participant (or the recovery
+        # manager, transitively) can finish an in-doubt transaction
+        # by racing an abort proposal against the coordinator here.
+        self._registry: "OrderedDict[Tuple[str, int], dict]" = OrderedDict()
+        self._registry_gates: Dict[Tuple[str, int], object] = {}
+        # Authority only: remembered ``stamp`` grants, so a retried
+        # request (response lost) returns the original stamp instead of
+        # minting a second one -- under SSI a second pass would also see
+        # the first admission as a concurrent committer and self-conflict.
+        self._grants: "OrderedDict[Tuple[str, int], dict]" = OrderedDict()
         if self.n_shards > 1:
-            if self.settings.snapshot_visibility == "flushed":
-                raise ValueError(
-                    "tm_shards > 1 requires snapshot_visibility='latest'"
-                )
-            # Highest commit timestamp this shard has witnessed anywhere
-            # (grants, decisions, peers) -- the authority re-seed floor.
-            self._max_seen_ts = 0
-            # Keys held by prepared-but-undecided transactions: certifying
-            # against a reserved key conflicts, so an in-doubt write-set
-            # can never be silently overwritten while its fate is open.
-            self._reserved: Dict[Tuple[str, str, str], Tuple[str, int]] = {}
-            # The durable prepare journal (stable storage: survives a
-            # crash).  One entry per prepared-here transaction, dropped
-            # when its decision is applied.
-            self._prepared: Dict[Tuple[str, int], dict] = {}
-            # Decisions already applied to this shard's slice, for
-            # idempotent duplicate decision deliveries.
-            self._applied: "OrderedDict[Tuple[str, int], dict]" = OrderedDict()
-            # Authority only: the durable first-writer-wins decision
-            # registry -- the replicated commit decision of Gray &
-            # Lamport's non-blocking commit, collapsed onto the authority
-            # shard's stable storage.  Any participant (or the recovery
-            # manager, transitively) can finish an in-doubt transaction
-            # by racing an abort proposal against the coordinator here.
-            self._registry: "OrderedDict[Tuple[str, int], dict]" = OrderedDict()
-            self._registry_gates: Dict[Tuple[str, int], object] = {}
-            # Authority only, SSI only: remembered ``ssi_commit`` verdicts,
-            # so a retried grant request (response lost) returns the
-            # original stamp instead of re-certifying -- a second pass
-            # would see the first admission as a concurrent committer and
-            # self-conflict.
-            self._ssi_grants: "OrderedDict[Tuple[str, int], dict]" = OrderedDict()
-            (
-                self._n_prepares,
-                self._n_decide_commits,
-                self._n_decide_aborts,
-                self._n_cross_shard_commits,
-                self._n_decisions_applied,
-                self._n_indoubt_resolved,
-                self._n_ts_grants,
-            ) = self.registry.counters(
-                "prepares",
-                "decide_commits",
-                "decide_aborts",
-                "cross_shard_commits",
-                "decisions_applied",
-                "indoubt_resolved",
-                "ts_grants",
-            )
+            # A lone shard can never hold a foreign prepare.
             self.spawn(self._indoubt_resolver(), name="indoubt-resolver")
 
     # ------------------------------------------------------------------
@@ -310,9 +302,13 @@ class TransactionManager(Node):
         log_commit: bool,
         reads: Optional[List] = None,
     ):
-        """Certify, stamp, and (optionally) log one commit.  (Generator.)"""
-        txn_key = f"{client_id}:{txn_id}"
-        certify_span = self._tracer.begin("commit.certify", txn=txn_key)
+        """Decide one commit: the read-only fast path, the single-owner
+        commit (:meth:`_commit_here`), or -- when the write-set's owners
+        span shards -- the cross-shard coordinator.  (Generator.)"""
+        key = (client_id, txn_id)
+        certify_span = self._tracer.begin(
+            "commit.certify", txn=f"{client_id}:{txn_id}"
+        )
         yield from self.cpu.use(self.settings.op_service_time)
         if not writes:
             if self.ssi is not None and reads:
@@ -320,115 +316,16 @@ class TransactionManager(Node):
                 # rw-edges are what make Fekete's read-only anomaly
                 # possible (clients route read-only commits to the
                 # authority shard, so the window is always local here).
-                reply = self._certify_read_only(start_ts, reads)
-                certify_span.end(
-                    outcome="read_only"
-                    if reply["status"] == "committed"
-                    else "aborted"
-                )
-                return reply
+                # No stamp is minted: the snapshot stays the serialization
+                # point.
+                grant = self._mint(start_ts, (), reads, read_only=True)
+                if grant["status"] == "aborted":
+                    self._n_aborts.inc()
+                    certify_span.end(outcome="aborted")
+                    return grant
             self._n_read_only.inc()
             certify_span.end(outcome="read_only")
             return {"status": "committed", "commit_ts": start_ts, "read_only": True}
-
-        if self.n_shards > 1:
-            reply = yield from self._decide_commit_sharded(
-                client_id, txn_id, start_ts, writes, log_commit, certify_span,
-                reads,
-            )
-            return reply
-
-        keys = [(table, row, column) for table, row, column, _value in writes]
-        conflict = self.certifier.certify(start_ts, keys)
-        if conflict is not None:
-            self._n_aborts.inc()
-            certify_span.end(outcome="aborted")
-            return {"status": "aborted", "conflict_key": list(conflict)}
-        if self.ssi is not None:
-            rkeys = _read_pairs(reads)
-            ssi_conflict = self.ssi.check(start_ts, keys, rkeys)
-            if ssi_conflict is not None:
-                self._n_aborts.inc()
-                self.registry.counter("ssi_aborts").inc()
-                certify_span.end(outcome="aborted")
-                return {
-                    "status": "aborted",
-                    "conflict_key": list(ssi_conflict),
-                    "ssi": True,
-                }
-
-        commit_ts = self.oracle.next()
-        self.certifier.record(commit_ts, keys)
-        if self.ssi is not None:
-            # Back-to-back with check(), no yields in between: the
-            # check-and-admit pair is atomic under the event loop.
-            self.ssi.admit(start_ts, commit_ts, keys, rkeys)
-        self._n_commits.inc()
-        certify_span.end(outcome="committed")
-        if self.settings.snapshot_visibility == "flushed":
-            heapq.heappush(self._unflushed, commit_ts)
-
-        if log_commit:
-            cells_by_table: Dict[str, List] = {}
-            for table, row, column, value in writes:
-                cells_by_table.setdefault(table, []).append(
-                    (row, column, commit_ts, value)
-                )
-            record = LogRecord(
-                commit_ts=commit_ts,
-                client_id=client_id,
-                cells_by_table=cells_by_table,
-                nbytes=max(96 * len(writes), 96),
-            )
-            # Queue wait + group-commit window + disk sync, all in one
-            # stage: the client is unblocked exactly when this ends.
-            append_span = certify_span.child("commit.log_append")
-            yield self.log.append(record)
-            append_span.end()
-        return {"status": "committed", "commit_ts": commit_ts}
-
-    def _certify_read_only(self, start_ts: int, reads: List) -> dict:
-        """SSI certification of a read-only transaction (plain call, so it
-        is atomic under the event loop).  No commit stamp is minted -- on
-        success the snapshot stays the serialization point, exactly the
-        classic read-only fast path -- but the reads enter the rw-edge
-        window with the newest timestamp as their commit point."""
-        rkeys = _read_pairs(reads)
-        conflict = self.ssi.check(start_ts, (), rkeys)
-        if conflict is not None:
-            self._n_aborts.inc()
-            self.registry.counter("ssi_aborts").inc()
-            return {
-                "status": "aborted",
-                "conflict_key": list(conflict),
-                "ssi": True,
-            }
-        self.ssi.admit(start_ts, self.oracle.current(), (), rkeys)
-        self._n_read_only.inc()
-        return {"status": "committed", "commit_ts": start_ts, "read_only": True}
-
-    # ------------------------------------------------------------------
-    # sharded commit protocol (tm_shards > 1 only)
-    # ------------------------------------------------------------------
-    def _decide_commit_sharded(
-        self,
-        client_id: str,
-        txn_id: int,
-        start_ts: int,
-        writes: List[WireWrite],
-        log_commit: bool,
-        certify_span,
-        reads: Optional[List] = None,
-    ):
-        """Route one update commit through the sharded protocol.
-
-        Single-shard write-sets (all keys owned here) commit locally --
-        certification, a commit stamp from the authority, a slice log
-        record -- exactly the classic path plus the timestamp fetch.
-        Cross-shard write-sets run the non-blocking 2PC variant with this
-        shard as coordinator.
-        """
-        key = (client_id, txn_id)
         applied = self._applied.get(key)
         if applied is not None:
             # A resolver (or an earlier incarnation of this coordinator)
@@ -444,10 +341,10 @@ class TransactionManager(Node):
             reply = yield from self._commit_here(
                 key, start_ts, writes, log_commit, certify_span, reads
             )
-            return reply
-        reply = yield from self._coordinate_cross_shard(
-            key, start_ts, slices, certify_span, reads
-        )
+        else:
+            reply = yield from self._coordinate_cross_shard(
+                key, start_ts, slices, certify_span, reads
+            )
         return reply
 
     @staticmethod
@@ -456,7 +353,27 @@ class TransactionManager(Node):
             return {"status": "committed", "commit_ts": outcome["commit_ts"]}
         return {"status": "aborted", "conflict_key": outcome.get("conflict_key")}
 
-    def _certify_sharded(self, start_ts: int, keys, txn_key):
+    @staticmethod
+    def _keys(writes) -> List[Tuple[str, str, str]]:
+        return [(table, row, column) for table, row, column, _value in writes]
+
+    @staticmethod
+    def _log_record(commit_ts: int, client_id: str, writes) -> LogRecord:
+        """The log record of ``writes`` (a whole write-set or one shard's
+        slice of it) committed at ``commit_ts``."""
+        cells_by_table: Dict[str, List] = {}
+        for table, row, column, value in writes:
+            cells_by_table.setdefault(table, []).append(
+                (row, column, commit_ts, value)
+            )
+        return LogRecord(
+            commit_ts=commit_ts,
+            client_id=client_id,
+            cells_by_table=cells_by_table,
+            nbytes=max(96 * len(writes), 96),
+        )
+
+    def _certify(self, start_ts: int, keys, txn_key):
         """Certification plus the reservation check: a key held by another
         prepared-but-undecided transaction conflicts conservatively."""
         for wkey in keys:
@@ -489,96 +406,86 @@ class TransactionManager(Node):
             except DiskWriteError:
                 yield self.sleep(self.settings.group_commit_interval or 0.001)
 
+    def _mint(self, start_ts, wkeys, reads, read_only=False) -> dict:
+        """The authority's stamping step: the SSI rw-edge check (when the
+        window exists), the globally ordered commit stamp, the window
+        admission.  A plain call with no yield, so the three are atomic
+        under the event loop.  A ``read_only`` transaction takes no stamp:
+        its reads enter the window at the newest one.  Returns a
+        ``committed`` grant carrying the stamp, or an ``aborted`` one
+        carrying the witnessing key."""
+        rpairs = _read_pairs(reads)
+        if self.ssi is not None:
+            conflict = self.ssi.check(start_ts, wkeys, rpairs)
+            if conflict is not None:
+                self.registry.counter("ssi_aborts").inc()
+                return {
+                    "status": "aborted",
+                    "conflict_key": list(conflict),
+                    "ssi": True,
+                }
+        ts = self.oracle.current() if read_only else self.oracle.next()
+        self._note_ts(ts)
+        if self.ssi is not None:
+            self.ssi.admit(start_ts, ts, wkeys, rpairs)
+        return {"status": "committed", "commit_ts": ts}
+
+    def _stamp(self, key, start_ts, keys, reads):
+        """A single-owner commit's grant: minted here on the authority,
+        fetched from it over the ``stamp`` RPC on any other shard."""
+        if self.is_authority:
+            return self._mint(start_ts, keys, reads)
+        # Hold the keys while fetching the stamp so a concurrent
+        # certification cannot slip a conflicting commit in between.
+        self._reserve(keys, key)
+        try:
+            grant = yield from self.call_with_retry(
+                self.shard_addrs[0], "stamp",
+                policy=SHARD_RPC_RETRY, timeout=5.0,
+                client_id=key[0], txn_id=key[1],
+                start_ts=start_ts, writes=keys, reads=reads or [],
+            )
+        finally:
+            self._release(keys, key)
+        if grant["status"] == "aborted":
+            # Counted where the client's verdict is issued as well as at
+            # the window that produced it.
+            self.registry.counter("ssi_aborts").inc()
+        self._note_ts(grant.get("commit_ts"))
+        return grant
+
     def _commit_here(self, key, start_ts, writes, log_commit, certify_span,
                      reads=None):
-        """Commit a write-set owned entirely by this shard."""
-        client_id, txn_id = key
-        keys = [(table, row, column) for table, row, column, _value in writes]
-        rkeys = [tuple(rkey) for rkey in reads] if reads else []
-        conflict = self._certify_sharded(start_ts, keys, key)
+        """Commit a write-set owned entirely by this shard -- the paper's
+        commit: certify, stamp, one group-commit append."""
+        keys = self._keys(writes)
+        conflict = self._certify(start_ts, keys, key)
         if conflict is not None:
             self._n_aborts.inc()
             certify_span.end(outcome="aborted")
             return {"status": "aborted", "conflict_key": list(conflict)}
-        if self.is_authority:
-            if self.ssi is not None:
-                ssi_conflict = self.ssi.check(
-                    start_ts, keys, _read_pairs(rkeys)
-                )
-                if ssi_conflict is not None:
-                    self._n_aborts.inc()
-                    self.registry.counter("ssi_aborts").inc()
-                    certify_span.end(outcome="aborted")
-                    return {
-                        "status": "aborted",
-                        "conflict_key": list(ssi_conflict),
-                        "ssi": True,
-                    }
-            commit_ts = self.oracle.next()
-            self._note_ts(commit_ts)
-            if self.ssi is not None:
-                self.ssi.admit(start_ts, commit_ts, keys, _read_pairs(rkeys))
-        else:
-            # Hold the keys while fetching the stamp so a concurrent
-            # certification cannot slip a conflicting commit in between.
-            self._reserve(keys, key)
-            if self.settings.isolation == "ssi":
-                # The stamp grant doubles as the global SSI verdict: the
-                # authority checks the rw-edge window, mints, and admits
-                # in one atomic step (and remembers the verdict, so a
-                # retried grant is never re-certified).
-                try:
-                    grant = yield from self.call_with_retry(
-                        self.shard_addrs[0], "ssi_commit",
-                        policy=SHARD_RPC_RETRY, timeout=5.0,
-                        client_id=client_id, txn_id=txn_id,
-                        start_ts=start_ts, writes=keys, reads=rkeys,
-                    )
-                except BaseException:
-                    self._release(keys, key)
-                    raise
-                self._release(keys, key)
-                if grant["status"] == "aborted":
-                    self._n_aborts.inc()
-                    self.registry.counter("ssi_aborts").inc()
-                    certify_span.end(outcome="aborted")
-                    return {
-                        "status": "aborted",
-                        "conflict_key": grant.get("conflict_key"),
-                        "ssi": True,
-                    }
-                commit_ts = grant["commit_ts"]
-            else:
-                try:
-                    commit_ts = yield from self.call_with_retry(
-                        self.shard_addrs[0], "ts_next",
-                        policy=SHARD_RPC_RETRY, timeout=5.0,
-                    )
-                except BaseException:
-                    self._release(keys, key)
-                    raise
-                self._release(keys, key)
-            self._note_ts(commit_ts)
+        grant = yield from self._stamp(key, start_ts, keys, reads)
+        if grant["status"] == "aborted":
+            self._n_aborts.inc()
+            certify_span.end(outcome="aborted")
+            return grant
+        commit_ts = grant["commit_ts"]
         self.certifier.record(commit_ts, keys)
         self._n_commits.inc()
         certify_span.end(outcome="committed")
+        if self.settings.snapshot_visibility == "flushed":
+            heapq.heappush(self._unflushed, commit_ts)
         if log_commit:
-            cells_by_table: Dict[str, List] = {}
-            for table, row, column, value in writes:
-                cells_by_table.setdefault(table, []).append(
-                    (row, column, commit_ts, value)
-                )
-            record = LogRecord(
-                commit_ts=commit_ts,
-                client_id=client_id,
-                cells_by_table=cells_by_table,
-                nbytes=max(96 * len(writes), 96),
-            )
+            # Queue wait + group-commit window + disk sync, all in one
+            # stage: the client is unblocked exactly when this ends.
             append_span = certify_span.child("commit.log_append")
-            yield self.log.append(record)
+            yield self.log.append(self._log_record(commit_ts, key[0], writes))
             append_span.end()
         return {"status": "committed", "commit_ts": commit_ts}
 
+    # ------------------------------------------------------------------
+    # cross-shard commit: prepare, decide at the authority, apply
+    # ------------------------------------------------------------------
     def _coordinate_cross_shard(self, key, start_ts, slices, certify_span,
                                 reads=None):
         """Coordinate a cross-shard commit (this shard = lowest owner).
@@ -592,13 +499,12 @@ class TransactionManager(Node):
         finish via the registry; no stage blocks on this coordinator
         surviving.
 
-        Under SSI the commit proposal additionally carries the
-        transaction's full read- and write-key sets, so the registrar's
-        durable decision *is* the rw-edge certification verdict: a
-        proposed commit that would complete a dangerous structure is
-        registered as an abort, and every participant (including an
-        in-doubt resolver racing this coordinator) learns the same
-        outcome from the registry.
+        The commit proposal carries the transaction's full read- and
+        write-key sets, so under SSI the registrar's durable decision
+        *is* the rw-edge certification verdict: a proposed commit that
+        would complete a dangerous structure is registered as an abort,
+        and every participant (including an in-doubt resolver racing
+        this coordinator) learns the same outcome from the registry.
         """
         client_id, txn_id = key
         own = slices.get(self.shard_index)
@@ -629,36 +535,18 @@ class TransactionManager(Node):
                     decided = reply
                     break
         proposal = decided["outcome"] if decided is not None else outcome
-        ssi_payload = None
-        if self.settings.isolation == "ssi" and proposal == "commit":
-            ssi_payload = {
-                "start_ts": start_ts,
-                "writes": [
-                    (table, row, column)
+        keysets = {}
+        if proposal == "commit":
+            keysets = dict(
+                start_ts=start_ts,
+                writes=[
+                    wkey
                     for index in sorted(slices)
-                    for table, row, column, _value in slices[index]
+                    for wkey in self._keys(slices[index])
                 ],
-                "reads": [tuple(rkey) for rkey in reads] if reads else [],
-            }
-        if self.is_authority:
-            decision = yield from self._register_decision(
-                key, proposal, ssi=ssi_payload
+                reads=reads or [],
             )
-        else:
-            extra = {}
-            if ssi_payload is not None:
-                extra = dict(
-                    start_ts=ssi_payload["start_ts"],
-                    writes=ssi_payload["writes"],
-                    reads=ssi_payload["reads"],
-                )
-            decision = yield from self.call_with_retry(
-                self.shard_addrs[0], "decide",
-                policy=SHARD_RPC_RETRY, timeout=5.0,
-                client_id=client_id, txn_id=txn_id, outcome=proposal,
-                **extra,
-            )
-            self._note_ts(decision.get("commit_ts"))
+        decision = yield from self._decide(key, proposal, **keysets)
         # Ack point: the decision is durably registered and (below) the
         # local slice is durable.  Delivery to the other owners rides a
         # background process that outlives this RPC.
@@ -697,8 +585,8 @@ class TransactionManager(Node):
             return dict(applied, status="decided")
         if key in self._prepared:
             return {"status": "prepared"}
-        keys = [(table, row, column) for table, row, column, _value in writes]
-        conflict = self._certify_sharded(start_ts, keys, key)
+        keys = self._keys(writes)
+        conflict = self._certify(start_ts, keys, key)
         if conflict is not None:
             return {"status": "aborted", "conflict_key": list(conflict)}
         self._reserve(keys, key)
@@ -729,19 +617,16 @@ class TransactionManager(Node):
         )
         return reply
 
-    def _register_decision(self, key, proposal, ssi=None):
+    def _register_decision(self, key, proposal, start_ts=None, writes=(),
+                           reads=None):
         """First-writer-wins durable decision registration (stage 2).
 
         The first proposal to reach stable storage -- the coordinator's
         commit or a resolver's presumed abort -- IS the transaction's
-        outcome; every later proposal gets that original back.  Commit
-        outcomes take their globally-ordered stamp here, from the
-        authority's oracle.
-
-        Under SSI a commit proposal arrives with the transaction's key
-        sets (``ssi={"start_ts", "writes", "reads"}``); the rw-edge check,
-        the stamp, and the window admission happen in one atomic step, and
-        a dangerous proposal is registered as an abort.
+        outcome; every later proposal gets that original back.  A commit
+        proposal takes its globally-ordered stamp here (:meth:`_mint`,
+        over the transaction's key sets), so under SSI a dangerous
+        proposal is registered as an abort.
         """
         entry = self._registry.get(key)
         if entry is not None:
@@ -755,27 +640,16 @@ class TransactionManager(Node):
         try:
             entry = {"outcome": proposal, "commit_ts": None}
             if proposal == "commit":
-                if ssi is not None and self.ssi is not None:
-                    ssi_conflict = self.ssi.check(
-                        ssi["start_ts"], ssi["writes"],
-                        _read_pairs(ssi["reads"]),
-                    )
-                    if ssi_conflict is not None:
-                        self.registry.counter("ssi_aborts").inc()
-                        entry = {
-                            "outcome": "abort",
-                            "commit_ts": None,
-                            "conflict_key": list(ssi_conflict),
-                            "ssi": True,
-                        }
-                if entry["outcome"] == "commit":
-                    entry["commit_ts"] = self.oracle.next()
-                    self._note_ts(entry["commit_ts"])
-                    if ssi is not None and self.ssi is not None:
-                        self.ssi.admit(
-                            ssi["start_ts"], entry["commit_ts"],
-                            ssi["writes"], _read_pairs(ssi["reads"]),
-                        )
+                grant = self._mint(start_ts, writes, reads)
+                if grant["status"] == "committed":
+                    entry["commit_ts"] = grant["commit_ts"]
+                else:
+                    entry = {
+                        "outcome": "abort",
+                        "commit_ts": None,
+                        "conflict_key": grant["conflict_key"],
+                        "ssi": True,
+                    }
             yield from self._durable_write(128)
         except BaseException as exc:
             self._registry_gates.pop(key, None)
@@ -793,72 +667,62 @@ class TransactionManager(Node):
         gate.succeed(dict(entry))
         return dict(entry)
 
+    def _decide(self, key, proposal, **keysets):
+        """Put ``proposal`` to the decision registry -- here on the
+        authority, over the ``decide`` RPC from any other shard -- and
+        return the registered outcome."""
+        if self.is_authority:
+            decision = yield from self._register_decision(
+                key, proposal, **keysets
+            )
+            return decision
+        decision = yield from self.call_with_retry(
+            self.shard_addrs[0], "decide",
+            policy=SHARD_RPC_RETRY, timeout=5.0,
+            client_id=key[0], txn_id=key[1], outcome=proposal, **keysets,
+        )
+        self._note_ts(decision.get("commit_ts"))
+        return decision
+
     def rpc_decide(self, sender, client_id, txn_id, outcome,
-                   start_ts=None, writes=None, reads=None):
-        """Registrar RPC: coordinator's proposal or a resolver's abort.
-        SSI commit proposals carry the key sets for the atomic rw-edge
-        check at registration."""
+                   start_ts=None, writes=(), reads=None):
+        """Registrar RPC: a coordinator's proposal (a commit carries the
+        key sets the stamp is minted over) or a resolver's abort."""
         if not self.is_authority:
             raise ValueError(f"{self.addr} is not the decision registrar")
         yield from self.cpu.use(self.settings.op_service_time)
-        ssi = None
-        if outcome == "commit" and start_ts is not None:
-            ssi = {
-                "start_ts": start_ts,
-                "writes": [tuple(wkey) for wkey in (writes or [])],
-                "reads": [tuple(rkey) for rkey in (reads or [])],
-            }
         decision = yield from self._register_decision(
-            (client_id, txn_id), outcome, ssi=ssi
+            (client_id, txn_id), outcome, start_ts=start_ts,
+            writes=[tuple(wkey) for wkey in writes], reads=reads,
         )
         return decision
 
-    def rpc_ssi_commit(self, sender, client_id, txn_id, start_ts, writes,
-                       reads):
-        """Authority RPC (SSI only): a single-shard commit's stamp grant,
-        fused with the global rw-edge certification -- check, mint, and
-        admit atomically.  Idempotent per ``(client_id, txn_id)``: a
-        retried grant returns the original verdict, because a second
+    def rpc_stamp(self, sender, client_id, txn_id, start_ts, writes, reads):
+        """Authority RPC: the grant for a commit owned by another shard
+        (see :meth:`_mint`).  Idempotent per ``(client_id, txn_id)``: a
+        retried request returns the original grant -- a second stamp
+        would be a hole in the commit order, and under SSI a second
         certification would see the first admission as a concurrent
         committer and self-conflict.
         """
         if not self.is_authority:
             raise ValueError(f"{self.addr} is not the timestamp authority")
         key = (client_id, txn_id)
-        cached = self._ssi_grants.get(key)
+        cached = self._grants.get(key)
         if cached is not None:
             return dict(cached)
         yield from self.cpu.use(self.settings.op_service_time)
-        cached = self._ssi_grants.get(key)
+        cached = self._grants.get(key)
         if cached is not None:
             # A duplicate decided while this one waited on the CPU.
             return dict(cached)
-        wkeys = [tuple(wkey) for wkey in writes]
-        rpairs = _read_pairs(reads)
-        ssi_conflict = self.ssi.check(start_ts, wkeys, rpairs)
-        if ssi_conflict is None:
-            ts = self.oracle.next()
-            self._note_ts(ts)
-            self.ssi.admit(start_ts, ts, wkeys, rpairs)
+        grant = self._mint(start_ts, [tuple(wkey) for wkey in writes], reads)
+        if grant["status"] == "committed":
             self._n_ts_grants.inc()
-            grant = {"status": "committed", "commit_ts": ts}
-        else:
-            self.registry.counter("ssi_aborts").inc()
-            grant = {"status": "aborted", "conflict_key": list(ssi_conflict)}
-        self._ssi_grants[key] = grant
-        while len(self._ssi_grants) > self.settings.commit_cache_size:
-            self._ssi_grants.popitem(last=False)
+        self._grants[key] = grant
+        while len(self._grants) > self.settings.commit_cache_size:
+            self._grants.popitem(last=False)
         return dict(grant)
-
-    def rpc_ts_next(self, sender):
-        """Authority RPC: one globally-ordered commit timestamp."""
-        if not self.is_authority:
-            raise ValueError(f"{self.addr} is not the timestamp authority")
-        yield from self.cpu.use(self.settings.op_service_time)
-        self._n_ts_grants.inc()
-        ts = self.oracle.next()
-        self._note_ts(ts)
-        return ts
 
     def _apply_decision(self, key, decision):
         """Apply a registered decision to this shard's slice (stage 3).
@@ -871,32 +735,16 @@ class TransactionManager(Node):
         if key in self._applied:
             return
         entry = self._prepared.get(key)
-        if decision["outcome"] == "commit" and entry is not None:
-            commit_ts = decision["commit_ts"]
-            self._note_ts(commit_ts)
-            cells_by_table: Dict[str, List] = {}
-            for table, row, column, value in entry["writes"]:
-                cells_by_table.setdefault(table, []).append(
-                    (row, column, commit_ts, value)
-                )
-            record = LogRecord(
-                commit_ts=commit_ts,
-                client_id=entry["client_id"],
-                cells_by_table=cells_by_table,
-                nbytes=max(96 * len(entry["writes"]), 96),
-            )
-            yield self.log.append(record)
-            keys = [
-                (table, row, column)
-                for table, row, column, _value in entry["writes"]
-            ]
-            self.certifier.record(commit_ts, keys)
         if entry is not None:
+            keys = self._keys(entry["writes"])
+            if decision["outcome"] == "commit":
+                commit_ts = decision["commit_ts"]
+                self._note_ts(commit_ts)
+                yield self.log.append(
+                    self._log_record(commit_ts, entry["client_id"], entry["writes"])
+                )
+                self.certifier.record(commit_ts, keys)
             self._prepared.pop(key, None)
-            keys = [
-                (table, row, column)
-                for table, row, column, _value in entry["writes"]
-            ]
             self._release(keys, key)
             self._n_decisions_applied.inc()
         self._applied[key] = {
@@ -961,15 +809,7 @@ class TransactionManager(Node):
             if now - entry["t"] < min_age:
                 continue
             try:
-                if self.is_authority:
-                    decision = yield from self._register_decision(key, "abort")
-                else:
-                    decision = yield from self.call_with_retry(
-                        self.shard_addrs[0], "decide",
-                        policy=SHARD_RPC_RETRY, timeout=5.0,
-                        client_id=key[0], txn_id=key[1], outcome="abort",
-                    )
-                    self._note_ts(decision.get("commit_ts"))
+                decision = yield from self._decide(key, "abort")
             except Interrupt:
                 raise
             except Exception:
@@ -982,6 +822,9 @@ class TransactionManager(Node):
         last_logged = getattr(self.log, "last_ts", 0)
         return max(latest, last_logged)
 
+    # ------------------------------------------------------------------
+    # crash and restart
+    # ------------------------------------------------------------------
     def on_crash(self) -> None:
         """Drop the volatile coordination gates *at* crash time.
 
@@ -996,22 +839,16 @@ class TransactionManager(Node):
         """
         self._deciding.clear()
         self._inflight_commits.clear()
-        if self.n_shards > 1:
-            self._registry_gates.clear()
-            if self.ssi is not None:
-                # The rw-edge window (and the grant cache) is volatile:
-                # read-sets are never logged.  Replace it immediately,
-                # floored past every pre-crash stamp, so a request that
-                # sneaks in between revive() and the restart process's
-                # first step cannot certify against a hole -- snapshots
-                # taken before the crash abort conservatively.
-                self.ssi = SSIWindow(
-                    horizon=self.settings.certification_horizon
-                )
-                self.ssi.raise_floor(
-                    self._latest_known_ts() + TS_RESEED_MARGIN
-                )
-            self._ssi_grants.clear()
+        self._registry_gates.clear()
+        self._grants.clear()
+        if self.ssi is not None:
+            # The rw-edge window is volatile: read-sets are never logged.
+            # Replace it immediately, floored past every pre-crash stamp,
+            # so a request that sneaks in between revive() and the restart
+            # process's first step cannot certify against a hole --
+            # snapshots taken before the crash abort conservatively.
+            self.ssi = SSIWindow(horizon=self.settings.certification_horizon)
+            self.ssi.raise_floor(self._latest_known_ts() + TS_RESEED_MARGIN)
 
     def restart(self):
         """Revive this shard after a crash (generator; spawn post-revive).
@@ -1027,8 +864,7 @@ class TransactionManager(Node):
         self.log.restart()
         self._reserved = {}
         for key, entry in self._prepared.items():
-            for table, row, column, _value in entry["writes"]:
-                self._reserved[(table, row, column)] = key
+            self._reserve(self._keys(entry["writes"]), key)
         certifier = SICertifier(horizon=self.settings.certification_horizon)
         certifier._floor_ts = self.log.truncated_below
         for record in self.log.fetch(0):
@@ -1045,7 +881,8 @@ class TransactionManager(Node):
             self.oracle = TimestampOracle(
                 start=self._latest_known_ts() + TS_RESEED_MARGIN
             )
-        self.spawn(self._indoubt_resolver(), name="indoubt-resolver")
+        if self.n_shards > 1:
+            self.spawn(self._indoubt_resolver(), name="indoubt-resolver")
         peer_latest = 0
         for addr in self.shard_addrs:
             if addr == self.addr:
@@ -1125,12 +962,12 @@ class TransactionManager(Node):
     ):
         """The ``fetchlogs`` call of Algorithms 2 and 4.
 
-        On a TM shard, every in-doubt prepared transaction is resolved
-        against the decision registry *first*: a commit decided but not
-        yet fanned out lands in the log before the fetch answers, so
-        recovery replay never misses an acknowledged slice.
+        Every in-doubt prepared transaction is resolved against the
+        decision registry *first*: a commit decided but not yet fanned
+        out lands in the log before the fetch answers, so recovery
+        replay never misses an acknowledged slice.
         """
-        if self.n_shards > 1 and self._prepared:
+        if self._prepared:
             yield from self._resolve_indoubt(min_age=0.0)
         records = yield from self.log.fetch_gen(after_ts, client_id=client_id)
         return [r.to_wire() for r in records]
@@ -1141,18 +978,15 @@ class TransactionManager(Node):
         return dropped
 
     def rpc_latest_ts(self, sender: str) -> int:
-        """The newest timestamp this node knows of.  A shard answers with
-        everything it has *witnessed* (grants, decisions, logged slices),
-        which is what the authority's crash re-seed needs from peers."""
-        if self.n_shards > 1:
-            return self._latest_known_ts()
-        return self.oracle.current()
+        """The newest timestamp this shard has *witnessed* (grants,
+        decisions, logged slices) -- what the authority's crash re-seed
+        needs from its peers."""
+        return self._latest_known_ts()
 
     def metrics(self) -> dict:
         """Uniform registry snapshot for the transaction manager."""
-        if self.n_shards > 1:
-            self.registry.gauge("indoubt").set(len(self._prepared))
-            self.registry.gauge("reserved").set(len(self._reserved))
+        self.registry.gauge("indoubt").set(len(self._prepared))
+        self.registry.gauge("reserved").set(len(self._reserved))
         if self.ssi is not None:
             tracked, floor = self.ssi.window_size()
             self.registry.gauge("ssi_window").set(tracked)

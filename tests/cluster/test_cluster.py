@@ -128,3 +128,74 @@ def test_crash_server_kills_colocated_datanode():
     assert not cluster.servers[0].alive
     assert not cluster.datanodes[0].alive
     assert cluster.servers[1].alive
+
+
+@pytest.mark.parametrize("isolation", ["si", "ssi"])
+def test_single_tm_crash_restart_resumes_commits(isolation):
+    """A lone TM restarts like any shard: log salvaged, certifier rebuilt
+    from the retained records, oracle re-seeded past everything logged,
+    and a commit retried across the restart gets exactly one verdict."""
+    from repro.errors import TxnConflict
+    from repro.txn.manager import TS_RESEED_MARGIN
+
+    config = ClusterConfig(seed=77)
+    config.workload.n_rows = 1000
+    config.kv.n_regions = 4
+    config.txn.isolation = isolation
+    config.recovery.truncate_log = False  # keep the pre-crash record retained
+    cluster = SimCluster(config).start()
+    cluster.preload()
+    client = cluster.add_client("c")
+    tm = cluster.tm
+
+    def write(ctx, row, value):
+        client.txn.write(ctx, TABLE, row_key(row), value)
+        yield from client.txn.commit(ctx)
+        return ctx
+
+    stale = cluster.run(client.txn.begin())  # snapshot before any commit
+    first = cluster.run(write(cluster.run(client.txn.begin()), 1, "a"))
+
+    # Crash the TM while the second commit's log append is in flight, so
+    # its client has to retry against the restarted incarnation.
+    second = cluster.run(client.txn.begin())
+    retried = cluster.kernel.process(write(second, 2, "b"))
+    while not tm._deciding:
+        cluster.kernel.step()
+    cluster.crash_tm_shard(0)
+    assert tm.log.last_ts == first.commit_ts  # the append died unsynced
+    cluster.run_until(cluster.kernel.now + 1.0)
+    cluster.restart_tm_shard(0)
+    if isolation == "ssi":
+        # The rw-edge window died with the crash, so a pre-crash snapshot
+        # can no longer be vouched for: one verdict, a conservative abort.
+        with pytest.raises(TxnConflict):
+            cluster.kernel.run_until_complete(retried)
+        second = cluster.run(write(cluster.run(client.txn.begin()), 2, "b"))
+    else:
+        cluster.kernel.run_until_complete(retried)
+
+    assert tm.metrics()["counters"]["restarts"] == 1
+    assert second.commit_ts > first.commit_ts + TS_RESEED_MARGIN
+    assert tm.oracle.current() >= tm.log.last_ts == second.commit_ts
+    assert [r.commit_ts for r in tm.log.fetch(0)] == [
+        first.commit_ts, second.commit_ts,
+    ]
+    # The rebuilt certifier still knows the pre-crash write.
+    with pytest.raises(TxnConflict):
+        cluster.run(write(stale, 1, "late"))
+    # And ordinary commits resume.
+    third = cluster.run(write(cluster.run(client.txn.begin()), 3, "c"))
+    assert third.commit_ts > second.commit_ts
+
+
+def test_failed_tm_restart_fails_the_run():
+    """A restart that raises must not vanish into a defused process."""
+    from repro.errors import SimulationError
+
+    cluster = make(n_rows=1000)
+    cluster.crash_tm_shard(0)
+    cluster.tm.log.restart = None  # any bug inside restart()
+    cluster.restart_tm_shard(0)
+    with pytest.raises(SimulationError):
+        cluster.run_until(cluster.kernel.now + 1.0)

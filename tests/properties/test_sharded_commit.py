@@ -239,11 +239,9 @@ def test_same_seed_same_shards_reproduces_history():
     assert first["crashes"] == second["crashes"]
 
 
-def _history_for_single_tm(seed: int, explicit_shard_count: bool) -> str:
+def _history_for_single_tm(seed: int) -> str:
     """Canonical history export of a crash-free single-TM workload."""
     config = ClusterConfig(seed=seed)
-    if explicit_shard_count:
-        config.txn.tm_shards = 1
     config.workload.n_rows = N_ROWS
     config.kv.n_region_servers = 2
     config.kv.n_regions = 4
@@ -263,13 +261,9 @@ def _history_for_single_tm(seed: int, explicit_shard_count: bool) -> str:
 
 
 @pytest.mark.parametrize("seed", (2, 9))
-def test_shard_count_one_is_bit_identical_to_single_tm(seed):
-    """``tm_shards=1`` must not perturb the calibrated single-TM schedule:
-    the same-seed canonical history export is byte-identical to the
-    default configuration's (the pre-sharding wiring), and no sharded
-    metadata leaks into the events."""
-    explicit = _history_for_single_tm(seed, explicit_shard_count=True)
-    default = _history_for_single_tm(seed, explicit_shard_count=False)
-    assert explicit == default
-    assert '"owners"' not in explicit
-    assert "tf_shards" not in explicit
+def test_one_shard_history_leaks_no_sharded_metadata(seed):
+    """A lone TM runs the same commit code as a shard, but nothing of the
+    sharded bookkeeping shows in the canonical history export."""
+    history = _history_for_single_tm(seed)
+    assert '"owners"' not in history
+    assert "tf_shards" not in history

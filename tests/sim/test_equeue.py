@@ -8,6 +8,7 @@ horizon and pushes the identical tuple back), and zero-delay triggers at
 the current time.
 """
 
+import functools
 import random
 
 import pytest
@@ -168,15 +169,14 @@ def _run_scenario(queue_impl):
 def test_kernel_trace_identical_across_queue_impls():
     assert _run_scenario("calendar") == _run_scenario("heap")
 
-def _export_workload(tmp_path, queue_impl):
-    """Run the CLI workload with one queue impl; return the export bytes."""
+def _export_workload(tmp_path, tag):
+    """Run the CLI workload; return the export bytes."""
     from repro.cli import main
 
-    metrics = tmp_path / f"metrics-{queue_impl}.json"
-    history = tmp_path / f"history-{queue_impl}.json"
+    metrics = tmp_path / f"metrics-{tag}.json"
+    history = tmp_path / f"history-{tag}.json"
     rc = main([
         "workload", "--seed", "3", "--duration", "6", "--tps", "120",
-        "--queue-impl", queue_impl,
         "--metrics-json", str(metrics),
         "--history-json", str(history),
     ])
@@ -184,10 +184,14 @@ def _export_workload(tmp_path, queue_impl):
     return metrics.read_bytes(), history.read_bytes()
 
 
-def test_same_seed_exports_byte_identical_across_queue_impls(tmp_path):
+def test_same_seed_exports_byte_identical_across_queue_impls(tmp_path, monkeypatch):
     """The queue swap is invisible: same seed, same wire-level history and
-    metrics down to the byte."""
+    metrics down to the byte.  The heap queue is the test-side reference,
+    so it is injected here rather than selected by a setting."""
     cal_metrics, cal_history = _export_workload(tmp_path, "calendar")
+    monkeypatch.setattr(
+        "repro.cluster.Kernel", functools.partial(Kernel, queue_impl="heap")
+    )
     heap_metrics, heap_history = _export_workload(tmp_path, "heap")
     assert cal_metrics == heap_metrics
     assert cal_history == heap_history

@@ -13,113 +13,20 @@ fabric copies, coordinator retries, a resolver racing a late fan-out --
 must neither re-append a slice record nor re-stamp the transaction.
 """
 
+import pytest
+
 from repro.config import TxnSettings
 from repro.sim import Kernel, Network, Node
 from repro.txn.manager import TransactionManager
 from repro.txn.sharding import shard_addrs, shard_of
 
 
-def make_tm(seed=3):
-    k = Kernel(seed=seed)
-    net = Network(k)
-    tm = TransactionManager(k, net, "tm")
-    caller = Node(k, net, "c1")
-    return k, net, tm, caller
-
-
-def drive(k, gen):
-    out = {}
-
-    def proc():
-        out["value"] = yield from gen
-
-    k.run_until_complete(k.process(proc()))
-    return out["value"]
-
-
-def begin(k, caller):
-    def proc():
-        reply = yield caller.call("tm", "begin", timeout=5.0, client_id="c1")
-        return reply
-
-    return drive(k, proc())
-
-
-def commit(caller, txn_id, start_ts, writes):
-    return caller.call(
-        "tm", "commit", timeout=5.0,
-        client_id="c1", txn_id=txn_id, start_ts=start_ts, writes=writes,
-    )
-
-
-def test_retried_commit_returns_cached_verdict():
-    k, _net, tm, caller = make_tm()
-    opened = begin(k, caller)
-    writes = [("t", "r1", "f", "v1")]
-
-    def proc():
-        first = yield commit(caller, opened["txn_id"], opened["start_ts"], writes)
-        again = yield commit(caller, opened["txn_id"], opened["start_ts"], writes)
-        return first, again
-
-    first, again = drive(k, proc())
-    assert first["status"] == "committed"
-    assert again == first  # same verdict, same commit timestamp
-    assert tm.metrics()["counters"]["commits"] == 1
-    assert tm.metrics()["counters"]["duplicate_commits"] == 1
-
-
-def test_inflight_duplicate_parks_on_the_first_decision():
-    k, _net, tm, caller = make_tm()
-    opened = begin(k, caller)
-    writes = [("t", "r2", "f", "v2")]
-
-    def proc():
-        # Two concurrent commits for the same transaction: the second
-        # arrives while the first is still certifying/group-committing
-        # and must piggyback on its outcome, not re-certify.
-        ev1 = commit(caller, opened["txn_id"], opened["start_ts"], writes)
-        ev2 = commit(caller, opened["txn_id"], opened["start_ts"], writes)
-        r1 = yield ev1
-        r2 = yield ev2
-        return r1, r2
-
-    r1, r2 = drive(k, proc())
-    assert r1 == r2
-    assert r1["status"] == "committed"
-    assert tm.metrics()["counters"]["commits"] == 1
-    assert tm.metrics()["counters"]["duplicate_commits"] == 1
-
-
-def test_distinct_transactions_are_not_deduplicated():
-    k, _net, tm, caller = make_tm()
-    first = begin(k, caller)
-    second = begin(k, caller)
-
-    def proc():
-        r1 = yield commit(caller, first["txn_id"], first["start_ts"],
-                          [("t", "r3", "f", "a")])
-        r2 = yield commit(caller, second["txn_id"], second["start_ts"],
-                          [("t", "r4", "f", "b")])
-        return r1, r2
-
-    r1, r2 = drive(k, proc())
-    assert r1["status"] == "committed"
-    assert r2["status"] == "committed"
-    assert r1["commit_ts"] != r2["commit_ts"]
-    assert tm.metrics()["counters"]["commits"] == 2
-    assert tm.metrics()["counters"]["duplicate_commits"] == 0
-
-
-# ----------------------------------------------------------------------
-# sharded TM: duplicate cross-shard decision deliveries
-# ----------------------------------------------------------------------
-
-def make_sharded(n=2, seed=3):
+def make_sharded(n=2, seed=3, isolation="si"):
     k = Kernel(seed=seed)
     net = Network(k)
     settings = TxnSettings()
     settings.tm_shards = n
+    settings.isolation = isolation
     addrs = shard_addrs(n)
     tms = [
         TransactionManager(
@@ -132,12 +39,218 @@ def make_sharded(n=2, seed=3):
     return k, net, tms, caller
 
 
-def row_on_shard(shard, n_shards):
+def row_on_shard(shard, n_shards, skip=0):
+    """The ``skip``-th row name the keyspace hash places on ``shard``."""
     i = 0
-    while shard_of("t", f"r{i}", n_shards) != shard:
+    while True:
+        if shard_of("t", f"r{i}", n_shards) == shard:
+            if skip == 0:
+                return f"r{i}"
+            skip -= 1
         i += 1
-    return f"r{i}"
 
+
+def drive(k, gen):
+    out = {}
+
+    def proc():
+        out["value"] = yield from gen
+
+    k.run_until_complete(k.process(proc()))
+    return out["value"]
+
+
+# ----------------------------------------------------------------------
+# single-owner commits: the same semantics on every topology
+# ----------------------------------------------------------------------
+
+#: topology -> (shard count, index of the shard that owns the write-set)
+TOPOLOGIES = {
+    "lone-tm": (1, 0),
+    "owner-is-authority": (2, 0),
+    "owner-is-peer": (2, 1),
+}
+
+
+class SingleOwner:
+    """One TM topology plus a client whose write-sets all have one owner."""
+
+    def __init__(self, topology):
+        n, owner = TOPOLOGIES[topology]
+        self.k, _net, self.tms, self.caller = make_sharded(n)
+        self.n, self.tm = n, self.tms[owner]
+
+    def row(self, i):
+        return row_on_shard(self.tm.shard_index, self.n, skip=i)
+
+    def call(self, tm, method, **kw):
+        return self.caller.call(tm.addr, method, timeout=5.0, client_id="c1", **kw)
+
+    def begin(self):
+        return drive(self.k, (lambda: (yield self.call(self.tms[0], "begin")))())
+
+    def commit(self, opened, writes, **kw):
+        """The commit RPC's reply event, sent to the owner shard."""
+        return self.call(
+            self.tm, "commit", txn_id=opened["txn_id"],
+            start_ts=opened["start_ts"], writes=writes, **kw,
+        )
+
+    def counters(self):
+        return self.tm.metrics()["counters"]
+
+
+@pytest.fixture(params=sorted(TOPOLOGIES))
+def topo(request):
+    return SingleOwner(request.param)
+
+
+def test_retried_commit_returns_cached_verdict(topo):
+    opened = topo.begin()
+    writes = [("t", topo.row(0), "f", "v1")]
+
+    def proc():
+        first = yield topo.commit(opened, writes)
+        again = yield topo.commit(opened, writes)
+        return first, again
+
+    first, again = drive(topo.k, proc())
+    assert first["status"] == "committed"
+    assert again == first  # same verdict, same commit timestamp
+    assert topo.counters()["commits"] == 1
+    assert topo.counters()["duplicate_commits"] == 1
+    assert [r.commit_ts for r in topo.tm.log.fetch(0)] == [first["commit_ts"]]
+
+
+def test_inflight_duplicate_parks_on_the_first_decision(topo):
+    opened = topo.begin()
+    writes = [("t", topo.row(0), "f", "v2")]
+
+    def proc():
+        # Two concurrent commits for the same transaction: the second
+        # arrives while the first is still certifying/group-committing
+        # and must piggyback on its outcome, not re-certify.
+        ev1 = topo.commit(opened, writes)
+        ev2 = topo.commit(opened, writes)
+        r1 = yield ev1
+        r2 = yield ev2
+        return r1, r2
+
+    r1, r2 = drive(topo.k, proc())
+    assert r1 == r2
+    assert r1["status"] == "committed"
+    assert topo.counters()["commits"] == 1
+    assert topo.counters()["duplicate_commits"] == 1
+
+
+def test_distinct_transactions_are_not_deduplicated(topo):
+    first, second = topo.begin(), topo.begin()
+
+    def proc():
+        r1 = yield topo.commit(first, [("t", topo.row(0), "f", "a")])
+        r2 = yield topo.commit(second, [("t", topo.row(1), "f", "b")])
+        return r1, r2
+
+    r1, r2 = drive(topo.k, proc())
+    assert r1["status"] == "committed"
+    assert r2["status"] == "committed"
+    assert r1["commit_ts"] < r2["commit_ts"]
+    assert topo.counters()["commits"] == 2
+    assert topo.counters()["duplicate_commits"] == 0
+
+
+def test_first_committer_wins(topo):
+    first, second = topo.begin(), topo.begin()  # the same snapshot
+    writes = [("t", topo.row(0), "f", "x")]
+
+    def proc():
+        r1 = yield topo.commit(first, writes)
+        r2 = yield topo.commit(second, writes)
+        return r1, r2
+
+    r1, r2 = drive(topo.k, proc())
+    assert r1["status"] == "committed"
+    assert r2 == {"status": "aborted", "conflict_key": ["t", topo.row(0), "f"]}
+    assert topo.counters()["aborts"] == 1
+    assert topo.tm.log.length == 1
+
+
+def test_read_only_commit_takes_the_fast_path(topo):
+    opened = topo.begin()
+    reply = drive(topo.k, (lambda: (yield topo.commit(opened, [])))())
+    assert reply == {
+        "status": "committed", "commit_ts": opened["start_ts"], "read_only": True,
+    }
+    assert topo.counters()["read_only"] == 1
+    assert topo.counters()["commits"] == 0
+    assert topo.tm.log.length == 0
+    assert topo.tms[0].oracle.current() == opened["start_ts"]  # no stamp
+
+
+def test_fenced_client_cannot_commit(topo):
+    opened = topo.begin()
+    writes = [("t", topo.row(0), "f", "late")]
+
+    def proc():
+        yield topo.call(topo.tm, "fence_client")
+        first = yield topo.commit(opened, writes)
+        again = yield topo.commit(opened, writes)
+        return first, again
+
+    first, again = drive(topo.k, proc())
+    assert first == {"status": "aborted", "conflict_key": None, "fenced": True}
+    assert again == first
+    assert topo.counters()["fenced_commits"] == 1
+    assert topo.tm.log.length == 0
+
+
+def test_commit_without_logging_still_certifies_and_stamps(topo):
+    # The fig2a baseline (durability from the store's synchronous WAL).
+    first, second = topo.begin(), topo.begin()
+    writes = [("t", topo.row(0), "f", "x")]
+
+    def proc():
+        r1 = yield topo.commit(first, writes, log_commit=False)
+        r2 = yield topo.commit(second, writes, log_commit=False)
+        return r1, r2
+
+    r1, r2 = drive(topo.k, proc())
+    assert r1["status"] == "committed"
+    assert r1["commit_ts"] == topo.tms[0].oracle.current()
+    assert r2["status"] == "aborted"
+    assert topo.tm.log.length == 0
+
+
+# ----------------------------------------------------------------------
+# the authority's stamp grant: a lost response must not mint twice
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("isolation", ["si", "ssi"])
+def test_retried_stamp_returns_the_same_grant(isolation):
+    k, _net, tms, caller = make_sharded(isolation=isolation)
+
+    def stamp():
+        return caller.call(
+            tms[0].addr, "stamp", timeout=5.0,
+            client_id="c1", txn_id=7, start_ts=0,
+            writes=[("t", "r1", "f")], reads=[],
+        )
+
+    def proc():
+        first = yield stamp()
+        retry = yield stamp()  # the first response never arrived
+        return first, retry
+
+    first, retry = drive(k, proc())
+    assert first["status"] == "committed"
+    assert retry == first
+    assert tms[0].oracle.current() == first["commit_ts"]  # one stamp minted
+    assert tms[0].metrics()["counters"]["ts_grants"] == 1
+
+
+# ----------------------------------------------------------------------
+# sharded TM: duplicate cross-shard decision deliveries
+# ----------------------------------------------------------------------
 
 def test_duplicate_decision_delivery_applies_the_slice_once():
     # A participant that already applied a fanned-out COMMIT must absorb
