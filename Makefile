@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-verbose chaos chaos-disk chaos-kill chaos-tm-shard chaos-ssi check-sweep bench bench-standing bench-compare bench-figs bench-paper examples demo clean apidoc loc
+.PHONY: install test test-fast test-verbose chaos chaos-disk chaos-kill chaos-tm-shard chaos-ssi check-sweep bench bench-compare bench-figs bench-paper examples demo clean apidoc loc
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -61,15 +61,10 @@ check-sweep:
 	$(PYTHON) -m repro chaos --seeds 20 --disk-faults \
 		--json artifacts/check-sweep-disk.json --history-dir artifacts/histories-disk
 
-# Benchmark snapshot: commit latency percentiles, recovery wall-clock,
-# and simulator speed (commits/s, events per commit), written to
-# BENCH_<n>.json and gated by tools/check_bench.py.
+# The standing five-workload benchmark (BENCHMARK.json, bench/README.md),
+# written to bench/out/result.json, and its verdict per workload x metric
+# between two result files (exit 1 on any `worse` row).
 bench:
-	$(PYTHON) -m repro bench
-
-# The standing five-workload benchmark (BENCHMARK.json, bench/README.md)
-# and its verdict per workload x metric between two result files.
-bench-standing:
 	$(PYTHON) bench/run.py
 
 bench-compare:

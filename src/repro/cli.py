@@ -1,13 +1,12 @@
 """Command-line interface: run the simulated system from a terminal.
 
-Six subcommands cover the common exploration paths without writing any
+Five subcommands cover the common exploration paths without writing any
 code::
 
     python -m repro demo                         # commit, crash, recover
     python -m repro workload --mix A --tps 200   # run a YCSB mix
     python -m repro failover --crash-at 40       # Figure-3-style timeline
     python -m repro chaos --seeds 8              # seed-swept fault storms
-    python -m repro bench                        # snapshot -> BENCH_<n>.json
     python -m repro check history.json           # re-check a saved history
 
 Every run prints its configuration and a deterministic seed, so anything
@@ -367,181 +366,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Standing benchmark snapshot, written to ``BENCH_<n>.json``.
-
-    One fixed scenario -- a YCSB run with a mid-run server crash -- and
-    three headline numbers tracked across commits: commit-path p50/p99
-    from the span tracer, recovery wall-clock from the ``recovery.*``
-    spans, and the simulator's speed as committed transactions per
-    wall-clock second (events per second is reported beside it, but a
-    change that removes events lowers it without slowing anything).
-    """
-    import json
-    import os
-    import re
-    import time
-
-    from repro.metrics.spans import tracer_for
-
-    started = time.perf_counter()
-    cluster = _build(args)
-    driver = WorkloadDriver(cluster)
-    crash_at = args.duration / 2.0
-    cluster.after(crash_at, lambda: cluster.crash_server(0))
-    print(
-        f"bench: {args.duration:.0f}s at {args.tps:.0f} tps, "
-        f"crashing rs0 at t={crash_at:.0f}s"
-    )
-    result = driver.run(duration=args.duration, target_tps=args.tps)
-    # Let replay, reopens, and post-commit flushes finish before sampling.
-    cluster.run_until(cluster.kernel.now + 10.0)
-    wall_s = time.perf_counter() - started
-
-    snapshot = cluster.metrics_snapshot()
-    spans = snapshot["spans"]
-    commit = spans.get("commit.rpc", {})
-    recovery_spans = [
-        s
-        for s in tracer_for(cluster.kernel).spans()
-        if s.stage.startswith("recovery.")
-    ]
-    recovery_wall = (
-        max(s.end_time for s in recovery_spans)
-        - min(s.start for s in recovery_spans)
-        if recovery_spans
-        else 0.0
-    )
-    rm = cluster.rm_status()
-    events = cluster.kernel.event_count
-    committed = result.committed
-    scenario = {
-        "seed": args.seed,
-        "duration_s": args.duration,
-        "offered_tps": args.tps,
-        "servers": args.servers,
-        "regions": args.regions,
-        "rows": args.rows,
-        "clients": args.clients,
-        "crash_at_s": crash_at,
-    }
-    if getattr(args, "tm_shards", 1) != 1:
-        # Only when sharded: unsharded scenario dicts stay byte-identical
-        # to the committed baselines, so check_bench keeps comparing them.
-        scenario["tm_shards"] = args.tm_shards
-    if getattr(args, "isolation", "si") != "si":
-        # Same gating: default-SI scenarios keep the baseline shape, and
-        # check_bench skips semantic cross-checks when modes differ.
-        scenario["isolation"] = args.isolation
-    payload = {
-        "scenario": scenario,
-        "commit": {
-            "count": commit.get("count", 0),
-            "p50_ms": round(commit.get("p50", 0.0) * 1000, 6),
-            "p99_ms": round(commit.get("p99", 0.0) * 1000, 6),
-        },
-        "recovery": {
-            "wall_clock_s": round(recovery_wall, 6),
-            "regions_recovered": rm["server_region_recoveries"],
-            "replayed_fragments": rm["replayed_fragments"],
-            "spans": {
-                stage: stats
-                for stage, stats in spans.items()
-                if stage.startswith("recovery.")
-            },
-        },
-        "simulator": {
-            "events": events,
-            "wall_clock_s": round(wall_s, 3),
-            "events_per_s": round(events / wall_s, 1) if wall_s > 0 else None,
-            "commits_per_s": round(committed / wall_s, 1) if wall_s > 0 else None,
-            "events_per_commit": round(events / committed, 2) if committed else 0.0,
-        },
-        "workload": result.summary(),
-    }
-    if args.ssi_smoke:
-        payload["ssi_smoke"] = _bench_ssi_smoke(args)
-        print(
-            f"ssi smoke: {payload['ssi_smoke']['workload']['committed']} "
-            f"committed, {payload['ssi_smoke']['ssi']['aborts']} ssi aborts, "
-            f"serialization graph acyclic="
-            f"{payload['ssi_smoke']['serializable']}"
-        )
-
-    os.makedirs(args.out, exist_ok=True)
-    taken = [
-        int(m.group(1))
-        for f in os.listdir(args.out)
-        if (m := re.fullmatch(r"BENCH_(\d+)\.json", f))
-    ]
-    n = max(taken) + 1 if taken else 0
-    path = os.path.join(args.out, f"BENCH_{n}.json")
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(
-        f"commit p50 {payload['commit']['p50_ms']:.3f} ms, "
-        f"p99 {payload['commit']['p99_ms']:.3f} ms over "
-        f"{payload['commit']['count']} commits"
-    )
-    print(
-        f"recovery wall-clock {recovery_wall:.3f}s "
-        f"({rm['server_region_recoveries']} regions, "
-        f"{rm['replayed_fragments']} fragments)"
-    )
-    print(f"simulator: {events} events in {wall_s:.1f}s wall "
-          f"({payload['simulator']['commits_per_s']:.0f} commits/s, "
-          f"{payload['simulator']['events_per_commit']:.1f} events/commit, "
-          f"{payload['simulator']['events_per_s']:.0f} events/s)")
-    print(f"wrote {path}")
-    return 0
-
-
-def _bench_ssi_smoke(args: argparse.Namespace) -> dict:
-    """A short SSI-mode run folded into the bench payload.
-
-    Proves the serializable certification path end to end on every bench
-    refresh -- read-sets shipped, window checks running, recorded history
-    acyclic -- and tracks its commit-path cost next to the SI headline
-    numbers.  Deliberately small (its own cluster, no crash) so the main
-    scenario's numbers stay untouched.
-    """
-    from repro.check import SerializabilityChecker
-
-    config = ClusterConfig(seed=args.seed)
-    config.workload.n_rows = min(args.rows, 5_000)
-    config.workload.n_clients = min(args.clients, 20)
-    config.kv.n_region_servers = args.servers
-    config.kv.n_regions = args.regions
-    config.txn.isolation = "ssi"
-    cluster = SimCluster(config).start()
-    cluster.preload()
-    cluster.warm_caches()
-    recorder = cluster.attach_history_recorder()
-    driver = WorkloadDriver(cluster)
-    result = driver.run(duration=8.0, target_tps=150.0, warmup=1.0)
-    report = SerializabilityChecker(recorder.events, mode="ssi").check()
-    tm = cluster.tm.metrics()
-    commit = cluster.metrics_snapshot()["spans"].get("commit.rpc", {})
-    return {
-        "isolation": "ssi",
-        "duration_s": 8.0,
-        "offered_tps": 150.0,
-        "commit": {
-            "count": commit.get("count", 0),
-            "p50_ms": round(commit.get("p50", 0.0) * 1000, 6),
-            "p99_ms": round(commit.get("p99", 0.0) * 1000, 6),
-        },
-        "ssi": {
-            "checks": tm["gauges"].get("ssi_checks", 0),
-            "aborts": tm["counters"].get("ssi_aborts", 0),
-            "window": tm["gauges"].get("ssi_window", 0),
-        },
-        "serializable": report.ok,
-        "serializability": report.counters,
-        "workload": result.summary(),
-    }
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The repro CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -614,24 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write each seed's recorded operation history "
                             "as DIR/history-<seed>.json")
     chaos.set_defaults(func=cmd_chaos)
-
-    bench = sub.add_parser(
-        "bench", help="standing benchmark snapshot -> BENCH_<n>.json"
-    )
-    _add_cluster_args(bench)
-    bench.add_argument("--duration", type=float, default=45.0,
-                       help="simulated run length (a server crash is "
-                            "injected at the midpoint)")
-    bench.add_argument("--tps", type=float, default=200.0,
-                       help="offered transactions per second")
-    bench.add_argument("--out", metavar="DIR", default=".",
-                       help="directory for the numbered BENCH_<n>.json")
-    bench.add_argument("--ssi-smoke", action="store_true",
-                       help="append a short SSI-mode run (separate small "
-                            "cluster, no crash) to the payload, proving the "
-                            "serializable certification path and tracking "
-                            "its commit-path cost")
-    bench.set_defaults(func=cmd_bench)
 
     check = sub.add_parser(
         "check", help="re-run the consistency oracle on a saved history"

@@ -455,7 +455,7 @@ class SimCluster:
             self.net,
             settings=self.config.recovery,
             kv_settings=self.config.kv,
-            tm_addr=[tm.addr for tm in self.tms],
+            tm_addrs=[tm.addr for tm in self.tms],
             shared_cpu=self.tm_rm_cpu,
         )
 
@@ -604,14 +604,14 @@ class SimCluster:
         return dict(self.net.metrics()["counters"])
 
     def cluster_status(self) -> dict:
-        """Assignment/liveness snapshot from the master.
+        """Assignment/liveness snapshot from the master: live servers,
+        the assignment and online tables, the coordination counters.
+        The counters also appear in ``status("master")`` (the uniform
+        envelope); the tables are only here.
 
-        Deprecated for counters: prefer ``status("master")`` (the uniform
-        envelope); the assignment tables remain only here.
-
-        ``salvage_reports`` is the cluster-wide audit view: with fan-out
-        recovery the salvaging reads happen at the recipients, so their
-        (non-clean) reports are merged into the master's here.
+        ``salvage_reports`` is the cluster-wide audit view: the salvaging
+        reads of a failover happen at the recipients, so it is their
+        (non-clean) reports that are gathered here.
         """
         status = self.run(self.rpc(self.master.addr, "cluster_status"))
         reports = list(status.get("salvage_reports", []))
@@ -621,19 +621,18 @@ class SimCluster:
         return status
 
     def rm_status(self) -> dict:
-        """Threshold/recovery snapshot from the recovery manager.
-
-        Deprecated: thin shim -- prefer ``status("rm")``.
+        """Threshold/recovery snapshot from the recovery manager: global
+        and per-component T_F / T_P, pending regions, replay counters.
+        What tests, examples and benchmarks read; ``status("rm")`` is the
+        same component's uniform envelope.
         """
         return self.run(self.rpc("rm", "rm_status"))
 
     def storage_stats(self) -> dict:
         """Storage-layer snapshot: per-disk IO/fault counters, read
-        integrity counters, and every non-clean salvage report.
-
-        Deprecated alongside the other ad-hoc surfaces: kept as the
+        integrity counters, and every non-clean salvage report -- the
         storage-layer complement of :meth:`metrics_snapshot`, which does
-        not (yet) fold raw disk counters.
+        not fold raw disk counters.
 
         The same pattern as :meth:`net_stats` for the fabric: the chaos
         harness embeds this in its report so injected torn/corrupt

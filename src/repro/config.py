@@ -101,11 +101,6 @@ class KvSettings:
     wal_sync_mode: str = "async"
     #: Group-sync period for the async WAL.
     wal_sync_interval: float = 0.05
-    #: Scattered WAL backups: each segment's replica set is a seeded-random
-    #: draw over the live datanodes (RAMCloud-style backup scatter) instead
-    #: of local-first placement, so no single datanode holds the only copy
-    #: of a recovery source and fan-out recovery reads spread cluster-wide.
-    wal_scatter: bool = True
     #: Memstore entries per region that trigger a flush to an sstable.
     memstore_flush_entries: int = 20_000
     #: Store files per region that trigger a (minor) compaction.
@@ -208,9 +203,6 @@ class RecoverySettings:
     #: contention fig2b sweeps (lock scans, ZK round-trip handling).
     heartbeat_fixed_cost: float = 0.004
     heartbeat_entry_cost: float = 0.000025
-    #: Lock contention: while tracking structures are being drained, regular
-    #: operations on the same component stall (synchronized queues).
-    tracking_lock: bool = True
     #: Truncate the TM log up to the global persisted threshold.
     truncate_log: bool = True
 
@@ -225,7 +217,6 @@ class WorkloadSettings:
     read_fraction: float = 0.5
     distribution: str = "uniform"  # or "zipfian"
     zipf_theta: float = 0.99
-    value_size: int = 100
     #: Offered load in transactions/second across all client threads; None
     #: means closed-loop (each thread fires as fast as it can).
     target_tps: Optional[float] = None

@@ -106,10 +106,9 @@ class ClientRecoveryAgent:
             self.settings.heartbeat_fixed_cost
             + tracker.drainable * self.settings.heartbeat_entry_cost
         )
-        if self.settings.tracking_lock:
-            yield from tracker.lock.use(cost)
-        elif cost > 0:
-            yield self.host.sleep(cost)
+        # Lock contention: while the queues drain, the client's regular
+        # operations on them stall (synchronized queues).
+        yield from tracker.lock.use(cost)
         tracker.advance()
         payload = self._payload()
         if tracker.in_flight > self.settings.queue_alert_threshold:

@@ -22,18 +22,6 @@ from repro.kvstore.keys import WireCell
 from repro.metrics.registry import MetricsRegistry
 
 
-def _replay_counter(name: str, doc: str) -> property:
-    """A replay counter attribute backed by the client's registry."""
-
-    def fget(self: "RecoveryClient") -> int:
-        return self.registry.counter(name).value
-
-    def fset(self: "RecoveryClient", value: int) -> None:
-        self.registry.counter(name).set(value)
-
-    return property(fget, fset, doc=doc)
-
-
 class RecoveryClient:
     """Replay-only client owned by the recovery manager."""
 
@@ -42,17 +30,15 @@ class RecoveryClient:
         self.tm_addr = tm_addr
         #: Registry behind the replay counters (see ``metrics()``).
         self.registry = MetricsRegistry("recovery_client", kv.host.addr)
-        for name in (
-            "replayed_write_sets", "replayed_fragments", "replayed_cells",
-        ):
-            self.registry.counter(name)
-
-    replayed_write_sets = _replay_counter(
-        "replayed_write_sets", "Whole write-sets replayed (client failures).")
-    replayed_fragments = _replay_counter(
-        "replayed_fragments", "Region fragments replayed (server failures).")
-    replayed_cells = _replay_counter(
-        "replayed_cells", "Individual cells replayed, either way.")
+        # Whole write-sets replayed (client failures), region fragments
+        # replayed (server failures), individual cells either way.
+        (
+            self._n_write_sets,
+            self._n_fragments,
+            self._n_cells,
+        ) = self.registry.counters(
+            "replayed_write_sets", "replayed_fragments", "replayed_cells"
+        )
 
     def metrics(self) -> dict:
         """Uniform registry snapshot for the recovery client."""
@@ -60,8 +46,8 @@ class RecoveryClient:
 
     def replay_write_set(self, table: str, commit_ts: int, cells: List[WireCell]):
         """Client-failure replay: deliver a whole write-set.  (Generator.)"""
-        self.replayed_write_sets += 1
-        self.replayed_cells += len(cells)
+        self._n_write_sets.inc()
+        self._n_cells.inc(len(cells))
         result = yield from self.kv.flush_write_set(
             table, commit_ts, cells, from_recovery=True
         )
@@ -79,8 +65,8 @@ class RecoveryClient:
         piggyback_tp: Optional[int],
     ):
         """Server-failure replay: one region's updates of one write-set."""
-        self.replayed_fragments += 1
-        self.replayed_cells += len(cells)
+        self._n_fragments.inc()
+        self._n_cells.inc(len(cells))
         result = yield from self.kv.flush_fragment(
             table,
             region_id,

@@ -23,7 +23,7 @@ recovery manager never stops the world.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import KvSettings, RecoverySettings
 from repro.core.paths import (
@@ -109,20 +109,16 @@ class RecoveryManager(ZkWatcherMixin, Node):
         addr: str = "rm",
         settings: Optional[RecoverySettings] = None,
         kv_settings: Optional[KvSettings] = None,
-        tm_addr: Union[str, List[str]] = "tm",
+        tm_addrs: Sequence[str] = ("tm",),
         master: str = "master",
         zk_addr: str = "zk",
         shared_cpu: Optional[Resource] = None,
     ) -> None:
         super().__init__(kernel, net, addr)
         self.settings = settings or RecoverySettings()
-        #: TM shard addresses, fence/fetch/truncate fan-out targets.  A
-        #: plain string (the classic single TM) becomes a one-entry list;
-        #: ``tm_addr`` keeps pointing at the authority shard.
-        if isinstance(tm_addr, str):
-            self.tm_addrs: List[str] = [tm_addr]
-        else:
-            self.tm_addrs = list(tm_addr)
+        #: TM shard addresses (authority first), the fence / fetch /
+        #: truncate fan-out targets; ``tm_addr`` is the authority shard.
+        self.tm_addrs: List[str] = list(tm_addrs)
         self.tm_addr = self.tm_addrs[0]
         self.n_tm_shards = len(self.tm_addrs)
         #: Sharded TM only: per-shard flushed/persisted thresholds.  The
@@ -752,10 +748,9 @@ class RecoveryManager(ZkWatcherMixin, Node):
     # introspection
     # ------------------------------------------------------------------
     def rpc_rm_status(self, sender: str) -> dict:
-        """Threshold and recovery snapshot for tests and tooling.
-
-        Deprecated: thin shim over the registry -- prefer ``rpc_status``,
-        which returns the uniform component envelope.
+        """Threshold and recovery snapshot for tests and tooling: the
+        thresholds and pending regions (only here) beside the recovery
+        counters (also in ``rpc_status``, the uniform envelope).
         """
         status = {
             "global_tf": self.global_tf,

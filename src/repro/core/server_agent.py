@@ -176,10 +176,7 @@ class ServerRecoveryAgent:
                 self.settings.heartbeat_fixed_cost
                 + self.tracker.pending * self.settings.heartbeat_entry_cost
             )
-            if self.settings.tracking_lock:
-                yield from self.server.cpu.use(cost)
-            elif cost > 0:
-                yield self.server.sleep(cost)
+            yield from self.server.cpu.use(cost)
 
             self.tracker.begin_sync()
             yield from self.server.wal.sync_through(self.server.wal.appended_seq)

@@ -83,13 +83,15 @@ class Master(ZkWatcherMixin, Node):
         self._splitting: set = set()
         #: Registry behind the coordination counters (see ``metrics()``).
         self.registry = MetricsRegistry("master", addr)
-        for name in ("failures_handled", "splits", "merges"):
-            self.registry.counter(name)
-        #: Non-clean salvage reports from log splitting (audit trail:
-        #: damaged WAL records are accounted for, never silently skipped).
-        #: With fan-out recovery the salvaging happens at the recipients;
-        #: this list keeps any master-side reports and the cluster harness
-        #: merges in the recipients' for one audit view.
+        (
+            self._n_failures_handled,
+            self._n_splits,
+            self._n_merges,
+        ) = self.registry.counters("failures_handled", "splits", "merges")
+        #: Always empty: the master performs no salvaging read.  A
+        #: failover's happen at the recipients, whose non-clean reports
+        #: ``SimCluster.cluster_status`` gathers under this key (audit
+        #: trail: damaged WAL records are accounted for, never skipped).
         self.salvage_reports: List[dict] = []
         #: Per-region recovery log sources: every WAL segment path a
         #: region's edits may live in, accumulated across failovers and
@@ -100,30 +102,6 @@ class Master(ZkWatcherMixin, Node):
         #: per the paper).  Duplicate replay is idempotent.
         self._recovery_sources: Dict[str, List[str]] = {}
         self._tracer = tracer_for(kernel)
-
-    @property
-    def _failures_handled(self) -> int:
-        return self.registry.counter("failures_handled").value
-
-    @_failures_handled.setter
-    def _failures_handled(self, value: int) -> None:
-        self.registry.counter("failures_handled").set(value)
-
-    @property
-    def _splits(self) -> int:
-        return self.registry.counter("splits").value
-
-    @_splits.setter
-    def _splits(self, value: int) -> None:
-        self.registry.counter("splits").set(value)
-
-    @property
-    def _merges(self) -> int:
-        return self.registry.counter("merges").value
-
-    @_merges.setter
-    def _merges(self, value: int) -> None:
-        self.registry.counter("merges").set(value)
 
     def metrics(self) -> dict:
         """Uniform registry snapshot for the master."""
@@ -242,18 +220,17 @@ class Master(ZkWatcherMixin, Node):
         )
 
     def rpc_cluster_status(self, sender: str) -> dict:
-        """Assignment snapshot for tooling and tests.
-
-        Deprecated: thin shim over the registry -- prefer ``rpc_status``
-        for the counters; the assignment tables remain here.
+        """Assignment snapshot for tooling and tests: the assignment and
+        online tables (only here) beside the coordination counters (also
+        in ``rpc_status``, the uniform envelope).
         """
         return {
             "live_servers": list(self._live_servers),
             "assignments": dict(self.assignments),
             "online": dict(self.online),
-            "failures_handled": self._failures_handled,
-            "splits": self._splits,
-            "merges": self._merges,
+            "failures_handled": self._n_failures_handled.value,
+            "splits": self._n_splits.value,
+            "merges": self._n_merges.value,
             "salvage_reports": [dict(r) for r in self.salvage_reports],
             "recovery_sources": {
                 region: list(paths)
@@ -360,7 +337,7 @@ class Master(ZkWatcherMixin, Node):
             self.tables[parent.table] = regions[:idx] + [low, high] + regions[idx + 1:]
             self.assignments.pop(region, None)
             self.online.pop(region, None)
-            self._splits += 1
+            self._n_splits.inc()
             for child in (low, high):
                 self.assignments[child.region_id] = holder
                 self.online[child.region_id] = False
@@ -420,7 +397,7 @@ class Master(ZkWatcherMixin, Node):
             yield self.call(
                 target, "open_region", timeout=60.0, descriptor=merged.to_wire()
             )
-            self._merges += 1
+            self._n_merges.inc()
             return {"merged": merged.region_id, "server": target}
         finally:
             self._splitting.discard(region_low)
@@ -441,7 +418,7 @@ class Master(ZkWatcherMixin, Node):
         affected = sorted(
             region for region, server in self.assignments.items() if server == dead
         )
-        self._failures_handled += 1
+        self._n_failures_handled.inc()
         for region in affected:
             self.online[region] = False
 

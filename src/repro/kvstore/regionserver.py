@@ -111,7 +111,6 @@ class RegionServer(ZkWatcherMixin, Node):
             mode=self.settings.wal_sync_mode,
             sync_interval=self.settings.wal_sync_interval,
             local_datanode=local_datanode,
-            scatter=self.settings.wal_scatter,
         )
         self.regions: Dict[str, Region] = {}
         self.extension: Optional[Any] = None
@@ -210,7 +209,6 @@ class RegionServer(ZkWatcherMixin, Node):
             sync_interval=self.settings.wal_sync_interval,
             local_datanode=self.local_datanode,
             epoch=self._epoch,
-            scatter=self.settings.wal_scatter,
         )
         result = yield from self.start()
         return result

@@ -4,9 +4,11 @@ One log per server, shared by all of its regions (as in HBase).  Appends go
 to an in-memory buffer and are made durable in the DFS either synchronously
 (the fig2a baseline: every update waits for the replicated-pipeline write)
 or asynchronously (the paper's mode: ack immediately, group-sync shortly
-after).  The durable prefix is what the master's log-splitting recovers;
-buffered entries die with the server -- deliberately, because the
-transaction manager's log owns their durability.
+after).  The durable prefix is what a failover recovers -- each recipient
+of one of the dead server's regions fetches that region's records from
+the segments (:func:`fetch_region_records`); buffered entries die with
+the server -- deliberately, because the transaction manager's log owns
+their durability.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ class WriteAheadLog:
         local_datanode: Optional[str] = None,
         roll_records: int = 5000,
         epoch: int = 0,
-        scatter: bool = True,
     ) -> None:
         if mode not in (SYNC, ASYNC):
             raise ValueError(f"unknown WAL mode {mode!r}")
@@ -60,11 +61,6 @@ class WriteAheadLog:
         self.sync_interval = sync_interval
         self.per_cell_bytes = per_cell_bytes
         self.local_datanode = local_datanode
-        #: Scattered-backup placement: each segment's replica set is a
-        #: seeded-random draw over the live datanodes instead of
-        #: local-first, so no single backup holds the whole log and
-        #: recovery reads fan out across the cluster (RAMCloud style).
-        self.scatter = scatter
         #: Records per segment before the log rolls to a fresh file.  A
         #: closed segment is immutable, which lets the DFS re-replicate it
         #: after datanode failures (as HBase's periodic WAL rolls do).
@@ -100,25 +96,30 @@ class WriteAheadLog:
     def open(self):
         """Create the DFS file and start the group syncer.  (Generator API.)"""
         self._sync_lock = Resource(self.host.kernel, capacity=1)
-        yield from self.dfs.create(
-            self.path, preferred=self.local_datanode, scatter=self.scatter
-        )
-        yield from self._write_header()
+        yield from self._start_segment()
         if self.mode == ASYNC:
             self.host.spawn(self._group_syncer(), name="wal-syncer")
         return self
 
-    def _write_header(self):
-        """Open the segment with its identity record.  (Generator API.)
+    def _start_segment(self):
+        """Create the active segment's file and open it with its identity
+        record.  (Generator API.)
 
-        The header names the writer, its epoch and the segment number, so
-        log-splitting can reject a segment spliced from the wrong log or
-        a stale incarnation.  Best-effort and non-durable: it becomes
+        The replica set is scattered -- a seeded-random draw over the live
+        datanodes instead of local-first -- so no single backup holds the
+        whole log and recovery reads fan out across the cluster (RAMCloud
+        style).  The header names the writer, its epoch and the segment
+        number, so the recovery fetch can reject a segment spliced from
+        the wrong log or a stale incarnation (:func:`fetch_region_records`).
+        The header is best-effort and non-durable: it becomes
         durable with the first record sync (the datanode syncs the whole
         unsynced prefix), and the salvage reader tolerates its absence --
         an empty segment with a lost header recovers to nothing, which is
         exactly what it holds.
         """
+        yield from self.dfs.create(
+            self.path, preferred=self.local_datanode, scatter=True
+        )
         header = SegmentHeader(
             writer=self.host.addr, epoch=self.epoch, segment=self._file_index
         )
@@ -234,10 +235,7 @@ class WriteAheadLog:
         self._file_index += 1
         self._file_records = 0
         self.rolls += 1
-        yield from self.dfs.create(
-            self.path, preferred=self.local_datanode, scatter=self.scatter
-        )
-        yield from self._write_header()
+        yield from self._start_segment()
         yield from self.dfs.close(old_path)
 
     def sync_through(self, seq: int):
@@ -332,7 +330,8 @@ def read_wal_records(dfs: DfsClient, path: str):
 
     Returns a list of :data:`WalRecord` payloads in append order, with
     segment headers stripped and damaged records salvaged or truncated.
-    Used by the master's log-splitting step after a server failure.
+    Region open reads ``/recovered/<region>/`` files with it; a failover
+    does not (it goes through :func:`fetch_region_records`).
     """
     records, _report = yield from salvage_wal_records(dfs, path)
     return records

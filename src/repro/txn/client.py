@@ -19,7 +19,7 @@ Durability modes:
 from __future__ import annotations
 
 import itertools
-from typing import Any, List, Optional
+from typing import Any, Optional, Sequence
 
 from repro.errors import TxnConflict
 from repro.kvstore.client import KvClient
@@ -48,12 +48,11 @@ class TxnClient:
         self,
         host: Node,
         kv: KvClient,
-        tm_addr: str = "tm",
+        tm_addrs: Sequence[str] = ("tm",),
         client_id: Optional[str] = None,
         durability: str = TM_LOG,
         tracker: Optional[Any] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        tm_addrs: Optional[List[str]] = None,
         isolation: str = "si",
     ) -> None:
         if durability not in (TM_LOG, STORE_SYNC):
@@ -68,12 +67,10 @@ class TxnClient:
         self.kv = kv
         #: TM topology (authority shard first): begins/aborts go to the
         #: authority and commits route to the write-set's owner (or its
-        #: coordinator, the lowest participating shard).  ``SimCluster``
-        #: always passes the list; ``None`` (direct constructions in
-        #: tests) means the one TM at ``tm_addr``.
-        self.tm_addrs = list(tm_addrs) if tm_addrs else None
-        self.n_tm_shards = len(self.tm_addrs) if self.tm_addrs else 1
-        self.tm_addr = self.tm_addrs[0] if self.tm_addrs else tm_addr
+        #: coordinator, the lowest participating shard).
+        self.tm_addrs = list(tm_addrs)
+        self.n_tm_shards = len(self.tm_addrs)
+        self.tm_addr = self.tm_addrs[0]
         self.client_id = client_id or host.addr
         self.durability = durability
         self.retry_policy = retry_policy or DEFAULT_TM_RETRY

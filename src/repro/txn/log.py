@@ -39,30 +39,21 @@ from repro.storage import SalvageReport, checksum
 
 @dataclass
 class LogRecord:
-    """One committed write-set.
-
-    ``kind`` distinguishes record flavours in the sharded TM: "commit" is
-    a plain (whole or per-shard slice of a) committed write-set; "decision"
-    is a replicated cross-shard commit decision.  The wire form omits the
-    default kind so single-TM logs serialise exactly as before.
-    """
+    """One committed write-set: the whole of it at a lone TM, or one
+    shard's slice of it in the sharded TM."""
 
     commit_ts: int
     client_id: str
     cells_by_table: Dict[str, List[WireCell]]
     nbytes: int = 128
-    kind: str = "commit"
 
     def to_wire(self) -> dict:
         """Serialise for the fetch-logs RPC."""
-        wire = {
+        return {
             "commit_ts": self.commit_ts,
             "client_id": self.client_id,
             "cells_by_table": self.cells_by_table,
         }
-        if self.kind != "commit":
-            wire["kind"] = self.kind
-        return wire
 
     @staticmethod
     def from_wire(wire: dict) -> "LogRecord":
@@ -71,7 +62,6 @@ class LogRecord:
             commit_ts=wire["commit_ts"],
             client_id=wire["client_id"],
             cells_by_table=wire["cells_by_table"],
-            kind=wire.get("kind", "commit"),
         )
 
 

@@ -8,9 +8,12 @@ facade at the TM that stripes commit records across shards with per-shard
 group commit and merges them back (by commit timestamp) for recovery
 fetches.
 
-The same interface as the local :class:`~repro.txn.log.RecoveryLog`:
-``append`` returns an event that fires at durability; ``fetch_gen`` /
-``truncate_gen`` are the recovery-side operations.
+The same interface as the local :class:`~repro.txn.log.RecoveryLog`,
+which is all the transaction manager uses of either: ``append`` returns
+an event that fires at durability; ``fetch_gen`` / ``truncate_gen`` /
+``stats_gen`` are the recovery-side operations; ``restart`` brings the
+log back after its host revived; ``last_ts`` / ``truncated_below`` are
+the retained range's two ends.
 """
 
 from __future__ import annotations
@@ -138,12 +141,36 @@ class DistributedRecoveryLog:
         self.host = host
         self.settings = settings or TxnSettings()
         self.shards = list(shard_addrs)
-        self._queues: Dict[str, SimQueue] = {}
+        self._queues: Dict[str, SimQueue] = {
+            shard: SimQueue(host.kernel) for shard in self.shards
+        }
         self.stats = LogStats()
-        for shard in self.shards:
-            queue = SimQueue(host.kernel)
-            self._queues[shard] = queue
-            host.spawn(self._shard_committer(shard, queue), name=f"log-batcher:{shard}")
+        # The retained range's two ends, kept with the TM's other stable
+        # metadata (prepare journal, decision registry).
+        #: The newest commit timestamp known durable on a shard -- one a
+        #: shard acknowledged or a fetch returned (truncation floor if none).
+        self.last_ts = 0
+        #: Everything below this timestamp has been discarded.
+        self.truncated_below = 0
+        host.crash_hooks.append(self.on_host_crash)
+        self.restart()
+
+    def restart(self) -> None:
+        """Respawn the per-shard committers: at construction, and after
+        the host node revived.  The records themselves live on the logger
+        shards, so there is nothing to salvage here."""
+        for shard, queue in self._queues.items():
+            self.host.spawn(
+                self._shard_committer(shard, queue), name=f"log-batcher:{shard}"
+            )
+
+    def on_host_crash(self) -> None:
+        """Drop queued appends at crash time, not at restart: their
+        waiters died with this crash, whereas an append enqueued between
+        revive() and :meth:`restart` belongs to a live handler (the
+        reasoning of :meth:`RecoveryLog.on_host_crash`)."""
+        for queue in self._queues.values():
+            queue.drain()
 
     # ------------------------------------------------------------------
     # append path
@@ -188,15 +215,14 @@ class DistributedRecoveryLog:
                             # may hiccup; duplicates are deduplicated at
                             # the shard, so retrying is safe.
                             yield self.host.sleep(0.05)
+                    self.stats.group_sizes.append(len(chunk))
                     for record, done in chunk:
-                        self._store_stats(record)
+                        self.stats.appended += 1
+                        self.last_ts = max(self.last_ts, record.commit_ts)
                         if not done.triggered:
                             done.succeed(record.commit_ts)
         except Interrupt:
             return
-
-    def _store_stats(self, record: LogRecord) -> None:
-        self.stats.appended += 1
 
     # ------------------------------------------------------------------
     # recovery-side operations (generator API)
@@ -215,6 +241,10 @@ class DistributedRecoveryLog:
         for wire_records in replies:
             merged.extend(LogRecord.from_wire(w) for w in wire_records)
         merged.sort(key=lambda r: r.commit_ts)
+        if merged:
+            # A shard may hold an append whose acknowledgement died with
+            # the previous incarnation of the host.
+            self.last_ts = max(self.last_ts, merged[-1].commit_ts)
         return merged
 
     def truncate_gen(self, up_to_ts: int):
@@ -226,6 +256,8 @@ class DistributedRecoveryLog:
         dropped = yield self.host.kernel.all_of(calls)
         total = sum(dropped)
         self.stats.truncated += total
+        self.truncated_below = max(self.truncated_below, up_to_ts)
+        self.last_ts = max(self.last_ts, up_to_ts)
         return total
 
     def stats_gen(self):

@@ -818,9 +818,7 @@ class TransactionManager(Node):
             self._n_indoubt_resolved.inc()
 
     def _latest_known_ts(self) -> int:
-        latest = max(self.oracle.current(), self._max_seen_ts)
-        last_logged = getattr(self.log, "last_ts", 0)
-        return max(latest, last_logged)
+        return max(self.oracle.current(), self._max_seen_ts, self.log.last_ts)
 
     # ------------------------------------------------------------------
     # crash and restart
@@ -867,7 +865,7 @@ class TransactionManager(Node):
             self._reserve(self._keys(entry["writes"]), key)
         certifier = SICertifier(horizon=self.settings.certification_horizon)
         certifier._floor_ts = self.log.truncated_below
-        for record in self.log.fetch(0):
+        for record in (yield from self.log.fetch_gen(0)):
             keys = [
                 (table, row, column)
                 for table, cells in sorted(record.cells_by_table.items())
@@ -997,18 +995,15 @@ class TransactionManager(Node):
     def _log_fields(self):
         """Log counters attached to the ``rpc_status`` envelope."""
         log_stats = yield from self.log.stats_gen()
-        out = {
+        return {
             "log_length": log_stats["length"],
             "log_syncs": log_stats["syncs"],
             "log_appended": log_stats["appended"],
             "log_truncated": log_stats["truncated"],
             "log_truncated_bytes": log_stats["truncated_bytes"],
+            "log_truncated_below": self.log.truncated_below,
+            "log_mean_group": self.log.stats.mean_group_size,
         }
-        local = getattr(self.log, "truncated_below", None)
-        if local is not None:
-            out["log_truncated_below"] = local
-            out["log_mean_group"] = self.log.stats.mean_group_size
-        return out
 
     def rpc_status(self, sender: str):
         """The uniform component status envelope (component/addr/metrics),

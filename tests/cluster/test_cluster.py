@@ -135,6 +135,17 @@ def test_single_tm_crash_restart_resumes_commits(isolation):
     """A lone TM restarts like any shard: log salvaged, certifier rebuilt
     from the retained records, oracle re-seeded past everything logged,
     and a commit retried across the restart gets exactly one verdict."""
+    _tm_crash_restart_resumes_commits(isolation, log_shards=0)
+
+
+def test_tm_with_log_shards_crash_restart_resumes_commits():
+    """The same restart with the log on dedicated logger shards: the
+    per-shard committers respawn and the certifier is rebuilt from a
+    fan-out fetch."""
+    _tm_crash_restart_resumes_commits("si", log_shards=2)
+
+
+def _tm_crash_restart_resumes_commits(isolation, log_shards):
     from repro.errors import TxnConflict
     from repro.txn.manager import TS_RESEED_MARGIN
 
@@ -142,6 +153,7 @@ def test_single_tm_crash_restart_resumes_commits(isolation):
     config.workload.n_rows = 1000
     config.kv.n_regions = 4
     config.txn.isolation = isolation
+    config.txn.log_shards = log_shards
     config.recovery.truncate_log = False  # keep the pre-crash record retained
     cluster = SimCluster(config).start()
     cluster.preload()
@@ -178,7 +190,8 @@ def test_single_tm_crash_restart_resumes_commits(isolation):
     assert tm.metrics()["counters"]["restarts"] == 1
     assert second.commit_ts > first.commit_ts + TS_RESEED_MARGIN
     assert tm.oracle.current() >= tm.log.last_ts == second.commit_ts
-    assert [r.commit_ts for r in tm.log.fetch(0)] == [
+    # Nothing acknowledged is lost.
+    assert [r.commit_ts for r in cluster.run(tm.log.fetch_gen(0))] == [
         first.commit_ts, second.commit_ts,
     ]
     # The rebuilt certifier still knows the pre-crash write.

@@ -8,9 +8,16 @@ of a fragment vanishing mid-fetch, and a second failover racing the
 in-flight recovery plan.
 """
 
+import pytest
+
 from repro.check import SIChecker
 from repro.kvstore.wal import wal_dir
-from tests.core.conftest import commit_rows, read_row, recovery_cluster
+from tests.core.conftest import (
+    commit_rows,
+    read_row,
+    recovery_cluster,
+    rows_on_server,
+)
 
 
 def _step_until(cluster, predicate, deadline, step=0.1):
@@ -179,3 +186,51 @@ def test_second_failover_races_in_flight_recovery_plan():
     report = SIChecker(recorder.events).check()
     assert report.ok, "\n".join(str(a) for a in report.anomalies)
     assert monitor.ok, monitor.violations
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known gap (docs/RECOVERY.md): the master and the recovery "
+           "manager know a region server by address only, so a recipient "
+           "that dies and re-registers while the failover waits on its "
+           "open is taken for the incarnation that held the replay",
+)
+def test_recipient_reincarnates_while_failover_waits_on_its_open():
+    """Crash rs0; the moment the TM-log replay for its regions sits in
+    rs1's memstore (pins released) cut rs1 off from the master, so the
+    open replies are lost, and crash the rs1 process.  Its session
+    expires, it restarts empty and re-registers under the same address
+    while the master is still inside the first failover, retrying the
+    opens.  Every acknowledged commit must still read back.
+
+    Today the rows read ``init-<i>``: the master's liveness loop is
+    blocked inside the first failover, ``_open_with_retry``'s liveness
+    check sees the re-registered ephemeral and retries the open on the
+    new incarnation, and the recovery manager answers its gate "nothing
+    pending" -- one failover handled, every region online on rs1, and
+    T_P(rs1) covering the lost timestamp (docs/RECOVERY.md, "Known
+    gaps").
+    """
+    cluster = recovery_cluster(seed=1, n_servers=2, n_regions=4, server_hb=5.0)
+    handle = cluster.add_client()
+    rows = rows_on_server(cluster, 0, range(0, 2000, 61))
+    commit_rows(cluster, handle, rows, "reinc", wait_flush=True)
+    cluster.crash_server(0)
+
+    # The replay window is about 20 ms of simulated time: step finely.
+    pinned = False
+    deadline = cluster.kernel.now + 30.0
+    while not pinned or cluster.rm.pending_regions:
+        pinned = pinned or bool(cluster.rm.pending_regions)
+        assert cluster.kernel.now < deadline, "rs0's regions were never replayed"
+        cluster.run_until(cluster.kernel.now + 50e-6)
+
+    cluster.net.partition(["master"], ["rs1"])
+    cluster.servers[1].crash()
+    cluster.run_until(cluster.kernel.now + 2.0)  # session expiry
+    cluster.net.heal()
+    cluster.run(cluster.servers[1].restart())
+    cluster.run_until(cluster.kernel.now + 60.0)
+
+    for i in rows:
+        assert read_row(cluster, handle, i) == f"reinc-{i}"

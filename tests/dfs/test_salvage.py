@@ -5,7 +5,9 @@ import pytest
 from repro.config import DiskFaultSettings
 from repro.dfs import DataNode, DfsClient, NameNode
 from repro.errors import DfsError
+from repro.kvstore.wal import fetch_region_records, wal_dir
 from repro.sim import Kernel, Network, Node
+from repro.storage import SegmentHeader
 
 
 @pytest.fixture
@@ -137,6 +139,147 @@ class TestSalvagingRead:
         # Only the damaged replica is reachable: its rot truncates.
         assert [p for p, _n in records] == [f"r{i}" for i in range(4)]
         assert report.reason == "corrupt-record"
+
+
+#: A WAL segment of server rs0: its header, then records alternating
+#: between regions "A" (indices 1, 3, 5) and "B" (indices 2, 4).
+SEGMENT = wal_dir("rs0") + "wal-e0000-000000.log"
+HEADER = SegmentHeader(writer="rs0", epoch=0, segment=0).to_wire()
+
+
+def wal_record(index):
+    region = "A" if index % 2 else "B"
+    return (region, index, [(f"row{index}", "f", index, f"v{index}")])
+
+
+def write_segment(k, client, path=SEGMENT, header=HEADER):
+    run(k, client.create(path, scatter=True))
+    run(k, client.append(
+        path, [(header, 32)] + [(wal_record(i), 64) for i in range(1, 6)]
+    ))
+
+
+def region_a(indices):
+    return [HEADER] + [wal_record(i) for i in indices]
+
+
+class TestRegionFilteredSalvagingRead:
+    """``read_region_salvaged`` -- the read every failover runs: the cases
+    of :class:`TestSalvagingRead`, then what the region filter adds."""
+
+    def read_a(self, k, client):
+        records, report = run(k, client.read_region_salvaged(SEGMENT, ["A"]))
+        return [p for p, _n in records], report
+
+    def test_clean_segment_reports_clean(self, cluster):
+        k, _net, _nn, _dns, _host, client = cluster
+        write_segment(k, client)
+        payloads, report = self.read_a(k, client)
+        assert payloads == region_a([1, 3, 5])
+        assert report.clean and report.total == report.kept == 6
+        assert client.salvages == 0
+
+    def test_merges_damage_at_different_indices(self, cluster):
+        k, _net, _nn, dns, _host, client = cluster
+        write_segment(k, client)
+        a, b = replica_holders(dns, SEGMENT)
+        a.replica(SEGMENT).records[1].damage()
+        b.replica(SEGMENT).records[3].damage()
+        payloads, report = self.read_a(k, client)
+        assert payloads == region_a([1, 3, 5])
+        assert report.repaired == 2  # both salvaged from the peer
+        assert report.dropped == 0
+        assert not report.clean
+        assert client.salvage_reports[-1] is report
+
+    def test_truncates_where_no_replica_is_intact(self, cluster):
+        k, _net, _nn, dns, _host, client = cluster
+        write_segment(k, client)
+        for dn in replica_holders(dns, SEGMENT):
+            dn.replica(SEGMENT).records[3].damage()
+        payloads, report = self.read_a(k, client)
+        assert payloads == region_a([1])
+        assert report.reason == "corrupt-record"
+        assert (report.kept, report.dropped) == (3, 3)
+        assert client.salvages == 1
+
+    def test_repairs_salvageable_copies(self, cluster):
+        k, _net, _nn, dns, _host, client = cluster
+        write_segment(k, client)
+        bad = replica_holders(dns, SEGMENT)[0]
+        bad.replica(SEGMENT).records[1].damage()
+        self.read_a(k, client)
+        k.run(until=k.now + 1.0)
+        assert bad.replica(SEGMENT).records[1].state == "ok"
+        assert bad.repairs_received == 1
+
+    def test_survives_one_dead_replica(self, cluster):
+        k, _net, _nn, dns, _host, client = cluster
+        write_segment(k, client)
+        a, b = replica_holders(dns, SEGMENT)
+        b.replica(SEGMENT).records[5].damage()
+        a.crash()
+        payloads, report = self.read_a(k, client)
+        # Only the damaged replica is reachable: its rot truncates.
+        assert payloads == region_a([1, 3])
+        assert report.reason == "corrupt-record"
+
+    def test_dark_replica_is_counted_missing(self, cluster):
+        k, _net, _nn, dns, _host, client = cluster
+        write_segment(k, client)
+        replica_holders(dns, SEGMENT)[0].crash()
+        payloads, report = self.read_a(k, client)
+        assert payloads == region_a([1, 3, 5])
+        assert report.clean
+        assert report.replicas_missing == 1
+
+    def test_other_regions_damage_is_vouched_for_by_a_filtering_peer(self, cluster):
+        k, _net, _nn, dns, _host, client = cluster
+        write_segment(k, client)
+        a, _b = replica_holders(dns, SEGMENT)
+        a.replica(SEGMENT).records[2].damage()  # a record of region B
+        payloads, report = self.read_a(k, client)
+        # The peer verified its copy to read the region id and filtered it
+        # out: intact somewhere, so no truncation -- and not ours to return.
+        assert payloads == region_a([1, 3, 5])
+        assert report.reason == "clean"
+        assert (report.kept, report.dropped) == (6, 0)
+
+    def test_other_regions_damage_on_every_replica_truncates(self, cluster):
+        k, _net, _nn, dns, _host, client = cluster
+        write_segment(k, client)
+        for dn in replica_holders(dns, SEGMENT):
+            dn.replica(SEGMENT).records[2].damage()
+        payloads, report = self.read_a(k, client)
+        # Nobody can vouch for the record's region id: it may be ours.
+        assert payloads == region_a([1])
+        assert report.reason == "corrupt-record"
+        assert (report.kept, report.dropped) == (2, 4)
+
+    def test_backup_returns_damaged_copies_of_any_region(self, cluster):
+        k, _net, _nn, dns, _host, client = cluster
+        write_segment(k, client)
+        dn = replica_holders(dns, SEGMENT)[0]
+        dn.replica(SEGMENT).records[2].damage()  # region B, not requested
+        reply = run(k, dn.rpc_read_filtered("host", SEGMENT, ["A"]))
+        assert reply["total"] == 6
+        assert [(i, state) for i, _p, _n, state in reply["entries"]] == [
+            (0, "ok"), (1, "ok"), (2, "corrupt"), (3, "ok"), (5, "ok"),
+        ]
+
+    def test_fetch_strips_the_header_and_rejects_a_foreign_writer(self, cluster):
+        k, _net, _nn, _dns, _host, client = cluster
+        write_segment(k, client)
+        payloads, report = run(k, fetch_region_records(client, SEGMENT, ["A"]))
+        assert payloads == [wal_record(i) for i in (1, 3, 5)]
+        assert report.clean
+        spliced = wal_dir("rs0") + "wal-e0000-000001.log"
+        foreign = SegmentHeader(writer="rs9", epoch=0, segment=1).to_wire()
+        write_segment(k, client, path=spliced, header=foreign)
+        payloads, report = run(k, fetch_region_records(client, spliced, ["A"]))
+        assert payloads == []
+        assert report.reason == "foreign-segment"
+        assert (report.kept, report.dropped) == (0, 6)
 
 
 class TestCrashTearing:

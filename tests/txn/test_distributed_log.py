@@ -91,6 +91,43 @@ def test_stats_aggregate(shard_env):
     assert len(stats["shards"]) == 3
 
 
+def test_range_ends_follow_appends_and_truncation(shard_env):
+    k, _shards, _tm, log = shard_env
+    assert (log.truncated_below, log.last_ts) == (0, 0)
+    append_all(k, log, [record(ts) for ts in range(1, 13)])
+    assert log.last_ts == 12
+    run(k, log.truncate_gen(up_to_ts=20))
+    assert (log.truncated_below, log.last_ts) == (20, 20)
+
+
+def test_host_crash_drops_queued_appends_and_restart_resumes(shard_env):
+    k, shards, tm, log = shard_env
+    append_all(k, log, [record(1)])
+    orphans = [log.append(record(ts)) for ts in (2, 3)]  # waiters die below
+    tm.crash()
+    tm.revive()
+    # An append enqueued between revive() and restart() has a live waiter.
+    survivor = log.append(record(4))
+    log.restart()
+    k.run_until_complete(survivor)
+    k.run(until=k.now + 1.0)
+    assert not any(done.triggered for done in orphans)
+    assert [r.commit_ts for r in run(k, log.fetch_gen(0))] == [1, 4]
+    assert log.last_ts == 4
+
+
+def test_fetch_learns_appends_whose_ack_died_with_the_host(shard_env):
+    k, _shards, tm, log = shard_env
+
+    def deliver_unacked():
+        yield tm.call("log0", "shard_append", records=[record(9).to_wire()])
+
+    run(k, deliver_unacked())
+    assert log.last_ts == 0
+    run(k, log.fetch_gen(0))
+    assert log.last_ts == 9
+
+
 class TestClusterWithShardedLog:
     @pytest.fixture(scope="class")
     def cluster(self):
