@@ -3,8 +3,8 @@
 The :class:`InvariantMonitor` runs on the cluster's observer node and, on
 every sampling tick, snapshots the live threshold state -- the recovery
 manager's global T_F/T_P, every client's FlushTracker, every server
-agent's PersistTracker, and the TM log's truncation watermark -- into a
-plain-data ``state`` dict, then feeds it to the pure function
+agent's PersistTracker, and every live TM shard's log-truncation
+watermark -- into a plain-data ``state`` dict, then feeds it to the pure function
 :func:`evaluate_invariants`.  Keeping the evaluation pure means fixture
 tests can hand it hand-written states and assert exactly which invariant
 trips.
@@ -33,19 +33,10 @@ the workload got unlucky):
   why the key includes the incarnation);
 * ``server_tf_view`` -- a server's last-read global T_F never exceeds
   the recovery manager's current one (reads lag the publisher);
-* ``truncation_le_tp`` -- the TM recovery log is never truncated past
-  the global T_P (Algorithm 4's whole point).
-
-Under a sharded TM (``txn.tm_shards > 1``) the recovery manager also
-publishes per-shard thresholds, and three sharded refinements of the
-rules above are checked (only when the ``shards`` key is present, so
-unsharded states are judged exactly as before):
-
-* ``shard_tp_le_tf`` -- each shard's T_P <= its T_F;
-* ``shard_tf_monotone`` / ``shard_tp_monotone`` -- per-shard thresholds
-  never move backwards within one recovery-manager incarnation;
-* ``shard_truncation_le_tp`` -- no TM shard's recovery log is truncated
-  past that shard's T_P.
+* ``truncation_le_tp`` -- no live TM shard's recovery log is truncated
+  past the global T_P (Algorithm 4's whole point); the violation's
+  subject names the shard.  There is one pair of thresholds however many
+  TM shards there are (docs/SHARDED_TM.md).
 
 Sampling is in-memory on the observer node (no RPC traffic), so the
 monitor never perturbs the workload it is judging.
@@ -75,7 +66,7 @@ def evaluate_invariants(state: dict, memory: Optional[dict] = None) -> List[dict
                             "order_violations": int}},
           "servers": {addr: {"incarnation": ..., "tp": int,
                              "last_tf_seen": int}},
-          "tm": {"truncated_below": int | None},
+          "tm": {"truncated_below": {tm_addr: int}},
         }
 
     ``memory`` carries watermarks between calls (pass the same dict every
@@ -126,52 +117,12 @@ def evaluate_invariants(state: dict, memory: Optional[dict] = None) -> List[dict
                     "tf_le_pending", cid,
                     f"global T_F {tf} > pending commit ts {head}",
                 )
-        trunc = tm.get("truncated_below")
-        if trunc is not None and trunc > tp:
-            flag(
-                "truncation_le_tp", "tm",
-                f"log truncated below {trunc} > global T_P {tp}",
-            )
-        shards = rm.get("shards") or {}
-        if shards:
-            tm_shards = tm.get("shards") or {}
-            if memory is not None and memory.get("_shard_epoch") != rm.get(
-                "epoch"
-            ):
-                memory["_shard_epoch"] = rm.get("epoch")
-                memory.pop("shard_tf_wm", None)
-                memory.pop("shard_tp_wm", None)
-            for sid in sorted(shards):
-                s_tf = shards[sid]["tf"]
-                s_tp = shards[sid]["tp"]
-                subject = f"shard{sid}"
-                if s_tp > s_tf:
-                    flag(
-                        "shard_tp_le_tf", subject,
-                        f"shard T_P {s_tp} > shard T_F {s_tf}",
-                    )
-                if memory is not None:
-                    tf_wm = memory.setdefault("shard_tf_wm", {})
-                    tp_wm = memory.setdefault("shard_tp_wm", {})
-                    if s_tf < tf_wm.get(sid, s_tf):
-                        flag(
-                            "shard_tf_monotone", subject,
-                            f"shard T_F moved back {tf_wm[sid]} -> {s_tf}",
-                        )
-                    if s_tp < tp_wm.get(sid, s_tp):
-                        flag(
-                            "shard_tp_monotone", subject,
-                            f"shard T_P moved back {tp_wm[sid]} -> {s_tp}",
-                        )
-                    tf_wm[sid] = max(s_tf, tf_wm.get(sid, s_tf))
-                    tp_wm[sid] = max(s_tp, tp_wm.get(sid, s_tp))
-                s_trunc = tm_shards.get(sid)
-                if s_trunc is not None and s_trunc > s_tp:
-                    flag(
-                        "shard_truncation_le_tp", subject,
-                        f"shard log truncated below {s_trunc} "
-                        f"> shard T_P {s_tp}",
-                    )
+        for tm_addr, trunc in sorted(tm.get("truncated_below", {}).items()):
+            if trunc > tp:
+                flag(
+                    "truncation_le_tp", tm_addr,
+                    f"log truncated below {trunc} > global T_P {tp}",
+                )
 
     for cid in sorted(clients):
         entry = clients[cid]
@@ -241,13 +192,19 @@ class InvariantMonitor:
             "rm": None,
             "clients": {},
             "servers": {},
-            "tm": {},
+            "tm": {
+                "truncated_below": {
+                    tm.addr: tm.log.truncated_below
+                    for tm in cluster.tms
+                    if tm.alive
+                }
+            },
         }
         rm = cluster.rm
         # A restarting recovery manager holds zeros until it has recovered
         # its published state (start(recover=True)); judging those would
         # manufacture violations, so wait for _running.
-        if rm is not None and getattr(rm, "_running", False):
+        if rm is not None and rm._running:
             from repro.core.recovery_manager import LIVE
 
             state["rm"] = {
@@ -258,11 +215,6 @@ class InvariantMonitor:
                     cid for cid, e in rm.clients.items() if e.status == LIVE
                 ),
             }
-            if getattr(rm, "n_tm_shards", 1) > 1:
-                state["rm"]["shards"] = {
-                    str(s): {"tf": rm.shard_tf[s], "tp": rm.shard_tp[s]}
-                    for s in range(rm.n_tm_shards)
-                }
         for handle in cluster.clients:
             agent = handle.agent
             if agent is None or agent.tracker is None:
@@ -285,16 +237,6 @@ class InvariantMonitor:
                 "incarnation": rs.incarnation,
                 "tp": agent.tracker.tp,
                 "last_tf_seen": agent.tracker.last_tf_seen,
-            }
-        state["tm"] = {
-            "truncated_below": getattr(cluster.tm.log, "truncated_below", None)
-        }
-        tms = getattr(cluster, "tms", [cluster.tm])
-        if len(tms) > 1:
-            state["tm"]["shards"] = {
-                str(i): getattr(tm.log, "truncated_below", None)
-                for i, tm in enumerate(tms)
-                if tm.alive
             }
         return state
 

@@ -82,10 +82,9 @@ class ClientRecoveryAgent:
     # ------------------------------------------------------------------
     # hooks called by the transactional client
     # ------------------------------------------------------------------
-    def note_commit(self, commit_ts: int, shards=None):
-        """A commit timestamp was received (FQ.enqueue).  ``shards`` is the
-        transaction's owner-shard list under a sharded TM (else None)."""
-        yield from self.tracker.note_commit(commit_ts, shards=shards)
+    def note_commit(self, commit_ts: int):
+        """A commit timestamp was received (FQ.enqueue)."""
+        yield from self.tracker.note_commit(commit_ts)
 
     def note_flushed(self, commit_ts: int):
         """A write-set finished flushing (FQ'.enqueue)."""
@@ -152,12 +151,4 @@ class ClientRecoveryAgent:
             return
 
     def _payload(self) -> dict:
-        payload = {"tf": self.tf, "t": self.host.kernel.now}
-        if self.tracker is not None and self.tracker.has_shard_queues:
-            # Sharded TM only: per-shard flushed thresholds (string keys,
-            # so the payload stays JSON-clean for history exports).
-            payload["tf_shards"] = {
-                str(shard): value
-                for shard, value in sorted(self.tracker.shard_report().items())
-            }
-        return payload
+        return {"tf": self.tf, "t": self.host.kernel.now}

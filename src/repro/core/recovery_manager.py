@@ -68,7 +68,6 @@ class _Tracked:
         "pending_regions",
         "floors",
         "incarnation",
-        "shard_tf",
     )
 
     def __init__(
@@ -82,9 +81,6 @@ class _Tracked:
         self.incarnation = incarnation
         self.status = LIVE
         self.pending_regions = 0  # failed servers: regions awaiting replay
-        #: Clients under a sharded TM: per-TM-shard flushed thresholds from
-        #: the ``tf_shards`` heartbeat field (None when unsharded).
-        self.shard_tf: Optional[Dict[int, int]] = None
         #: Replay-in-flight floors (region -> failed server's T_P): while we
         #: are replaying onto this server, its effective threshold must not
         #: rise above the floor, or a crash mid-replay would lose the
@@ -116,21 +112,9 @@ class RecoveryManager(ZkWatcherMixin, Node):
     ) -> None:
         super().__init__(kernel, net, addr)
         self.settings = settings or RecoverySettings()
-        #: TM shard addresses (authority first), the fence / fetch /
-        #: truncate fan-out targets; ``tm_addr`` is the authority shard.
+        #: TM shard addresses: the fence / fetch / truncate fan-out
+        #: targets, and all the recovery middleware knows of the topology.
         self.tm_addrs: List[str] = list(tm_addrs)
-        self.tm_addr = self.tm_addrs[0]
-        self.n_tm_shards = len(self.tm_addrs)
-        #: Sharded TM only: per-shard flushed/persisted thresholds.  The
-        #: *published* global tf/tp keep the classic single-TM formulas --
-        #: the per-shard values refine them for shard-local truncation and
-        #: the monitor's per-shard invariants.
-        self.shard_tf: Dict[int, int] = {
-            s: 0 for s in range(self.n_tm_shards)
-        } if self.n_tm_shards > 1 else {}
-        self.shard_tp: Dict[int, int] = {
-            s: 0 for s in range(self.n_tm_shards)
-        } if self.n_tm_shards > 1 else {}
         self.zk = ZkClient(self, zk_addr=zk_addr)
         self.kv = KvClient(self, master=master, settings=kv_settings)
         self.recovery_client = RecoveryClient(self.kv)
@@ -142,8 +126,6 @@ class RecoveryManager(ZkWatcherMixin, Node):
         self.global_tf = 0
         self.global_tp = 0
         self._running = False
-        #: (table, start, end) per region id, cached from the master.
-        self._region_ranges: Dict[str, Tuple[str, str, Optional[str]]] = {}
         #: (server, failover_id) hooks already processed; see
         #: :meth:`rpc_server_failed`.
         self._hooks_seen: set = set()
@@ -207,15 +189,6 @@ class RecoveryManager(ZkWatcherMixin, Node):
             node = yield from self.zk.get(GLOBAL_PATH)
             self.global_tf = node["data"].get("tf", 0)
             self.global_tp = node["data"].get("tp", 0)
-            for key, vals in (node["data"].get("shards") or {}).items():
-                shard = int(key)
-                if shard in self.shard_tf:
-                    self.shard_tf[shard] = max(
-                        self.shard_tf[shard], vals.get("tf", 0)
-                    )
-                    self.shard_tp[shard] = max(
-                        self.shard_tp[shard], vals.get("tp", 0)
-                    )
         except Exception:
             yield from self.zk.create(GLOBAL_PATH, data={"tf": 0, "tp": 0})
         pending = yield from self.zk.get_children(PENDING_DIR)
@@ -275,25 +248,12 @@ class RecoveryManager(ZkWatcherMixin, Node):
         self._ingest_servers(server_paths, snapshots[len(client_paths) :])
         self._detect_client_failures()
         self._recompute_globals()
-        payload = {"tf": self.global_tf, "tp": self.global_tp}
-        if self.n_tm_shards > 1:
-            payload["shards"] = {
-                str(s): {"tf": self.shard_tf[s], "tp": self.shard_tp[s]}
-                for s in range(self.n_tm_shards)
-            }
-        yield from self.zk.set_data(GLOBAL_PATH, data=payload)
+        yield from self.zk.set_data(
+            GLOBAL_PATH, data={"tf": self.global_tf, "tp": self.global_tp}
+        )
         if self.settings.truncate_log and self.global_tp > 0:
-            if self.n_tm_shards > 1:
-                # Each shard truncates at its own persisted threshold (the
-                # global min feeds region-server gating; the per-shard
-                # values are never below it by construction).
-                for s, addr in enumerate(self.tm_addrs):
-                    up_to = self.shard_tp.get(s, self.global_tp)
-                    if up_to > 0:
-                        self.cast(addr, "truncate_log", up_to_ts=up_to)
-                        self._n_truncation_requests.inc()
-            else:
-                self.cast(self.tm_addr, "truncate_log", up_to_ts=self.global_tp)
+            for tm in self.tm_addrs:
+                self.cast(tm, "truncate_log", up_to_ts=self.global_tp)
                 self._n_truncation_requests.inc()
 
     def _ingest_clients(self, paths: List[str], snapshots: List[Optional[dict]]) -> None:
@@ -315,11 +275,9 @@ class RecoveryManager(ZkWatcherMixin, Node):
                 # or the newcomer could never commit.
                 for tm in self.tm_addrs:
                     self.cast(tm, "unfence_client", client_id=client_id)
-                self._ingest_shard_tf(entry, data)
             elif entry.status == LIVE:
                 entry.threshold = max(entry.threshold, data["tf"])
                 entry.heartbeat_time = max(entry.heartbeat_time, data["t"])
-                self._ingest_shard_tf(entry, data)
             if "alert" in data:
                 self.alerts.append(
                     {"component": client_id, "queue": data["alert"], "t": self.kernel.now}
@@ -391,23 +349,6 @@ class RecoveryManager(ZkWatcherMixin, Node):
                 self._note_fallen(server, self.servers[server].threshold)
                 del self.servers[server]
 
-    def _ingest_shard_tf(self, entry: _Tracked, data: dict) -> None:
-        """Fold a heartbeat's per-TM-shard thresholds into the entry.
-
-        Only present under a sharded TM; the reports are monotone per
-        shard (the client's shard report never regresses), but max-merge
-        anyway, matching the global-threshold discipline.
-        """
-        reported = data.get("tf_shards")
-        if not reported:
-            return
-        if entry.shard_tf is None:
-            entry.shard_tf = {}
-        for key, value in reported.items():
-            shard = int(key)
-            prev = entry.shard_tf.get(shard)
-            entry.shard_tf[shard] = value if prev is None else max(prev, value)
-
     def _note_fallen(self, server: str, threshold: int) -> None:
         prev = self._fallen.get(server)
         self._fallen[server] = threshold if prev is None else min(prev, threshold)
@@ -428,19 +369,6 @@ class RecoveryManager(ZkWatcherMixin, Node):
         if self.clients:
             tf = min(entry.threshold for entry in self.clients.values())
             self.global_tf = max(self.global_tf, tf)
-            if self.n_tm_shards > 1:
-                # Per-shard refinement: a client that never reported a
-                # shard value constrains that shard at its global T_F(c)
-                # (every shard report is >= the client's tf, so this is
-                # the conservative stand-in).
-                for s in range(self.n_tm_shards):
-                    floor = min(
-                        entry.shard_tf.get(s, entry.threshold)
-                        if entry.shard_tf
-                        else entry.threshold
-                        for entry in self.clients.values()
-                    )
-                    self.shard_tf[s] = max(self.shard_tf[s], floor)
         # Fallen incarnations floor T_P until the master's failure hook
         # arrives and pins their regions: advancing past them in the gap
         # would let the TM truncate log records their replay still needs.
@@ -448,14 +376,6 @@ class RecoveryManager(ZkWatcherMixin, Node):
         candidates.extend(self._fallen.values())
         if candidates:
             self.global_tp = max(self.global_tp, min(candidates))
-        if self.n_tm_shards > 1:
-            # Server persistence is tracked globally (servers cannot tell
-            # which TM shard a cell came from), so each shard's persisted
-            # threshold is its flushed threshold capped by the global T_P.
-            for s in range(self.n_tm_shards):
-                self.shard_tp[s] = max(
-                    self.shard_tp[s], min(self.shard_tf[s], self.global_tp)
-                )
 
     # ------------------------------------------------------------------
     # client failure recovery (Algorithm 2 "On failure(c)")
@@ -481,8 +401,7 @@ class RecoveryManager(ZkWatcherMixin, Node):
                 **kwargs,
             )
             merged.extend(records)
-        if len(self.tm_addrs) > 1:
-            merged.sort(key=lambda record: record["commit_ts"])
+        merged.sort(key=lambda record: record["commit_ts"])
         return merged
 
     def _recover_client(self, client_id: str):
@@ -740,9 +659,8 @@ class RecoveryManager(ZkWatcherMixin, Node):
             retry_on=(RpcTimeout,),
             table=table,
         )
-        for e in entries:
-            self._region_ranges[e["region"]] = (table, e["start"], e["end"])
-        return self._region_ranges[region]
+        ranges = {e["region"]: (table, e["start"], e["end"]) for e in entries}
+        return ranges[region]
 
     # ------------------------------------------------------------------
     # introspection
@@ -752,7 +670,7 @@ class RecoveryManager(ZkWatcherMixin, Node):
         thresholds and pending regions (only here) beside the recovery
         counters (also in ``rpc_status``, the uniform envelope).
         """
-        status = {
+        return {
             "global_tf": self.global_tf,
             "global_tp": self.global_tp,
             "clients": {c: e.threshold for c, e in self.clients.items()},
@@ -767,22 +685,10 @@ class RecoveryManager(ZkWatcherMixin, Node):
             "alerts": len(self.alerts),
             **self.metrics()["counters"],
         }
-        if self.n_tm_shards > 1:
-            status["shards"] = {
-                str(s): {"tf": self.shard_tf[s], "tp": self.shard_tp[s]}
-                for s in range(self.n_tm_shards)
-            }
-        return status
 
     def rpc_status(self, sender: str) -> dict:
         """The uniform component status envelope (component/addr/metrics),
         with the global thresholds and pin state as extra fields."""
-        extra = {}
-        if self.n_tm_shards > 1:
-            extra["shards"] = {
-                str(s): {"tf": self.shard_tf[s], "tp": self.shard_tp[s]}
-                for s in range(self.n_tm_shards)
-            }
         return status_envelope(
             "rm",
             self.addr,
@@ -791,5 +697,4 @@ class RecoveryManager(ZkWatcherMixin, Node):
             global_tp=self.global_tp,
             pending_regions=len(self.pending_regions),
             alerts=len(self.alerts),
-            **extra,
         )

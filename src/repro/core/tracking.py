@@ -22,7 +22,7 @@ structures whose contention Figure 2(b) measures.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.sim.kernel import Kernel
 from repro.sim.resource import Resource
@@ -35,12 +35,6 @@ class FlushTracker:
         self.tf = initial_tf
         self._fq: List[int] = []  # committed txns, commit order
         self._fq_flushed: List[int] = []  # flushed txns
-        # Per-TM-shard pending heaps (sharded TM only; empty dict -- and
-        # zero overhead -- otherwise).  A cross-shard commit lands in every
-        # owner shard's heap, so each shard's reported threshold respects
-        # exactly the commits whose slice that shard must keep replayable.
-        self._shard_fq: Dict[int, List[int]] = {}
-        self._ts_shards: Dict[int, List[int]] = {}
         self.lock = Resource(kernel, capacity=1)
         self.commits_tracked = 0
         self.flushes_tracked = 0
@@ -48,19 +42,11 @@ class FlushTracker:
         #: Algorithm 1 only ever advances in local commit order).
         self.order_violations = 0
 
-    def note_commit(self, commit_ts: int, shards: Optional[List[int]] = None):
+    def note_commit(self, commit_ts: int):
         """Algorithm 1, "On receiving commit timestamp T".  (Generator API:
-        touches the synchronized queue under the tracker lock.)
-
-        ``shards`` -- sharded TM only -- lists the owner shards of this
-        transaction's write-set for the per-shard threshold reports.
-        """
+        touches the synchronized queue under the tracker lock.)"""
         yield from self.lock.use(0.0)
         heapq.heappush(self._fq, commit_ts)
-        if shards:
-            self._ts_shards[commit_ts] = list(shards)
-            for shard in shards:
-                heapq.heappush(self._shard_fq.setdefault(shard, []), commit_ts)
         self.commits_tracked += 1
 
     def note_flushed(self, commit_ts: int):
@@ -83,30 +69,7 @@ class FlushTracker:
                 self.order_violations += 1
             self.tf = retired
             advanced += 1
-            for shard in self._ts_shards.pop(retired, ()):
-                heap = self._shard_fq.get(shard)
-                if heap and heap[0] == retired:
-                    heapq.heappop(heap)
         return advanced
-
-    def shard_report(self) -> Dict[int, int]:
-        """Per-shard flushed thresholds for the heartbeat payload.
-
-        For a shard with pending commits, everything below its oldest
-        pending commit is flushed *as far as that shard is concerned*
-        (head - 1 >= T_F(c), since the oldest pending commit overall is
-        the one gating T_F).  A shard with nothing pending is as caught
-        up as this client is globally.
-        """
-        report = {}
-        for shard, heap in self._shard_fq.items():
-            report[shard] = heap[0] - 1 if heap else self.tf
-        return report
-
-    @property
-    def has_shard_queues(self) -> bool:
-        """Whether any per-shard tracking ever happened (sharded TM)."""
-        return bool(self._shard_fq)
 
     @property
     def pending_head(self) -> Optional[int]:

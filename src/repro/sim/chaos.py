@@ -727,7 +727,7 @@ def run_chaos(
             # permanently in-doubt prepare would also freeze T_F via its
             # reservation aborting the key's writers, but gate explicitly).
             and all(tm.alive for tm in cluster.tms)
-            and not any(getattr(tm, "_prepared", None) for tm in cluster.tms)
+            and not any(tm._prepared for tm in cluster.tms)
         )
 
     deadline = cluster.kernel.now + s.settle

@@ -248,7 +248,7 @@ class TxnClient:
             (table, row, column, value)
             for (table, row, column), value in sorted(ctx.write_set.writes.items())
         ]
-        target, timeout, owners, owner_set = self.tm_addr, 30.0, None, None
+        target, timeout, owners = self.tm_addr, 30.0, None
         if self.n_tm_shards > 1:
             owners = [
                 shard_of(table, row, self.n_tm_shards)
@@ -332,12 +332,7 @@ class TxnClient:
 
         # Paper mode: committed now; flush afterwards.
         if self.tracker is not None:
-            if owner_set:
-                yield from self.tracker.note_commit(
-                    ctx.commit_ts, shards=owner_set
-                )
-            else:
-                yield from self.tracker.note_commit(ctx.commit_ts)
+            yield from self.tracker.note_commit(ctx.commit_ts)
         ctx.transition(COMMITTED)
         if self.recorder is not None:
             self.recorder.note_commit(ctx)

@@ -583,7 +583,7 @@ def test_clean_state_passes():
         clients={"w0": {"epoch": 1, "tf": 9, "pending_head": 12,
                         "order_violations": 0}},
         servers={"rs0": {"incarnation": 1, "tp": 8, "last_tf_seen": 10}},
-        tm={"truncated_below": 7},
+        tm={"truncated_below": {"tm": 7}},
     )
     assert vkinds(st, {}) == []
 
@@ -662,7 +662,7 @@ def test_server_restart_resets_tp_watermark():
 
 
 def test_truncation_past_tp_flagged():
-    st = state(rm=rm_state(tf=10, tp=5), tm={"truncated_below": 8})
+    st = state(rm=rm_state(tf=10, tp=5), tm={"truncated_below": {"tm": 8}})
     assert vkinds(st) == ["truncation_le_tp"]
 
 
@@ -679,65 +679,22 @@ def test_rm_restart_resets_global_watermarks():
 
 
 # ----------------------------------------------------------------------
-# per-shard threshold fixtures (sharded TM)
+# sharded TM: one pair of thresholds, every shard's truncation checked
 # ----------------------------------------------------------------------
-def sharded_rm(tf=10, tp=8, epoch=1, shards=None):
-    st = rm_state(tf=tf, tp=tp, epoch=epoch)
-    st["shards"] = shards if shards is not None else {
-        "0": {"tf": tf, "tp": tp}, "1": {"tf": tf, "tp": tp}}
-    return st
-
-
 def test_sharded_clean_state_passes():
     st = state(
-        rm=sharded_rm(tf=10, tp=8),
-        tm={"truncated_below": 7, "shards": {"0": 7, "1": 6}},
+        rm=rm_state(tf=10, tp=8),
+        tm={"truncated_below": {"tm0": 7, "tm1": 6}},
     )
     assert vkinds(st, {}) == []
 
 
-def test_shard_tp_above_tf_flagged():
-    st = state(rm=sharded_rm(shards={
-        "0": {"tf": 10, "tp": 8}, "1": {"tf": 5, "tp": 9}}))
-    assert vkinds(st) == ["shard_tp_le_tf"]
-
-
-def test_shard_tf_regression_flagged():
-    memory = {}
-    assert vkinds(state(rm=sharded_rm(shards={
-        "0": {"tf": 10, "tp": 5}})), memory) == []
-    assert vkinds(state(rm=sharded_rm(shards={
-        "0": {"tf": 6, "tp": 5}})), memory) == ["shard_tf_monotone"]
-
-
-def test_shard_tp_regression_flagged():
-    memory = {}
-    assert vkinds(state(rm=sharded_rm(shards={
-        "0": {"tf": 10, "tp": 8}})), memory) == []
-    assert vkinds(state(rm=sharded_rm(shards={
-        "0": {"tf": 10, "tp": 4}})), memory) == ["shard_tp_monotone"]
-
-
-def test_rm_restart_resets_shard_watermarks():
-    memory = {}
-    evaluate_invariants(state(rm=sharded_rm(epoch=1, shards={
-        "0": {"tf": 10, "tp": 8}})), memory)
-    # New RM incarnation rebuilds thresholds from scratch: a lower
-    # per-shard T_F/T_P is legitimate, exactly as for the globals.
-    assert vkinds(state(rm=sharded_rm(tf=0, tp=0, epoch=2, shards={
-        "0": {"tf": 0, "tp": 0}})), memory) == []
-
-
 def test_shard_truncation_past_tp_flagged():
     st = state(
-        rm=sharded_rm(shards={"1": {"tf": 10, "tp": 5}}),
-        tm={"truncated_below": 0, "shards": {"1": 8}},
+        rm=rm_state(tf=10, tp=5),
+        tm={"truncated_below": {"tm0": 0, "tm1": 8}},
     )
-    assert vkinds(st) == ["shard_truncation_le_tp"]
-
-
-def test_unsharded_state_skips_shard_rules():
-    # The classic state shape (no "shards" key) must never trip the
-    # sharded refinements, whatever the memory holds.
-    memory = {"shard_tf_wm": {"0": 99}, "shard_tp_wm": {"0": 99}}
-    assert vkinds(state(rm=rm_state(tf=10, tp=8)), memory) == []
+    found = evaluate_invariants(st)
+    assert [(v["kind"], v["subject"]) for v in found] == [
+        ("truncation_le_tp", "tm1")
+    ]

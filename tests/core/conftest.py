@@ -17,6 +17,7 @@ def recovery_cluster(
     n_regions=4,
     truncate=True,
     replication=2,
+    tm_shards=1,
 ):
     """A cluster tuned so the store alone would lose data on failure.
 
@@ -34,6 +35,7 @@ def recovery_cluster(
     config.recovery.missed_heartbeat_limit = missed_limit
     config.recovery.truncate_log = truncate
     config.dfs.replication = replication
+    config.txn.tm_shards = tm_shards
     config.zk.session_timeout = 1.0
     config.zk.tick_interval = 0.2
     cluster = SimCluster(config)

@@ -118,3 +118,32 @@ def test_invariants_hold_across_recovery_manager_restart():
     # global_monotone noise -- and no other violation either.
     assert monitor.ok, monitor.violations
     assert read_row(cluster, handle, 15) == "y-15"
+
+
+def test_every_tm_shard_truncates_at_the_one_global_tp():
+    """There is one pair of thresholds however many TM shards there are:
+    each shard's log is cut at the global T_P, and a restarted recovery
+    manager carries on from the published ``tf`` / ``tp`` alone."""
+    cluster = recovery_cluster(seed=65, client_hb=0.25, server_hb=0.5, tm_shards=2)
+    monitor = cluster.attach_invariant_monitor(interval=0.25)
+    handle = cluster.add_client("c0")
+
+    def truncation_floors():
+        floors = [tm.log.truncated_below for tm in cluster.tms]
+        assert all(0 < floor <= cluster.rm.global_tp for floor in floors), (
+            floors, cluster.rm.global_tp)
+        return floors
+
+    for batch in range(10):
+        commit_rows(cluster, handle, range(batch * 5, batch * 5 + 5), f"a{batch}")
+    settle(cluster, 4.0)
+    before = truncation_floors()
+
+    cluster.restart_recovery_manager()
+    settle(cluster, 3.0)
+    assert cluster.rm.global_tp >= max(before)
+    ctx = commit_rows(cluster, handle, range(50, 60), "b")
+    settle(cluster, 4.0)
+    after = truncation_floors()
+    assert min(after) >= ctx.commit_ts > max(before)
+    assert monitor.ok, monitor.violations

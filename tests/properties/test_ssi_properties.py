@@ -228,7 +228,7 @@ def _settle(cluster, budget: float = 30.0) -> bool:
             and not rm["recovering"]
             and all(tm.alive for tm in cluster.tms)
             and not any(
-                getattr(tm, "_prepared", None) for tm in cluster.tms
+                tm._prepared for tm in cluster.tms
             )
         ):
             return True
@@ -271,7 +271,7 @@ def _run_case(seed: int, n_shards: int, stage: str) -> dict:
         "graph": ser.counters,
         "invariant_violations": monitor.violations,
         "indoubt": sum(
-            len(getattr(tm, "_prepared", ())) for tm in cluster.tms
+            len(tm._prepared) for tm in cluster.tms
         ),
         "history": recorder.to_json(seed=seed, isolation="ssi"),
     }
