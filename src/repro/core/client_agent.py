@@ -82,9 +82,17 @@ class ClientRecoveryAgent:
     # ------------------------------------------------------------------
     # hooks called by the transactional client
     # ------------------------------------------------------------------
-    def note_commit(self, commit_ts: int):
+    def note_attempt(self) -> int:
+        """A commit request is about to be sent; returns its token."""
+        return self.tracker.note_attempt()
+
+    def drop_attempt(self, token: int) -> None:
+        """The attempt ended without a commit timestamp to track."""
+        self.tracker.drop_attempt(token)
+
+    def note_commit(self, commit_ts: int, token: Optional[int] = None):
         """A commit timestamp was received (FQ.enqueue)."""
-        yield from self.tracker.note_commit(commit_ts)
+        yield from self.tracker.note_commit(commit_ts, token)
 
     def note_flushed(self, commit_ts: int):
         """A write-set finished flushing (FQ'.enqueue)."""

@@ -22,7 +22,7 @@ structures whose contention Figure 2(b) measures.
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.sim.kernel import Kernel
 from repro.sim.resource import Resource
@@ -35,6 +35,13 @@ class FlushTracker:
         self.tf = initial_tf
         self._fq: List[int] = []  # committed txns, commit order
         self._fq_flushed: List[int] = []  # flushed txns
+        #: Commit attempts in flight, token -> floor: the highest commit
+        #: timestamp this client had received when the request went out.
+        #: The oracle is monotone, so the attempt's own stamp -- minted
+        #: after every stamp already received -- will be above its floor.
+        self._attempts: Dict[int, int] = {}
+        self._attempt_tokens = 0
+        self._last_ts = initial_tf
         self.lock = Resource(kernel, capacity=1)
         self.commits_tracked = 0
         self.flushes_tracked = 0
@@ -42,11 +49,30 @@ class FlushTracker:
         #: Algorithm 1 only ever advances in local commit order).
         self.order_violations = 0
 
-    def note_commit(self, commit_ts: int):
+    def note_attempt(self) -> int:
+        """A commit request is about to be sent; returns its token.
+
+        Algorithm 1 assumes commit timestamps arrive in commit order.
+        With several sessions on one client they need not (a cross-shard
+        commit is stamped at tm0 but answered by its coordinator), so
+        until :meth:`note_commit` or :meth:`drop_attempt` releases the
+        token, :meth:`advance` stops at the attempt's floor.
+        """
+        self._attempt_tokens += 1
+        self._attempts[self._attempt_tokens] = self._last_ts
+        return self._attempt_tokens
+
+    def drop_attempt(self, token: int) -> None:
+        """The attempt got no timestamp to track (abort, read-only, error)."""
+        self._attempts.pop(token, None)
+
+    def note_commit(self, commit_ts: int, token: Optional[int] = None):
         """Algorithm 1, "On receiving commit timestamp T".  (Generator API:
         touches the synchronized queue under the tracker lock.)"""
         yield from self.lock.use(0.0)
         heapq.heappush(self._fq, commit_ts)
+        self._attempts.pop(token, None)
+        self._last_ts = max(self._last_ts, commit_ts)
         self.commits_tracked += 1
 
     def note_flushed(self, commit_ts: int):
@@ -62,7 +88,15 @@ class FlushTracker:
         holding (or logically owning) the tracker lock.
         """
         advanced = 0
-        while self._fq and self._fq_flushed and self._fq[0] == self._fq_flushed[0]:
+        # A timestamp still on its way can only be above its attempt's
+        # floor, so heads up to the lowest floor are safe to retire.
+        limit = min(self._attempts.values(), default=float("inf"))
+        while (
+            self._fq
+            and self._fq_flushed
+            and self._fq[0] == self._fq_flushed[0]
+            and self._fq[0] <= limit
+        ):
             retired = heapq.heappop(self._fq)
             heapq.heappop(self._fq_flushed)
             if retired < self.tf:

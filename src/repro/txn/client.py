@@ -283,22 +283,37 @@ class TxnClient:
         size = max(96 * len(writes), 96)
         if reads:
             size += 16 * len(reads)
+        # Sessions sharing this client may get their commit timestamps
+        # out of order; the tracker holds T_F(c) at this attempt's floor
+        # until the attempt is noted or dropped.
+        attempt = None
+        if self.tracker is not None and self.durability == TM_LOG:
+            attempt = self.tracker.note_attempt()
         # Retried commits are safe: the TM's decision cache returns the
         # original verdict if our first request got through but the
         # response was lost (or the fabric duplicated the request).
-        reply = yield from self.host.call_with_retry(
-            target,
-            "commit",
-            policy=self.retry_policy,
-            timeout=timeout,
-            size=size,
-            client_id=self.client_id,
-            txn_id=ctx.txn_id,
-            start_ts=ctx.start_ts,
-            writes=writes,
-            log_commit=(self.durability == TM_LOG),
-            **extra,
-        )
+        try:
+            reply = yield from self.host.call_with_retry(
+                target,
+                "commit",
+                policy=self.retry_policy,
+                timeout=timeout,
+                size=size,
+                client_id=self.client_id,
+                txn_id=ctx.txn_id,
+                start_ts=ctx.start_ts,
+                writes=writes,
+                log_commit=(self.durability == TM_LOG),
+                **extra,
+            )
+        except BaseException:
+            if attempt is not None:
+                self.tracker.drop_attempt(attempt)
+            raise
+        if attempt is not None and (
+            reply["status"] == "aborted" or reply.get("read_only")
+        ):
+            self.tracker.drop_attempt(attempt)
         if reply["status"] == "aborted":
             ctx.transition(ABORTED)
             ctx.abort_reason = f"conflict on {reply.get('conflict_key')}"
@@ -332,7 +347,7 @@ class TxnClient:
 
         # Paper mode: committed now; flush afterwards.
         if self.tracker is not None:
-            yield from self.tracker.note_commit(ctx.commit_ts)
+            yield from self.tracker.note_commit(ctx.commit_ts, attempt)
         ctx.transition(COMMITTED)
         if self.recorder is not None:
             self.recorder.note_commit(ctx)

@@ -9,7 +9,13 @@ incarnation changes, recovery-manager restarts, and a client and server
 failing at the same instant.
 """
 
+import pytest
+
+from repro import TABLE
 from repro.check import InvariantMonitor, evaluate_invariants
+from repro.errors import TxnConflict
+from repro.kvstore.keys import row_key
+from repro.sim.events import Interrupt
 
 from tests.core.conftest import commit_rows, read_row, recovery_cluster
 
@@ -147,3 +153,38 @@ def test_every_tm_shard_truncates_at_the_one_global_tp():
     after = truncation_floors()
     assert min(after) >= ctx.commit_ts > max(before)
     assert monitor.ok, monitor.violations
+
+
+@pytest.mark.parametrize("tm_shards", (1, 2))
+def test_sessions_sharing_a_client_never_push_tf_past_a_pending_commit(tm_shards):
+    """Eight sessions commit through one client.  Under two TM shards a
+    cross-shard commit is stamped at tm0 but answered by its coordinator,
+    so a later stamp's reply can overtake it; T_F(c) must wait for the
+    attempt still in flight instead of retiring the later commit."""
+    cluster = recovery_cluster(seed=67, tm_shards=tm_shards)
+    monitor = cluster.attach_invariant_monitor(interval=0.05)
+    handle = cluster.add_client("c0")
+
+    def session(sid):
+        rng = cluster.kernel.rng.substream(f"session.{sid}")
+        try:
+            while True:
+                try:
+                    ctx = yield from handle.txn.begin()
+                    for i in rng.sample(range(2000), 3):
+                        handle.txn.write(ctx, TABLE, row_key(i), f"s{sid}")
+                    yield from handle.txn.commit(ctx)
+                except TxnConflict:
+                    pass
+        except Interrupt:
+            return
+
+    for sid in range(8):
+        handle.node.spawn(session(sid), name=f"session{sid}").defuse()
+    settle(cluster, 6.0)
+
+    tracker = handle.agent.tracker
+    assert tracker.commits_tracked > 100
+    assert tracker.tf > 0
+    assert tracker.order_violations == 0
+    assert monitor.ok, monitor.violations[:5]

@@ -78,6 +78,45 @@ class TestFlushTracker:
         assert observed[-1] == 5
 
 
+class TestAttemptsInFlight:
+    """Sessions sharing a client: commit timestamps can arrive out of
+    commit order, so T_F(c) waits for the attempts still in flight."""
+
+    def test_later_stamp_answered_first_waits_for_the_earlier_attempt(self):
+        k = Kernel()
+        t = FlushTracker(k)
+        first, second = t.note_attempt(), t.note_attempt()
+        drive(k, t.note_commit(11, second))  # stamped later, answered first
+        note_flushed(k, t, 11)
+        assert t.advance() == 0
+        assert t.tf == 0  # 10 may still arrive
+        drive(k, t.note_commit(10, first))
+        note_flushed(k, t, 10)
+        assert t.advance() == 2
+        assert t.tf == 11
+        assert t.order_violations == 0
+
+    def test_dropped_attempt_releases_its_floor(self):
+        k = Kernel()
+        t = FlushTracker(k)
+        aborted, committed = t.note_attempt(), t.note_attempt()
+        drive(k, t.note_commit(7, committed))
+        note_flushed(k, t, 7)
+        assert t.advance() == 0
+        t.drop_attempt(aborted)  # certification failed: no timestamp coming
+        assert t.advance() == 1
+        assert t.tf == 7
+
+    def test_lone_session_is_never_held_back(self):
+        k = Kernel()
+        t = FlushTracker(k, initial_tf=3)
+        drive(k, t.note_commit(5, t.note_attempt()))
+        note_flushed(k, t, 5)
+        t.note_attempt()  # the session's next commit is already in flight
+        assert t.advance() == 1
+        assert t.tf == 5
+
+
 class TestPersistTracker:
     def test_advance_to_global_tf_on_sync(self):
         k = Kernel()
