@@ -4,10 +4,10 @@ The :class:`InvariantMonitor` runs on the cluster's observer node and, on
 every sampling tick, snapshots the live threshold state -- the recovery
 manager's global T_F/T_P, every client's FlushTracker, every server
 agent's PersistTracker, and every live TM shard's log-truncation
-watermark -- into a plain-data ``state`` dict, then feeds it to the pure function
-:func:`evaluate_invariants`.  Keeping the evaluation pure means fixture
-tests can hand it hand-written states and assert exactly which invariant
-trips.
+watermark -- into a plain-data ``state`` dict, then feeds it to the pure
+function :func:`evaluate_invariants`.  Keeping the evaluation pure means
+fixture tests can hand it hand-written states and assert exactly which
+invariant trips.
 
 Invariants checked (each one is a safety property of the paper's design;
 a single violation means the reproduction broke the algorithms, not that

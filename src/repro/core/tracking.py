@@ -35,10 +35,7 @@ class FlushTracker:
         self.tf = initial_tf
         self._fq: List[int] = []  # committed txns, commit order
         self._fq_flushed: List[int] = []  # flushed txns
-        #: Commit attempts in flight, token -> floor: the highest commit
-        #: timestamp this client had received when the request went out.
-        #: The oracle is monotone, so the attempt's own stamp -- minted
-        #: after every stamp already received -- will be above its floor.
+        #: Commit attempts in flight, token -> floor (:meth:`note_attempt`).
         self._attempts: Dict[int, int] = {}
         self._attempt_tokens = 0
         self._last_ts = initial_tf
@@ -56,7 +53,10 @@ class FlushTracker:
         With several sessions on one client they need not (a cross-shard
         commit is stamped at tm0 but answered by its coordinator), so
         until :meth:`note_commit` or :meth:`drop_attempt` releases the
-        token, :meth:`advance` stops at the attempt's floor.
+        token, :meth:`advance` stops at the attempt's floor: the highest
+        commit timestamp received so far.  The oracle is monotone, so the
+        attempt's own stamp -- minted after every stamp already received
+        -- can only be above it.
         """
         self._attempt_tokens += 1
         self._attempts[self._attempt_tokens] = self._last_ts
@@ -82,14 +82,13 @@ class FlushTracker:
         self.flushes_tracked += 1
 
     def advance(self) -> int:
-        """Algorithm 1's heartbeat drain: pop matched heads, advance T_F.
+        """Algorithm 1's heartbeat drain: pop matched heads, advance T_F --
+        up to the lowest floor of the commit attempts still in flight.
 
         Returns how many transactions were retired.  Must be called while
         holding (or logically owning) the tracker lock.
         """
         advanced = 0
-        # A timestamp still on its way can only be above its attempt's
-        # floor, so heads up to the lowest floor are safe to retire.
         limit = min(self._attempts.values(), default=float("inf"))
         while (
             self._fq

@@ -181,7 +181,7 @@ def test_sessions_sharing_a_client_never_push_tf_past_a_pending_commit(tm_shards
 
     for sid in range(8):
         handle.node.spawn(session(sid), name=f"session{sid}").defuse()
-    settle(cluster, 6.0)
+    settle(cluster, 3.0)
 
     tracker = handle.agent.tracker
     assert tracker.commits_tracked > 100
