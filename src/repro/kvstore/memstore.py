@@ -9,12 +9,16 @@ A flush proceeds in two phases so writes are never blocked: the active
 cell map is frozen into a *flush snapshot* (still readable), a fresh active
 map takes its place, and once the sstable is durably written the snapshot
 is dropped.
+
+Each map's row keys are also kept as an ascending list, so a scan walks
+rows in order and stops when its caller does.  Apply only appends a new row
+to a side list; the next scan or flush folds the arrivals into the order.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.kvstore.keys import Cell
 
@@ -22,12 +26,25 @@ from repro.kvstore.keys import Cell
 CellMap = Dict[str, Dict[str, List[Tuple[int, Any, bool]]]]
 
 
+def _newest_at(
+    versions: List[Tuple[int, Any, bool]], max_version: int
+) -> Optional[Tuple[int, Any, bool]]:
+    """The newest entry of an ascending version list that is <= max_version."""
+    idx = bisect.bisect_left(versions, (max_version + 1,)) - 1
+    return versions[idx] if idx >= 0 else None
+
+
 class MemStore:
     """MVCC in-memory store for one region."""
 
     def __init__(self) -> None:
         self._active: CellMap = {}
+        # The keys of _active: an ascending list plus the rows that arrived
+        # since it was last put in order (see _fold).
+        self._active_rows: List[str] = []
+        self._active_unsorted: List[str] = []
         self._flushing: Optional[CellMap] = None
+        self._flushing_rows: List[str] = []
         self.entries = 0
         self.nbytes = 0
         self._flushing_entries = 0
@@ -37,13 +54,19 @@ class MemStore:
     # ------------------------------------------------------------------
     def put(self, cell: Cell, nbytes: int = 64) -> None:
         """Insert one versioned cell (idempotent per (row, col, version))."""
-        versions = self._active.setdefault(cell.row, {}).setdefault(cell.column, [])
         entry = (cell.version, cell.value, cell.tombstone)
-        idx = bisect.bisect_left(versions, (cell.version,))
-        if idx < len(versions) and versions[idx][0] == cell.version:
-            versions[idx] = entry  # duplicate replay: same version, overwrite
-            return
-        versions.insert(idx, entry)
+        row = cell.row
+        columns = self._active.get(row)
+        if columns is None:  # the row's first cell: nothing to search
+            self._active[row] = {cell.column: [entry]}
+            self._active_unsorted.append(row)
+        else:
+            versions = columns.setdefault(cell.column, [])
+            idx = bisect.bisect_left(versions, (cell.version,))
+            if idx < len(versions) and versions[idx][0] == cell.version:
+                versions[idx] = entry  # duplicate replay: same version, overwrite
+                return
+            versions.insert(idx, entry)
         self.entries += 1
         self.nbytes += nbytes
 
@@ -64,30 +87,76 @@ class MemStore:
         cells: CellMap, row: str, column: str, max_version: int
     ) -> Optional[Tuple[int, Any, bool]]:
         versions = cells.get(row, {}).get(column)
-        if not versions:
-            return None
-        idx = bisect.bisect_right(versions, max_version, key=lambda e: e[0]) - 1
-        if idx < 0:
-            return None
-        return versions[idx]
+        return _newest_at(versions, max_version) if versions else None
+
+    def _fold(self) -> None:
+        """Put the active rows that arrived since the last fold in order.
+
+        In place: a scan in progress holds the list and bisects into it
+        afresh at every step.  Few arrivals are inserted one by one; more
+        arrivals than rows in order (a flush after a run without scans) are
+        sorted in at once.
+        """
+        rows, unsorted = self._active_rows, self._active_unsorted
+        if len(unsorted) > len(rows):
+            rows.extend(unsorted)
+            rows.sort()
+        else:
+            for row in unsorted:
+                bisect.insort(rows, row)
+        unsorted.clear()
 
     def scan(
         self, start_row: str, end_row: Optional[str], max_version: int
-    ) -> Dict[str, Dict[str, Tuple[int, Any, bool]]]:
-        """Best version <= max_version per (row, column) in [start, end)."""
-        out: Dict[str, Dict[str, Tuple[int, Any, bool]]] = {}
-        for cells in (self._active, self._flushing or {}):
-            for row, columns in cells.items():
-                if row < start_row or (end_row is not None and row >= end_row):
-                    continue
-                for column in columns:
-                    hit = self._lookup(cells, row, column, max_version)
-                    if hit is None:
-                        continue
-                    current = out.get(row, {}).get(column)
-                    if current is None or hit[0] > current[0]:
-                        out.setdefault(row, {})[column] = hit
-        return out
+    ) -> Iterator[Tuple[str, Dict[str, Tuple[int, Any, bool]]]]:
+        """Lazy ascending scan of [start, end): best version <= max_version.
+
+        Yields ``(row, {column: (version, value, tombstone)})``, active and
+        flushing merged; a row with nothing visible is skipped.  The scan
+        reads the maps that exist at this call, held by reference, so a
+        flush hand-over or a discarded snapshot while its consumer is
+        suspended takes nothing away from it.  It keeps no list position
+        between rows -- each step bisects again from the last row seen --
+        so a later scan's or a flush's fold of new rows is safe too.
+        """
+        self._fold()
+        maps = [(self._active, self._active_rows)]
+        if self._flushing is not None:
+            maps.append((self._flushing, self._flushing_rows))
+        return self._scan_maps(maps, start_row, end_row, max_version)
+
+    @staticmethod
+    def _scan_maps(
+        maps: List[Tuple[CellMap, List[str]]],
+        start_row: str,
+        end_row: Optional[str],
+        max_version: int,
+    ) -> Iterator[Tuple[str, Dict[str, Tuple[int, Any, bool]]]]:
+        # Apart from scan() so that the maps are taken at the call, not at
+        # the generator's first step.
+        last: Optional[str] = None
+        while True:
+            row = None
+            for _cells, rows in maps:
+                if last is None:
+                    idx = bisect.bisect_left(rows, start_row)
+                else:
+                    idx = bisect.bisect_right(rows, last)
+                if idx < len(rows) and (row is None or rows[idx] < row):
+                    row = rows[idx]
+            if row is None or (end_row is not None and row >= end_row):
+                return
+            last = row
+            best: Dict[str, Tuple[int, Any, bool]] = {}
+            for cells, _rows in maps:
+                for column, versions in cells.get(row, {}).items():
+                    hit = _newest_at(versions, max_version)
+                    if hit is not None and (
+                        column not in best or hit[0] > best[column][0]
+                    ):
+                        best[column] = hit
+            if best:
+                yield row, best
 
     # ------------------------------------------------------------------
     # flush protocol
@@ -101,13 +170,14 @@ class MemStore:
         """Freeze the active map; returns its cells sorted by (row, col, version)."""
         if self._flushing is not None:
             raise RuntimeError("flush already in progress")
-        self._flushing = self._active
+        self._fold()
+        self._flushing, self._flushing_rows = self._active, self._active_rows
         self._flushing_entries = self.entries
-        self._active = {}
+        self._active, self._active_rows = {}, []
         self.entries = 0
         self.nbytes = 0
         out: List[Cell] = []
-        for row in sorted(self._flushing):
+        for row in self._flushing_rows:
             columns = self._flushing[row]
             for column in sorted(columns):
                 for version, value, tombstone in columns[column]:
@@ -116,14 +186,14 @@ class MemStore:
 
     def discard_flush_snapshot(self) -> None:
         """Drop the frozen map once its sstable is durable."""
-        self._flushing = None
+        self._flushing, self._flushing_rows = None, []
         self._flushing_entries = 0
 
     def abort_flush(self) -> None:
         """Flush failed: merge the snapshot back into the active map."""
         if self._flushing is None:
             return
-        snapshot, self._flushing = self._flushing, None
+        snapshot, self._flushing, self._flushing_rows = self._flushing, None, []
         for row, columns in snapshot.items():
             for column, versions in columns.items():
                 for version, value, tombstone in versions:
@@ -136,8 +206,8 @@ class MemStore:
 
     def clear(self) -> None:
         """Drop everything (crash simulation / region close)."""
-        self._active = {}
-        self._flushing = None
+        self._active, self._active_rows, self._active_unsorted = {}, [], []
+        self._flushing, self._flushing_rows = None, []
         self.entries = 0
         self.nbytes = 0
         self._flushing_entries = 0

@@ -20,7 +20,7 @@ minimum":
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.config import KvSettings
 from repro.dfs.client import DfsClient
@@ -79,6 +79,63 @@ def _block_to_map(cells: List[WireCell]) -> BlockMap:
         if len(versions) > 1:
             versions.sort()
     return out
+
+
+class _FileCursor:
+    """One store file's position in a scan.
+
+    ``row`` is the next row the file can contribute (None: none left).  With
+    ``items`` set it is exact -- ``column`` / ``versions`` are that row's
+    next entry and ``items`` iterates the rest of the block.  With ``items``
+    None, block ``block_idx`` has not been read: ``row`` is then the
+    block's first key from the file's index, or, for the block the scan
+    starts in, the start row as a lower bound.  A block map iterates in
+    (row, column) order because store files are written sorted and a row
+    never spans blocks, so no second, sorted form of a block is kept.
+    """
+
+    __slots__ = ("sstable", "block_idx", "row", "column", "versions", "items")
+
+    def __init__(self, sstable: SSTable, start_row: str) -> None:
+        self.sstable = sstable
+        self.items: Optional[Iterator[Tuple[Tuple[str, str], list]]] = None
+        self.column = self.versions = None
+        first = sstable.block_for_row(start_row)
+        if first is None:  # the file starts past start_row, or is empty
+            self.block_idx = 0
+            self.row = sstable.index[0] if sstable.index else None
+        else:
+            self.block_idx = first
+            self.row = start_row
+
+    def enter_block(self, block_map: Optional[BlockMap], start_row: str) -> None:
+        """Position on the first entry >= start_row of the block just read
+        (None: the file is gone, and the cursor with it)."""
+        if block_map is None:
+            self.row = None
+            return
+        self.items = iter(block_map.items())
+        for (row, self.column), self.versions in self.items:
+            if row >= start_row:
+                self.row = row
+                return
+        self._leave_block()
+
+    def advance(self) -> None:
+        """Step to the next entry of the block, or off its end."""
+        entry = next(self.items, None)
+        if entry is None:
+            self._leave_block()
+        else:
+            (self.row, self.column), self.versions = entry
+
+    def _leave_block(self) -> None:
+        # The next block's first key comes from the index; the block itself
+        # is read only if the scan gets that far.
+        self.items = None
+        self.block_idx += 1
+        index = self.sstable.index
+        self.row = index[self.block_idx] if self.block_idx < len(index) else None
 
 
 class RegionServer(ZkWatcherMixin, Node):
@@ -585,8 +642,14 @@ class RegionServer(ZkWatcherMixin, Node):
         """Range scan within one region: newest version <= max_version per
         (row, column), rows ascending, at most ``limit`` rows.
 
-        Returns ``{"cells": [(row, col, version, value)], "more": bool}``;
-        ``more`` signals the caller to continue from the last row returned.
+        Returns ``{"cells": [(row, col, version, value)], "more": bool}``.
+        Only a row with a live cell counts: ``more`` says that a live row
+        past the ``limit``-th exists, and the caller continues from the
+        last row returned.
+
+        An ascending merge of the memstore and one cursor per store file,
+        stopped at the limit, so the work -- and on a cold cache the blocks
+        read -- follows the rows returned, not the size of the region.
         """
         region = self.regions.get(region_id)
         if region is None:
@@ -595,42 +658,61 @@ class RegionServer(ZkWatcherMixin, Node):
             raise RegionOffline(region_id)
         yield from self.cpu.use(self.settings.op_service_time)
 
-        # (row, column) -> (version, value); merged across stores.
-        best: Dict[Tuple[str, str], Tuple[int, Any]] = {}
+        # Both sides are taken here, before the first suspension: the
+        # memstore scan holds the maps of this instant and store files are
+        # immutable, so a flush that completes while a block fetch is parked
+        # moves nothing out of view.
         mem = region.memstore.scan(start_row, end_row, max_version)
-        for row, columns in mem.items():
-            for column, (version, value, tombstone) in columns.items():
-                best[(row, column)] = (version, None if tombstone else value)
+        mem_next = next(mem, None)
+        cursors = [_FileCursor(sstable, start_row) for sstable in region.sstables]
 
-        for sstable in list(region.sstables):
-            if not sstable.index:
-                continue
-            first = sstable.block_for_row(start_row)
-            first = 0 if first is None else first
-            for block_idx in range(first, sstable.n_blocks):
-                if end_row is not None and sstable.index[block_idx] >= end_row:
+        out: List[WireCell] = []
+        n_rows = 0
+        more = False
+        while True:
+            row = None if mem_next is None else mem_next[0]
+            for cursor in cursors:
+                if cursor.row is not None and (row is None or cursor.row < row):
+                    row = cursor.row
+            if row is None or (end_row is not None and row >= end_row):
+                break
+            # Newest version wins: memstore first, then the store files in
+            # region order, a later source only with a strictly newer one.
+            columns: Dict[str, Tuple[int, Any]] = {}
+            if mem_next is not None and mem_next[0] == row:
+                for column, (version, value, tombstone) in mem_next[1].items():
+                    columns[column] = (version, None if tombstone else value)
+                mem_next = next(mem, None)
+            for cursor in cursors:
+                while cursor.row == row:
+                    if cursor.items is None:
+                        # Only now is the block read.  It may turn out to
+                        # hold nothing at ``row`` (the block the scan starts
+                        # in); the next pass then picks the true smallest.
+                        block_map = yield from self._cached_block(
+                            region, cursor.sstable, cursor.block_idx
+                        )
+                        cursor.enter_block(block_map, start_row)
+                        continue
+                    column = cursor.column
+                    candidate = self._best_version(cursor.versions, max_version)
+                    if candidate is not None and (
+                        column not in columns or candidate[0] > columns[column][0]
+                    ):
+                        columns[column] = candidate
+                    cursor.advance()
+
+            live = [
+                (row, column, version, value)
+                for column, (version, value) in sorted(columns.items())
+                if value is not None
+            ]
+            if live:
+                if n_rows == limit:
+                    more = True
                     break
-                block_map = yield from self._cached_block(region, sstable, block_idx)
-                if block_map is None:
-                    break  # file gone; sstable dropped from the region
-                for (row, column), versions in block_map.items():
-                    if row < start_row or (end_row is not None and row >= end_row):
-                        continue
-                    candidate = self._best_version(versions, max_version)
-                    if candidate is None:
-                        continue
-                    current = best.get((row, column))
-                    if current is None or candidate[0] > current[0]:
-                        best[(row, column)] = candidate
-
-        rows_sorted = sorted({row for row, _col in best})
-        more = len(rows_sorted) > limit
-        keep = set(rows_sorted[:limit])
-        out = [
-            (row, column, version, value)
-            for (row, column), (version, value) in sorted(best.items())
-            if row in keep and value is not None
-        ]
+                n_rows += 1
+                out.extend(live)
         return {"cells": out, "more": more}
 
     # ------------------------------------------------------------------

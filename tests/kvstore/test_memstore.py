@@ -114,3 +114,64 @@ def test_clear_drops_everything():
     assert ms.get("a", "c", 10) is None
     assert ms.get("b", "c", 10) is None
     assert ms.total_entries() == 0
+
+
+def scanned_rows(ms, start="", end=None, snapshot=99):
+    return [row for row, _columns in ms.scan(start, end, snapshot)]
+
+
+def test_scan_is_ascending_across_active_and_flushing():
+    ms = MemStore()
+    for row in ("d", "a", "c"):
+        ms.put(cell(row, "c", 1, row))
+    ms.snapshot_for_flush()
+    ms.put(cell("b", "c", 2, "b"))
+    ms.put(cell("c", "c", 3, "newer"))
+    got = list(ms.scan("a", "d", 99))
+    assert [row for row, _columns in got] == ["a", "b", "c"]
+    assert got[2][1] == {"c": (3, "newer", False)}  # active beats the snapshot
+    assert scanned_rows(ms, snapshot=1) == ["a", "c", "d"]  # "b" is too new
+
+
+def test_row_order_survives_flush_abort_and_clear():
+    ms = MemStore()
+    for row in ("c", "a", "d"):
+        ms.put(cell(row, "c", 1, row))
+    ms.snapshot_for_flush()
+    ms.put(cell("b", "c", 2, "b"))
+    ms.abort_flush()  # the snapshot's rows merge back behind "b", in order
+    assert scanned_rows(ms) == ["a", "b", "c", "d"]
+    assert [c.row for c in ms.snapshot_for_flush()] == ["a", "b", "c", "d"]
+    ms.discard_flush_snapshot()
+    assert scanned_rows(ms) == []
+    ms.put(cell("y", "c", 3, "y"))
+    ms.clear()
+    assert scanned_rows(ms) == []
+    ms.put(cell("z", "c", 4, "z"))
+    assert scanned_rows(ms) == ["z"]
+
+
+def test_scan_in_progress_outlives_flush_handover_and_discard():
+    ms = MemStore()
+    for row in ("a", "c", "e"):
+        ms.put(cell(row, "c", 1, row))
+    scan = ms.scan("", None, 99)
+    assert next(scan)[0] == "a"
+    ms.put(cell("d", "c", 2, "d"))  # ahead of the scan: seen once folded in
+    ms.put(cell("0", "c", 2, "0"))  # behind it: not seen, not reordered
+    ms.snapshot_for_flush()  # folds both into the list the scan holds
+    ms.discard_flush_snapshot()  # the data now lives in a store file
+    ms.put(cell("b", "c", 3, "b"))  # lands in a map the scan never held
+    assert [row for row, _columns in scan] == ["c", "d", "e"]
+
+
+def test_rows_put_since_the_last_scan_are_folded_into_the_next():
+    ms = MemStore()
+    for row in ("m", "c", "x"):
+        ms.put(cell(row, "c", 1, row))
+    assert scanned_rows(ms) == ["c", "m", "x"]
+    ms.put(cell("a", "c", 2, "a"))  # fewer arrivals than rows: inserted
+    assert scanned_rows(ms) == ["a", "c", "m", "x"]
+    for row in ("z", "b", "n", "d", "y"):  # more arrivals than rows: sorted in
+        ms.put(cell(row, "c", 3, row))
+    assert scanned_rows(ms) == ["a", "b", "c", "d", "m", "n", "x", "y", "z"]
