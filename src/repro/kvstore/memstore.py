@@ -11,8 +11,7 @@ map takes its place, and once the sstable is durably written the snapshot
 is dropped.
 
 Each map's row keys are also kept as an ascending list, so a scan walks
-rows in order and stops when its caller does.  Apply only appends a new row
-to a side list; the next scan or flush folds the arrivals into the order.
+rows in order and stops when its caller does.
 """
 
 from __future__ import annotations
@@ -39,10 +38,7 @@ class MemStore:
 
     def __init__(self) -> None:
         self._active: CellMap = {}
-        # The keys of _active: an ascending list plus the rows that arrived
-        # since it was last put in order (see _fold).
-        self._active_rows: List[str] = []
-        self._active_unsorted: List[str] = []
+        self._active_rows: List[str] = []  # the keys of _active, ascending
         self._flushing: Optional[CellMap] = None
         self._flushing_rows: List[str] = []
         self.entries = 0
@@ -59,7 +55,7 @@ class MemStore:
         columns = self._active.get(row)
         if columns is None:  # the row's first cell: nothing to search
             self._active[row] = {cell.column: [entry]}
-            self._active_unsorted.append(row)
+            bisect.insort(self._active_rows, row)
         else:
             versions = columns.setdefault(cell.column, [])
             idx = bisect.bisect_left(versions, (cell.version,))
@@ -89,23 +85,6 @@ class MemStore:
         versions = cells.get(row, {}).get(column)
         return _newest_at(versions, max_version) if versions else None
 
-    def _fold(self) -> None:
-        """Put the active rows that arrived since the last fold in order.
-
-        In place: a scan in progress holds the list and bisects into it
-        afresh at every step.  Few arrivals are inserted one by one; more
-        arrivals than rows in order (a flush after a run without scans) are
-        sorted in at once.
-        """
-        rows, unsorted = self._active_rows, self._active_unsorted
-        if len(unsorted) > len(rows):
-            rows.extend(unsorted)
-            rows.sort()
-        else:
-            for row in unsorted:
-                bisect.insort(rows, row)
-        unsorted.clear()
-
     def scan(
         self, start_row: str, end_row: Optional[str], max_version: int
     ) -> Iterator[Tuple[str, Dict[str, Tuple[int, Any, bool]]]]:
@@ -113,27 +92,15 @@ class MemStore:
 
         Yields ``(row, {column: (version, value, tombstone)})``, active and
         flushing merged; a row with nothing visible is skipped.  The scan
-        reads the maps that exist at this call, held by reference, so a
+        reads the maps that exist at its first step, held by reference, so a
         flush hand-over or a discarded snapshot while its consumer is
         suspended takes nothing away from it.  It keeps no list position
         between rows -- each step bisects again from the last row seen --
-        so a later scan's or a flush's fold of new rows is safe too.
+        so a put of a new row in between is safe too.
         """
-        self._fold()
         maps = [(self._active, self._active_rows)]
         if self._flushing is not None:
             maps.append((self._flushing, self._flushing_rows))
-        return self._scan_maps(maps, start_row, end_row, max_version)
-
-    @staticmethod
-    def _scan_maps(
-        maps: List[Tuple[CellMap, List[str]]],
-        start_row: str,
-        end_row: Optional[str],
-        max_version: int,
-    ) -> Iterator[Tuple[str, Dict[str, Tuple[int, Any, bool]]]]:
-        # Apart from scan() so that the maps are taken at the call, not at
-        # the generator's first step.
         last: Optional[str] = None
         while True:
             row = None
@@ -170,7 +137,6 @@ class MemStore:
         """Freeze the active map; returns its cells sorted by (row, col, version)."""
         if self._flushing is not None:
             raise RuntimeError("flush already in progress")
-        self._fold()
         self._flushing, self._flushing_rows = self._active, self._active_rows
         self._flushing_entries = self.entries
         self._active, self._active_rows = {}, []
@@ -206,7 +172,7 @@ class MemStore:
 
     def clear(self) -> None:
         """Drop everything (crash simulation / region close)."""
-        self._active, self._active_rows, self._active_unsorted = {}, [], []
+        self._active, self._active_rows = {}, []
         self._flushing, self._flushing_rows = None, []
         self.entries = 0
         self.nbytes = 0

@@ -649,7 +649,9 @@ class RegionServer(ZkWatcherMixin, Node):
 
         An ascending merge of the memstore and one cursor per store file,
         stopped at the limit, so the work -- and on a cold cache the blocks
-        read -- follows the rows returned, not the size of the region.
+        read -- follows the rows examined, not the size of the region.  Rows
+        with nothing live (deleted, or newer than the snapshot) are examined
+        without counting toward the limit, so a run of them is read through.
         """
         region = self.regions.get(region_id)
         if region is None:
@@ -659,7 +661,7 @@ class RegionServer(ZkWatcherMixin, Node):
         yield from self.cpu.use(self.settings.op_service_time)
 
         # Both sides are taken here, before the first suspension: the
-        # memstore scan holds the maps of this instant and store files are
+        # memstore scan holds the maps of its first step and store files are
         # immutable, so a flush that completes while a block fetch is parked
         # moves nothing out of view.
         mem = region.memstore.scan(start_row, end_row, max_version)

@@ -157,21 +157,10 @@ def test_scan_in_progress_outlives_flush_handover_and_discard():
         ms.put(cell(row, "c", 1, row))
     scan = ms.scan("", None, 99)
     assert next(scan)[0] == "a"
-    ms.put(cell("d", "c", 2, "d"))  # ahead of the scan: seen once folded in
+    ms.put(cell("d", "c", 2, "d"))  # ahead of the scan: seen
     ms.put(cell("0", "c", 2, "0"))  # behind it: not seen, not reordered
-    ms.snapshot_for_flush()  # folds both into the list the scan holds
+    ms.snapshot_for_flush()  # the scan keeps the map it started on
     ms.discard_flush_snapshot()  # the data now lives in a store file
     ms.put(cell("b", "c", 3, "b"))  # lands in a map the scan never held
     assert [row for row, _columns in scan] == ["c", "d", "e"]
 
-
-def test_rows_put_since_the_last_scan_are_folded_into_the_next():
-    ms = MemStore()
-    for row in ("m", "c", "x"):
-        ms.put(cell(row, "c", 1, row))
-    assert scanned_rows(ms) == ["c", "m", "x"]
-    ms.put(cell("a", "c", 2, "a"))  # fewer arrivals than rows: inserted
-    assert scanned_rows(ms) == ["a", "c", "m", "x"]
-    for row in ("z", "b", "n", "d", "y"):  # more arrivals than rows: sorted in
-        ms.put(cell(row, "c", 3, row))
-    assert scanned_rows(ms) == ["a", "b", "c", "d", "m", "n", "x", "y", "z"]

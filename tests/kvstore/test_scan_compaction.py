@@ -216,7 +216,7 @@ class TestScanIsBounded:
         # The memstore side stands at a0075 (first miss) or a0405 (fifth).
         memstore.put(Cell("a0005", "f", 11, "behind"))
         memstore.put(Cell("a0505", "f", 11, "ahead"))
-        memstore.snapshot_for_flush()  # folds both into the list the scan holds
+        memstore.snapshot_for_flush()  # the scan keeps the map it started on
         memstore.put(Cell("a0105", "f", 12, "too-late"))  # not in the scan's maps
         memstore.discard_flush_snapshot()  # as if the flush completed
         reply, _elapsed = sr.mini.kernel.run_until_complete(proc)
