@@ -18,48 +18,30 @@ test-fast:
 test-verbose:
 	$(PYTHON) -m pytest tests/ -v
 
-chaos:
-	$(PYTHON) -m repro chaos --seeds 20
+# The five 20-seed chaos sweeps (oracle on: ledger read-back, SI checker,
+# invariant monitor, convergence gate).  Each leaves its report and every
+# seed's recorded history under artifacts/; a history can be re-audited
+# offline with `python -m repro check <file>`.
+#   chaos           the plain storm
+#   chaos-disk      + storage faults on the datanode disks
+#   chaos-kill      + a second crash inside each recovery window (the
+#                   recovery-of-recovery gate)
+#   chaos-tm-shard  a 2-shard TM with a shard killed mid-storm (the
+#                   non-blocking cross-shard commit gate: nothing lost,
+#                   nothing left in doubt)
+#   chaos-ssi       the same under serializable SSI, with the full
+#                   serializability audit on every history
+chaos:          CHAOS_FLAGS =
+chaos-disk:     CHAOS_FLAGS = --disk-faults
+chaos-kill:     CHAOS_FLAGS = --kill-during-recovery
+chaos-tm-shard: CHAOS_FLAGS = --tm-shards 2
+chaos-ssi:      CHAOS_FLAGS = --isolation ssi
 
-chaos-disk:
-	$(PYTHON) -m repro chaos --seeds 20 --disk-faults --json chaos-disk-report.json
+chaos chaos-disk chaos-kill chaos-tm-shard chaos-ssi:
+	$(PYTHON) -m repro chaos --seeds 20 $(CHAOS_FLAGS) \
+		--json artifacts/$@-report.json --history-dir artifacts/histories-$@
 
-# 20-seed sweep with a second crash injected inside each recovery window
-# (oracle on by default): the recovery-of-recovery acceptance gate.
-chaos-kill:
-	mkdir -p artifacts
-	$(PYTHON) -m repro chaos --seeds 20 --kill-during-recovery \
-		--json artifacts/chaos-kill-report.json \
-		--history-dir artifacts/histories-kill
-
-# 20-seed sweep on a 2-shard transaction manager with a kill-a-TM-shard
-# injection inside each storm (oracle on by default): the non-blocking
-# cross-shard commit acceptance gate -- zero lost commits, SI anomalies,
-# invariant violations, or permanently in-doubt transactions.
-chaos-tm-shard:
-	mkdir -p artifacts
-	$(PYTHON) -m repro chaos --seeds 20 --tm-shards 2 \
-		--json artifacts/chaos-tm-shard-report.json \
-		--history-dir artifacts/histories-tm-shard
-
-# 20-seed sweep under serializable SSI (2-shard TM, kill-a-TM-shard
-# injection) with the full serializability oracle on every history: the
-# acceptance gate for txn.isolation="ssi" -- zero serialization-graph
-# cycles, lost commits, SI anomalies, or in-doubt transactions.
-chaos-ssi:
-	mkdir -p artifacts
-	$(PYTHON) -m repro chaos --seeds 20 --isolation ssi \
-		--json artifacts/chaos-ssi-report.json \
-		--history-dir artifacts/histories-ssi
-
-# Oracle-backed sweeps with per-seed history artifacts: each seed's
-# recorded operation history lands under artifacts/ and can be
-# re-audited offline with `python -m repro check <file>`.
-check-sweep:
-	$(PYTHON) -m repro chaos --seeds 20 \
-		--json artifacts/check-sweep.json --history-dir artifacts/histories
-	$(PYTHON) -m repro chaos --seeds 20 --disk-faults \
-		--json artifacts/check-sweep-disk.json --history-dir artifacts/histories-disk
+check-sweep: chaos chaos-disk
 
 # The standing five-workload benchmark (BENCHMARK.json, bench/README.md),
 # written to bench/out/result.json, and its verdict per workload x metric

@@ -264,42 +264,24 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     """Seed-swept chaos storms auditing the durability guarantee."""
     import dataclasses
     import json
+    import os
 
     from repro.metrics import storage_table
-    from repro.sim.chaos import (
-        disk_chaos_settings,
-        kill_during_recovery_settings,
-        run_chaos,
-        ssi_chaos_settings,
-        tm_shard_chaos_settings,
-    )
+    from repro.sim.chaos import ChaosSettings, run_chaos
 
     seeds = [args.seed] if args.seed is not None else list(range(1, args.seeds + 1))
     if not seeds:
         print("error: --seeds must be >= 1", file=sys.stderr)
         return 2
-    shard_overrides = {}
-    if args.tm_shards > 1:
-        shard_overrides = dict(
-            tm_shards=args.tm_shards, tm_shard_kills=1, settle=60.0
-        )
-    if args.isolation == "ssi":
-        shard_overrides["isolation"] = "ssi"
-    settings = None
-    if args.disk_faults and args.kill_during_recovery:
-        settings = disk_chaos_settings(
-            kill_during_recovery=1, settle=60.0, **shard_overrides
-        )
-    elif args.disk_faults:
-        settings = disk_chaos_settings(**shard_overrides)
-    elif args.kill_during_recovery:
-        settings = kill_during_recovery_settings(**shard_overrides)
-    elif args.isolation == "ssi" and args.tm_shards <= 1:
-        # The dedicated SSI profile: a sharded TM with a shard kill, so
-        # certification survives losing the node that holds the window.
-        settings = ssi_chaos_settings()
-    elif shard_overrides:
-        settings = tm_shard_chaos_settings(**shard_overrides)
+    # The flags compose.  --isolation ssi means a sharded TM (at least 2
+    # shards), so certification survives losing the node that holds the
+    # SSI window.
+    settings = ChaosSettings(
+        disk_faults=args.disk_faults,
+        kill_during_recovery=args.kill_during_recovery,
+        tm_shards=max(args.tm_shards, 2 if args.isolation == "ssi" else 1),
+        isolation=args.isolation,
+    )
     print(
         f"chaos sweep over {len(seeds)} seed(s): loss, duplication, delay "
         f"spikes, partitions, machine and client crashes"
@@ -312,9 +294,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
            if args.isolation == "ssi" else "")
     )
     if args.history_dir:
-        import os
-
         os.makedirs(args.history_dir, exist_ok=True)
+    if args.json:
+        os.makedirs(os.path.dirname(args.json) or ".", exist_ok=True)
     failed = []
     reports = []
     for seed in seeds:

@@ -271,11 +271,6 @@ class DataNode(Node):
         self.repairs_received += 1
         return True
 
-    def rpc_replica_length(self, sender: str, path: str) -> int:
-        """Current record count of the local replica (0 if absent)."""
-        replica = self._replicas.get(path)
-        return replica.length if replica is not None else 0
-
     def rpc_drop_replica(self, sender: str, path: str) -> bool:
         """Discard the local replica (file deleted)."""
         self._replicas.pop(path, None)

@@ -928,10 +928,6 @@ class RegionServer(ZkWatcherMixin, Node):
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def hosted_regions(self) -> List[str]:
-        """Region ids currently hosted (any state)."""
-        return sorted(self.regions)
-
     def rpc_status(self, sender: str) -> dict:
         """The uniform component status envelope (component/addr/metrics)."""
         return status_envelope(

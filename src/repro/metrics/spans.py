@@ -252,10 +252,6 @@ class SpanTracer:
         sums = self._txn_stage_sums
         return sum(sums.get((txn, stage), 0.0) for stage in stages)
 
-    def stage_histogram(self, stage: str) -> Optional[LatencyHistogram]:
-        """The per-stage duration histogram, or None if never recorded."""
-        return self._stage_hist.get(stage)
-
     # -- export -----------------------------------------------------------
 
     def stage_summary(self) -> dict:
@@ -278,14 +274,6 @@ class SpanTracer:
                 entry["truncated"] = truncated[stage]
             summary[stage] = entry
         return summary
-
-    def reset(self) -> None:
-        """Drop all recorded spans and statistics (open spans survive)."""
-        self._finished.clear()
-        self._truncated.clear()
-        self._stage_hist.clear()
-        self._stage_count.clear()
-        self._txn_stage_sums.clear()
 
 
 def tracer_for(kernel) -> SpanTracer:

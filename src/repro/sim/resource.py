@@ -150,7 +150,3 @@ class SimQueue:
         items = list(self._items)
         self._items.clear()
         return items
-
-    def peek_all(self) -> List[Any]:
-        """A snapshot of queued items, oldest first (not removed)."""
-        return list(self._items)

@@ -22,11 +22,6 @@ class SeededRng(random.Random):
         super().__init__(seed)
         self._seed_value = seed
 
-    @property
-    def seed_value(self) -> int:
-        """The seed this stream was created with."""
-        return self._seed_value
-
     def substream(self, name: str) -> "SeededRng":
         """Derive an independent stream keyed by ``name``.
 

@@ -61,7 +61,3 @@ class WriteSet:
             for (t, row, column), value in sorted(self.writes.items())
             if t == table
         ]
-
-    def estimated_bytes(self, per_cell: int = 96) -> int:
-        """Size estimate for log and network accounting."""
-        return max(per_cell * len(self.writes), 64)

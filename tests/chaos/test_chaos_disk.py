@@ -9,7 +9,9 @@ salvage machinery must surface (never silently replay) all damage.
 
 import pytest
 
-from repro.sim.chaos import disk_chaos_settings, run_chaos
+from repro.sim.chaos import ChaosSettings, run_chaos
+
+DISK = ChaosSettings(disk_faults=True)
 
 SEEDS = list(range(1, 21))
 
@@ -26,7 +28,7 @@ def injected_faults(report):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_disk_fault_seed_upholds_guarantee(seed):
-    report = run_chaos(seed, settings=disk_chaos_settings())
+    report = run_chaos(seed, settings=DISK)
     detail = report.summary() + "".join(f"\n  {v}" for v in report.violations)
     assert report.violations == [], detail
     assert report.converged, detail
@@ -40,7 +42,7 @@ def test_sweep_actually_injects_storage_faults():
     totals = {}
     salvage_activity = 0
     for seed in SEEDS[:6]:
-        report = run_chaos(seed, settings=disk_chaos_settings())
+        report = run_chaos(seed, settings=DISK)
         for kind, count in injected_faults(report).items():
             totals[kind] = totals.get(kind, 0) + count
         integrity = report.storage["integrity"]
@@ -60,7 +62,7 @@ def test_salvage_reports_account_for_all_truncation():
     # Whenever a recovery scan dropped records, the report must say so
     # and carry the byte count -- damage is auditable, never silent.
     for seed in SEEDS[:6]:
-        report = run_chaos(seed, settings=disk_chaos_settings())
+        report = run_chaos(seed, settings=DISK)
         for salvage in report.storage["salvage_reports"]:
             assert salvage["kept"] + salvage["dropped"] == salvage["total"]
             if salvage["dropped"]:
@@ -74,7 +76,7 @@ def test_salvage_reports_account_for_all_truncation():
 def test_tm_log_device_stays_clean():
     # The paper assumes reliable TM stable storage; the disk profile
     # honours that (the TM log's salvage path is unit-tested instead).
-    report = run_chaos(3, settings=disk_chaos_settings())
+    report = run_chaos(3, settings=DISK)
     tm_disks = {
         name: d
         for name, d in report.storage["disks"].items()
@@ -89,8 +91,8 @@ def test_tm_log_device_stays_clean():
 
 
 def test_same_seed_reproduces_identical_report_with_disk_faults():
-    first = run_chaos(7, settings=disk_chaos_settings())
-    second = run_chaos(7, settings=disk_chaos_settings())
+    first = run_chaos(7, settings=DISK)
+    second = run_chaos(7, settings=DISK)
     assert first == second
 
 

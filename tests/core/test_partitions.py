@@ -10,7 +10,6 @@ failover.
 
 from repro import TABLE
 from repro.kvstore.keys import row_key
-from repro.sim.failures import FailureSchedule
 from tests.core.conftest import commit_rows, read_row, recovery_cluster
 
 
@@ -53,18 +52,9 @@ def test_partitioned_server_handled_as_crash():
     rows = list(range(0, 2000, 73))
     commit_rows(cluster, handle, rows, "island")
 
-    schedule = FailureSchedule()
-    everyone = [
-        n for n in cluster.net.nodes
-        if n not in (cluster.servers[0].addr, cluster.datanodes[0].addr)
-    ]
-    schedule.partition(
-        0.1,
-        [cluster.servers[0].addr, cluster.datanodes[0].addr],
-        everyone,
-    )
-    armed = schedule.inject(cluster.kernel, cluster.net)
-    assert any("partition" in line for line in armed)
+    island = [cluster.servers[0].addr, cluster.datanodes[0].addr]
+    everyone = [n for n in cluster.net.nodes if n not in island]
+    cluster.after(0.1, lambda: cluster.net.partition(island, everyone))
 
     cluster.run_until(cluster.kernel.now + 15.0)
     status = cluster.cluster_status()
@@ -102,19 +92,3 @@ def test_healed_partition_client_stays_dead():
     assert not victim.node.alive  # healing does not resurrect it
     for i in rows:
         assert read_row(cluster, observer, i) == f"flap-{i}"
-
-
-def test_failure_schedule_crash_and_custom():
-    cluster = recovery_cluster(seed=54)
-    handle = cluster.add_client()
-    commit_rows(cluster, handle, [1, 2, 3], "sched")
-    fired = []
-    schedule = (
-        FailureSchedule()
-        .crash(0.5, cluster.servers[0].addr, cluster.datanodes[0].addr)
-        .custom(1.0, lambda: fired.append(cluster.kernel.now), label="probe")
-    )
-    schedule.inject(cluster.kernel, cluster.net)
-    cluster.run_until(cluster.kernel.now + 12.0)
-    assert fired and not cluster.servers[0].alive
-    assert read_row(cluster, handle, 1) == "sched-1"

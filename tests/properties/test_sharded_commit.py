@@ -22,180 +22,13 @@ same canonical history export as the default (pre-sharding) single-TM
 configuration, with no sharded fields leaking into events.
 """
 
+from functools import partial
+
 import pytest
 
-from repro.cluster import TABLE, SimCluster
-from repro.config import ClusterConfig
-from repro.errors import TxnConflict
-from repro.kvstore.keys import row_key
-from repro.sim.chaos import preload_value_fn
-from repro.sim.events import Interrupt
-from repro.workload.verify import CommitLedger
+from tests.properties.stage_crash import STAGES, crash_free_history, run_case
 
-N_ROWS = 300
-STAGES = ("prepare", "decide", "fanout")
-
-
-def _build(seed: int, n_shards: int) -> SimCluster:
-    config = ClusterConfig(seed=seed)
-    config.txn.tm_shards = n_shards
-    config.workload.n_rows = N_ROWS
-    config.kv.n_region_servers = 2
-    config.kv.n_regions = 4
-    # The store alone would lose data on failure: durability across the
-    # shard crash rests entirely on the recovery middleware.
-    config.kv.wal_sync_interval = 300.0
-    config.recovery.client_heartbeat_interval = 0.5
-    config.recovery.server_heartbeat_interval = 0.5
-    cluster = SimCluster(config).start()
-    cluster.preload()
-    cluster.warm_caches()
-    return cluster
-
-
-def _counter(tm, name: str) -> int:
-    return tm.metrics()["counters"].get(name, 0)
-
-
-def _spawn_writers(cluster, ledger, n_writers=2, writes_per_txn=4):
-    writers = [cluster.add_client(f"w{i}") for i in range(n_writers)]
-
-    def loop(handle, wid):
-        rng = cluster.kernel.rng.substream(f"sharded.writer.{wid}")
-        counter = 0
-        try:
-            while True:
-                counter += 1
-                rows = sorted(rng.sample(range(N_ROWS), writes_per_txn))
-                ctx = None
-                try:
-                    ctx = yield from handle.txn.begin()
-                    for i in rows:
-                        handle.txn.write(
-                            ctx, TABLE, row_key(i), f"{wid}.{counter}"
-                        )
-                    yield from handle.txn.commit(ctx)
-                    ledger.record(ctx, TABLE)
-                except Interrupt:
-                    raise
-                except TxnConflict:
-                    ledger.record_outcome(ctx)
-                except Exception:
-                    pass  # unacknowledged: no durability claim to audit
-                yield handle.node.sleep(rng.uniform(0.02, 0.06))
-        except Interrupt:
-            return
-
-    for i, handle in enumerate(writers):
-        proc = handle.node.spawn(loop(handle, f"w{i}"), name=f"writer{i}")
-        proc.defuse()
-    return writers
-
-
-def _stage_watcher(cluster, stage: str, trace: list):
-    """Crash the stage-appropriate TM shard the moment the stage has
-    demonstrably run at least once, then restart it after a dwell."""
-
-    def victim_ready() -> int:
-        tms = cluster.tms
-        if stage == "prepare":
-            # A participant holds a durable prepare record.
-            for i, tm in enumerate(tms[1:], start=1):
-                if _counter(tm, "prepares") >= 1:
-                    return i
-        elif stage == "decide":
-            # The authority registered a cross-shard decision.
-            if (
-                _counter(tms[0], "decide_commits")
-                + _counter(tms[0], "decide_aborts")
-                >= 1
-            ):
-                return 0
-        elif stage == "fanout":
-            # A participant applied a fanned-out decision.
-            for i, tm in enumerate(tms[1:], start=1):
-                if _counter(tm, "decisions_applied") >= 1:
-                    return i
-        return -1
-
-    def watcher():
-        try:
-            while True:
-                yield cluster.kernel.timeout(0.05)
-                victim = victim_ready()
-                if victim < 0:
-                    continue
-                trace.append((round(cluster.kernel.now, 6), stage, victim))
-                cluster.crash_tm_shard(victim)
-                yield cluster.kernel.timeout(1.5)
-                cluster.restart_tm_shard(victim)
-                return
-        except Interrupt:
-            return
-
-    proc = cluster.kernel.process(watcher())
-    proc.defuse()
-
-
-def _settle(cluster, budget: float = 30.0) -> bool:
-    deadline = cluster.kernel.now + budget
-    while cluster.kernel.now < deadline:
-        cluster.run_until(cluster.kernel.now + 1.0)
-        rm = cluster.rm_status()
-        if (
-            rm["global_tp"] == rm["global_tf"]
-            and rm["global_tf"] > 0
-            and not rm["recovering"]
-            and all(tm.alive for tm in cluster.tms)
-            and not any(
-                tm._prepared for tm in cluster.tms
-            )
-        ):
-            return True
-    return False
-
-
-def _run_case(seed: int, n_shards: int, stage: str) -> dict:
-    cluster = _build(seed, n_shards)
-    recorder = cluster.attach_history_recorder()
-    monitor = cluster.attach_invariant_monitor()
-    ledger = CommitLedger()
-    writers = _spawn_writers(cluster, ledger)
-    trace: list = []
-    _stage_watcher(cluster, stage, trace)
-
-    # Long enough for crash (stage-triggered, ~1 s in) + 1.5 s dwell +
-    # the 5 s sharded commit timeout + a post-restart retry, so every
-    # writer commits again after the shard comes back (an idle writer
-    # would pin its T_F(c), and with it global T_F, at zero).
-    cluster.run_until(10.0)
-    for handle in writers:
-        if handle.node.alive:
-            for proc in list(handle.node._procs):
-                if proc.name and "writer" in proc.name:
-                    proc.interrupt("test over")
-    converged = _settle(cluster)
-    monitor.check_once()
-
-    from repro.check import SIChecker
-
-    check = SIChecker(
-        recorder.events, initial_value=preload_value_fn(N_ROWS)
-    ).check()
-    violations = [str(v) for v in ledger.verify(cluster)]
-    return {
-        "acked": len(ledger),
-        "converged": converged,
-        "crashes": trace,
-        "violations": violations,
-        "anomalies": [str(a) for a in check.anomalies],
-        "cross_shard_txns": check.counters.get("cross_shard_txns"),
-        "invariant_violations": monitor.violations,
-        "indoubt": sum(
-            len(tm._prepared) for tm in cluster.tms
-        ),
-        "history": recorder.to_json(seed=seed),
-    }
+_run_case = partial(run_case, suite="sharded")
 
 
 #: Each seed is one storm; shard count and crash stage rotate so the
@@ -240,30 +73,9 @@ def test_same_seed_same_shards_reproduces_history():
     assert first["crashes"] == second["crashes"]
 
 
-def _history_for_single_tm(seed: int) -> str:
-    """Canonical history export of a crash-free single-TM workload."""
-    config = ClusterConfig(seed=seed)
-    config.workload.n_rows = N_ROWS
-    config.kv.n_region_servers = 2
-    config.kv.n_regions = 4
-    cluster = SimCluster(config).start()
-    cluster.preload()
-    cluster.warm_caches()
-    recorder = cluster.attach_history_recorder()
-    ledger = CommitLedger()
-    writers = _spawn_writers(cluster, ledger)
-    cluster.run_until(3.0)
-    for handle in writers:
-        for proc in list(handle.node._procs):
-            if proc.name and "writer" in proc.name:
-                proc.interrupt("test over")
-    cluster.run_until(cluster.kernel.now + 2.0)
-    return recorder.to_json(seed=seed)
-
-
 @pytest.mark.parametrize("seed", (2, 9))
 def test_one_shard_history_leaks_no_sharded_metadata(seed):
     """A lone TM runs the same commit code as a shard, but nothing of the
     sharded bookkeeping shows in the canonical history export."""
-    history = _history_for_single_tm(seed)
+    history = crash_free_history(seed, suite="sharded")
     assert '"owners"' not in history

@@ -1,9 +1,6 @@
-"""Unit tests for the disk model and the failure-schedule helper."""
+"""Unit tests for the disk model."""
 
-import pytest
-
-from repro.sim import Disk, Kernel, Network, Node
-from repro.sim.failures import CrashNode, FailureSchedule, Partition
+from repro.sim import Disk, Kernel
 
 
 class TestDisk:
@@ -51,60 +48,3 @@ class TestDisk:
             k.process(writer(k, disk))
         k.run(until=0.001)
         assert disk.queue_length >= 1
-
-
-class TestFailureSchedule:
-    def make_env(self):
-        k = Kernel(seed=144)
-        net = Network(k)
-        a = Node(k, net, "a")
-        b = Node(k, net, "b")
-        return k, net, a, b
-
-    def test_crash_fires_at_time(self):
-        k, net, a, _b = self.make_env()
-        armed = FailureSchedule().crash(2.0, "a").inject(k, net)
-        assert armed == ["t+2s crash a"]
-        k.run(until=1.9)
-        assert a.alive
-        k.run(until=2.1)
-        assert not a.alive
-
-    def test_partition_with_heal(self):
-        k, net, _a, _b = self.make_env()
-        FailureSchedule().partition(1.0, ["a"], ["b"], heal_at=3.0).inject(k, net)
-        k.run(until=1.5)
-        assert not net.reachable("a", "b")
-        k.run(until=3.5)
-        assert net.reachable("a", "b")
-
-    def test_partition_without_heal_persists(self):
-        k, net, _a, _b = self.make_env()
-        FailureSchedule().partition(1.0, ["a"], ["b"]).inject(k, net)
-        k.run(until=10.0)
-        assert not net.reachable("a", "b")
-
-    def test_custom_action(self):
-        k, net, _a, _b = self.make_env()
-        fired = []
-        armed = (
-            FailureSchedule()
-            .custom(0.5, lambda: fired.append(k.now), label="probe")
-            .inject(k, net)
-        )
-        assert "probe" in armed[0]
-        k.run(until=1.0)
-        assert fired == [0.5]
-
-    def test_crash_unknown_address_is_noop(self):
-        k, net, a, _b = self.make_env()
-        FailureSchedule().crash(0.5, "ghost").inject(k, net)
-        k.run(until=1.0)  # must not raise
-        assert a.alive
-
-    def test_chaining_returns_self(self):
-        schedule = FailureSchedule()
-        assert schedule.crash(1, "x") is schedule
-        assert schedule.partition(2, ["x"], ["y"]) is schedule
-        assert schedule.custom(3, lambda: None) is schedule
-        assert len(schedule.faults) == 3

@@ -1,5 +1,7 @@
 """Tests for the command-line interface and the ASCII chart renderer."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -71,6 +73,43 @@ class TestCommands:
         assert rc == 0
         assert "seed    2: OK" in out
         assert "all seeds upheld the guarantee" in out
+
+    def test_chaos_json_report_creates_its_directory(self, tmp_path, capsys):
+        # The report is written after the last seed: a missing directory
+        # must not cost the whole sweep.
+        path = tmp_path / "no" / "such-dir" / "report.json"
+        rc = main(["chaos", "--seed", "3", "--json", str(path)])
+        assert rc == 0
+        report = json.loads(path.read_text())
+        assert report["seeds"] == [3] and report["failed_seeds"] == []
+        assert f"wrote report JSON to {path}" in capsys.readouterr().out
+
+    def test_chaos_flags_compose_into_one_settings(self, monkeypatch, capsys):
+        from repro.sim import chaos
+
+        seen = []
+
+        def fake_run(seed, settings=None, **_kw):
+            seen.append(settings)
+            return chaos.ChaosReport(seed=seed, converged=True, acknowledged=1)
+
+        monkeypatch.setattr(chaos, "run_chaos", fake_run)
+        S = chaos.ChaosSettings
+        for argv, expected in [
+            ([], S()),
+            (["--disk-faults", "--kill-during-recovery"],
+             S(disk_faults=True, kill_during_recovery=True)),
+            (["--tm-shards", "3"], S(tm_shards=3)),
+            # --isolation ssi means a sharded TM in every combination...
+            (["--isolation", "ssi"], S(tm_shards=2, isolation="ssi")),
+            (["--isolation", "ssi", "--disk-faults"],
+             S(disk_faults=True, tm_shards=2, isolation="ssi")),
+            # ...unless --tm-shards N > 1 says otherwise.
+            (["--isolation", "ssi", "--tm-shards", "4"],
+             S(tm_shards=4, isolation="ssi")),
+        ]:
+            assert main(["chaos", "--seed", "1"] + argv) == 0
+            assert seen.pop() == expected, argv
 
 
 class TestAsciiChart:
