@@ -154,7 +154,10 @@ class CommitLedger:
         or corruption.  Returns all violations found.
         """
         if kv is None:
-            auditor = cluster.add_client(f"auditor{cluster.kernel.event_count}")
+            # Named from the cluster, not the event counter: the address keys
+            # the client's retry-jitter substream, and a saved kernel event
+            # must not move an audit.
+            auditor = cluster.add_client(f"auditor{len(cluster.clients)}")
             kv = auditor.kv
         violations: List[Violation] = []
 
