@@ -322,31 +322,28 @@ class KvClient:
                 self.invalidate(table)
                 yield self._backoff(rounds)
                 continue
-            procs = [
-                (
-                    fragment,
-                    self.host.spawn(
-                        self.flush_fragment(
-                            table,
-                            region_id,
-                            txn_ts,
-                            fragment,
-                            piggyback_tp=piggyback_tp,
-                            from_recovery=from_recovery,
-                            max_retries=round_retries,
-                            txn=txn,
-                        ),
-                        name=f"flush:{txn_ts}:{region_id}",
+            # One child per region, started here: a fork inside this
+            # flush's own causal chain is no place a queue can form.
+            procs = []
+            for region_id, fragment in groups.items():
+                proc = self.host.fork(
+                    self.flush_fragment(
+                        table,
+                        region_id,
+                        txn_ts,
+                        fragment,
+                        piggyback_tp=piggyback_tp,
+                        from_recovery=from_recovery,
+                        max_retries=round_retries,
+                        txn=txn,
                     ),
-                    region_id,
+                    name=("flush:", txn_ts, ":", region_id),
                 )
-                for region_id, fragment in groups.items()
-            ]
-            # We collect each fragment's outcome below, but a fragment that
-            # gives up while we are still awaiting a sibling must not be
-            # escalated as an unhandled death by the kernel.
-            for _fragment, proc, _region_id in procs:
+                # We collect each fragment's outcome below, but a fragment
+                # that gives up while we are still awaiting a sibling must
+                # not be escalated as an unhandled death by the kernel.
                 proc.defuse()
+                procs.append((fragment, proc, region_id))
             failed: List[WireCell] = []
             for fragment, proc, region_id in procs:
                 try:

@@ -22,7 +22,7 @@ from repro.errors import NodeDown, RemoteError, RpcTimeout
 from repro.sim.events import Event, Interrupt
 from repro.sim.kernel import Kernel
 from repro.sim.network import Message, Network
-from repro.sim.process import HandlerProcess, ProcGen, Process
+from repro.sim.process import OwnedProcess, ProcGen, Process
 from repro.sim.retry import DEFAULT_RPC_RETRY, RetryPolicy
 
 #: Recently-seen request ids kept per node for duplicate suppression.
@@ -78,20 +78,36 @@ class Node:
     def spawn(self, generator: ProcGen, name: Any = None) -> Process:
         """Run ``generator`` as a process owned by (and dying with) this node.
 
-        ``name`` may be a string or a tuple of string parts; either way the
-        display name is only assembled if someone reads it (names exist for
-        error messages and repr).
+        The process never starts inside the caller: its first step is a
+        queued URGENT kick-off, so the spawner finishes its own step
+        first.  ``name`` may be a string or a tuple of parts; either
+        way the display name is only assembled if someone reads it
+        (names exist for error messages and repr).
         """
+        return OwnedProcess(
+            self.kernel, generator, self._proc_name(name), self._procs, False
+        )
+
+    def fork(self, generator: ProcGen, name: Any = None) -> Process:
+        """Run ``generator`` as an owned process, first step here in the caller.
+
+        :meth:`spawn` for a child that is one branch of the caller's own
+        causal chain -- a fan-out the caller is about to join: the
+        hand-off is no place a queue can form, so it costs no kernel
+        event.  The child may already have ended when this returns; a
+        failure is queued like any other, so ``defuse()`` it right after
+        the fork if the caller collects the outcome itself.
+        """
+        return OwnedProcess(
+            self.kernel, generator, self._proc_name(name), self._procs, True
+        )
+
+    def _proc_name(self, name: Any) -> Tuple[Any, ...]:
         if name is None:
-            lazy = (self.addr, "/proc")
-        elif type(name) is tuple:
-            lazy = (self.addr, "/") + name
-        else:
-            lazy = (self.addr, "/", name)
-        process = self.kernel.process(generator, name=lazy)
-        self._procs[process] = None
-        process.callbacks.append(lambda _ev, p=process: self._procs.pop(p, None))
-        return process
+            return (self.addr, "/proc")
+        if type(name) is tuple:
+            return (self.addr, "/") + name
+        return (self.addr, "/", name)
 
     def sleep(self, delay: float) -> Event:
         """Timeout event helper for use inside this node's processes."""
@@ -396,16 +412,14 @@ class Node:
     def _start_handler(self, generator: ProcGen, message: Message, prefix: str) -> None:
         """Run a generator handler as a process of this node, starting now.
 
-        Unlike :meth:`spawn`, the handler's first step runs here, inside
-        the delivery of its request (see :class:`HandlerProcess`).
+        A :meth:`fork`: the handler's first step runs here, inside the
+        delivery of its request; nobody waits on a handler (its reply is
+        a message), so its end is no kernel event either.
         """
         # The handler keeps the request until it replies; hold a pool
         # reference so the shell is not recycled under it.
         message._refs += 1
-        HandlerProcess(
-            self.kernel, generator, (self.addr, "/", prefix, message.method),
-            self._procs,
-        )
+        self.fork(generator, (prefix, message.method))
 
     def _run_handler(self, message: Message, generator: ProcGen) -> ProcGen:
         try:

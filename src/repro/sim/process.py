@@ -37,9 +37,10 @@ class Process(Event):
         super().__init__(kernel)
         self._generator = generator
         self._target: Optional[Event] = None
-        # ``name`` may be a tuple of parts, joined lazily by the ``name``
-        # property: processes are spawned on the RPC hot path and most
-        # names are only ever read in error messages and repr.
+        # ``name`` may be a tuple of parts (strings, timestamps, ...),
+        # formatted and joined lazily by the ``name`` property: processes
+        # are spawned on the RPC hot path and most names are only ever
+        # read in error messages and repr.
         self._name = name if name is not None else generator.__name__
         # One bound method reused for every wait: the resume trampoline is
         # registered as a callback tens of thousands of times per run, and
@@ -69,7 +70,7 @@ class Process(Event):
         """Process name (joins lazily when spawned with name parts)."""
         n = self._name
         if type(n) is tuple:
-            n = self._name = "".join(n)
+            n = self._name = "".join(map(str, n))
         return n
 
     @property
@@ -152,35 +153,46 @@ class Process(Event):
         return f"<Process {self.name} {state}>"
 
 
-class HandlerProcess(Process):
-    """An RPC handler: begun by the delivery that spawns it, ended in place.
+class OwnedProcess(Process):
+    """A process a node owns: in its table while it runs, ended in place.
 
-    The request's arrival and the handler's first step are one instant of
-    one causal chain, and nobody waits on a handler (its reply is a
-    message), so neither the start nor the end is worth a kernel event:
-    the generator runs up to its first wait inside the constructor, and
-    on return the process deregisters from ``owner`` -- the node's
-    process table, joined *before* the first step so that a crash during
-    it still interrupts the handler -- without queueing itself.
+    The one class behind :meth:`Node.spawn`, :meth:`Node.fork` and the RPC
+    dispatch.  It joins ``owner`` -- the node's process table -- *before*
+    its first step, so a crash during that step still interrupts it, and
+    leaves the table where its last step runs.  A successful return
+    completes the process there too (:meth:`Event._complete`): whoever
+    waits on it resumes inside the child's last step, the same instant of
+    the same causal chain, so the end costs no kernel event.  A failure
+    is still queued, so that a forker can ``defuse()`` it before the
+    kernel sees it and strict-mode escalation and ``dead_processes`` work
+    as for any :class:`Process`.
+
+    ``in_caller`` picks the start: True runs the generator up to its
+    first wait inside the constructor (a fork or an RPC delivery and the
+    child's first step are one instant of one chain); False keeps the
+    queued URGENT kick-off of :class:`Process`.
     """
 
-    __slots__ = ("_owner",)
+    __slots__ = ("_owner", "_in_caller")
 
     def __init__(
         self, kernel: "Kernel", generator: ProcGen, name: Any,
-        owner: Dict["Process", None],
+        owner: Dict["Process", None], in_caller: bool,
     ) -> None:
         self._owner = owner
-        owner[self] = None
+        self._in_caller = in_caller
         super().__init__(kernel, generator, name)
 
     def _start(self) -> None:
-        self._do_resume(None)
+        self._owner[self] = None
+        if self._in_caller:
+            self._do_resume(None)
+        else:
+            super()._start()
 
     def _exit(self, ok: bool, value: Any) -> None:
         self._owner.pop(self, None)
         if ok:
             self._complete(True, value)
         else:
-            # A handler bug: queue the failure for the kernel to escalate.
             super()._exit(False, value)

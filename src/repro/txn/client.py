@@ -355,7 +355,7 @@ class TxnClient:
         self._end_commit_span(span, txn_key)
         flush_proc = self.host.spawn(
             self._flush_after_commit(ctx, parent=span),
-            name=f"flush:{ctx.commit_ts}",
+            name=("flush:", ctx.commit_ts),
         )
         flush_proc.defuse()
         if wait_flush:
