@@ -48,20 +48,23 @@ class LogRecord:
     nbytes: int = 128
 
     def to_wire(self) -> dict:
-        """Serialise for the fetch-logs RPC."""
+        """Serialise for the fetch-logs and shard-append RPCs."""
         return {
             "commit_ts": self.commit_ts,
             "client_id": self.client_id,
             "cells_by_table": self.cells_by_table,
+            "nbytes": self.nbytes,
         }
 
     @staticmethod
     def from_wire(wire: dict) -> "LogRecord":
-        """Inverse of :meth:`to_wire`."""
+        """Inverse of :meth:`to_wire` (a wire dict without a size
+        estimate gets the default)."""
         return LogRecord(
             commit_ts=wire["commit_ts"],
             client_id=wire["client_id"],
             cells_by_table=wire["cells_by_table"],
+            nbytes=wire.get("nbytes", 128),
         )
 
 

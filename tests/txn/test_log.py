@@ -104,3 +104,7 @@ def test_wire_roundtrip():
     r = record(7, "cx", n=3)
     assert LogRecord.from_wire(r.to_wire()).commit_ts == 7
     assert LogRecord.from_wire(r.to_wire()).client_id == "cx"
+    assert LogRecord.from_wire(r.to_wire()).nbytes == 96 * 3
+    wire = r.to_wire()
+    del wire["nbytes"]  # a sender that predates the size estimate
+    assert LogRecord.from_wire(wire).nbytes == 128

@@ -166,13 +166,16 @@ class TestTruncationAccounting:
         assert log.salvage_reports == []
 
     def test_shard_truncation_reports_bytes(self):
+        """A record costs the same bytes whichever host stores it: its
+        size estimate travels on the wire to a logger shard."""
         k = Kernel(seed=8)
         net = Network(k)
         shard = LoggerShard(k, net, "log0")
+        records = [record(ts) for ts in range(1, 6)]
 
         def go():
             yield from shard.rpc_shard_append(
-                "tm", [record(ts).to_wire() for ts in range(1, 6)]
+                "tm", [r.to_wire() for r in records]
             )
             return shard.rpc_shard_truncate("tm", 4)
 
@@ -180,5 +183,8 @@ class TestTruncationAccounting:
         assert dropped == 3
         stats = shard.rpc_shard_stats("tm")
         assert stats["truncated"] == 3
-        # Wire records default to 128 estimated bytes each.
-        assert stats["truncated_bytes"] == 3 * 128
+        k2, _host, log = make_log()
+        append_all(k2, log, records)
+        assert log.truncate(4) == 3
+        assert stats["truncated_bytes"] == log.stats.truncated_bytes == 3 * 96
+        assert shard.disk.bytes_written == log.disk.bytes_written == 5 * 96
