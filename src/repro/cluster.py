@@ -33,7 +33,6 @@ from repro.kvstore.wal import SYNC
 from repro.metrics.spans import tracer_for
 from repro.sim import Kernel, LatencyModel, Network, Node, Resource
 from repro.txn import STORE_SYNC, TM_LOG, TransactionManager, TxnClient
-from repro.txn.log import RecoveryLog
 from repro.txn.sharding import shard_addrs as tm_shard_addrs
 from repro.zk import ZkClient, ZkService, ZkWatcherMixin
 
@@ -643,29 +642,22 @@ class SimCluster:
         for dn in self.datanodes:
             disks[dn.addr] = dn.disk.stats()
             disks[dn.addr]["repairs"] = dn.repairs_received
-        for shard in self.logger_shards:
-            disks[shard.addr] = shard.disk.stats()
-        tm_logs = [
-            log
-            for log in (getattr(tm, "log", None) for tm in self.tms)
-            if isinstance(log, RecoveryLog)
-        ]
-        for tm_log in tm_logs:
-            disks[tm_log.disk.name] = tm_log.disk.stats()
+        # Every hosted commit-log store: a shard's by address, a TM's by device.
+        stores = {shard.addr: shard.store for shard in self.logger_shards} or {
+            tm.log.store.disk.name: tm.log.store for tm in self.tms
+        }
         readers = [self.master.dfs] + [rs.dfs for rs in self.servers]
         integrity = {
             "corrupt_reads": sum(r.corrupt_reads for r in readers),
             "records_repaired": sum(r.records_repaired for r in readers),
             "salvages": sum(r.salvages for r in readers),
+            "log_lost_unsynced": 0,
         }
         salvage = [rep.to_wire() for r in readers for rep in r.salvage_reports]
-        if tm_logs:
-            integrity["log_lost_unsynced"] = sum(
-                log.stats.lost_unsynced for log in tm_logs
-            )
-            salvage.extend(
-                rep.to_wire() for log in tm_logs for rep in log.salvage_reports
-            )
+        for name, store in stores.items():
+            disks[name] = store.disk.stats()
+            integrity["log_lost_unsynced"] += store.stats.lost_unsynced
+            salvage.extend(rep.to_wire() for rep in store.salvage_reports)
         return {
             "disks": disks,
             "integrity": integrity,

@@ -8,7 +8,7 @@ latency is what makes synchronous persistence expensive.
 
 from repro.dfs.client import DfsClient
 from repro.dfs.datanode import DataNode
-from repro.dfs.files import FileMeta, Record, StoredFile
+from repro.dfs.files import FileMeta
 from repro.dfs.namenode import NameNode
 
-__all__ = ["DataNode", "DfsClient", "FileMeta", "NameNode", "Record", "StoredFile"]
+__all__ = ["DataNode", "DfsClient", "FileMeta", "NameNode"]

@@ -12,12 +12,9 @@ errors from :class:`~repro.sim.disk.Disk`), so bit rot on one replica is
 survivable through the others.  Reads return each record's verification
 state; the client decides whether to fall over, repair, or salvage.
 
-Crash semantics: records a replica has not yet synced to its disk are lost
-when the datanode crashes (``StoredFile.synced`` tracks the durable prefix).
-With torn-write injection enabled, a crash may instead land a *prefix* of
-the un-synced tail plus one half-written record -- that torn record is on
-the platter, survives the restart, and must be caught by checksum
-verification at read time.  A crashed datanode stays down; with the paper's
+Crash semantics: each replica's un-synced tail takes a power cut
+(:meth:`repro.storage.StoredFile.power_cut` -- lost, or torn when the
+device tears).  A crashed datanode stays down; with the paper's
 replication factor of 2 the surviving replica keeps every durably-written
 file readable.
 """
@@ -28,13 +25,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.config import DiskSettings
 from repro.errors import DiskWriteError, FileNotFound
-from repro.dfs.files import Record, StoredFile
 from repro.sim.disk import Disk
 from repro.sim.events import Interrupt
 from repro.sim.kernel import Kernel
 from repro.sim.network import Network
 from repro.sim.node import Node
-from repro.storage import is_segment_header
+from repro.storage import Record, StoredFile, is_segment_header
 
 
 class DataNode(Node):
@@ -280,25 +276,10 @@ class DataNode(Node):
     # failure model
     # ------------------------------------------------------------------
     def _crash_storage(self) -> None:
-        """Power-cut semantics for every replica's un-synced tail.
-
-        Normally the tail simply vanishes (it never left the page cache).
-        With torn-write injection the device may instead have landed a
-        prefix of the tail plus one half-written record: those records
-        are *on the platter* -- they survive the restart and must be
-        detected by checksum at read time, not trusted.
-        """
+        """Power-cut semantics for every replica's un-synced tail
+        (:meth:`~repro.storage.StoredFile.power_cut`)."""
         for replica in self._replicas.values():
-            tail_length = len(replica.records) - replica.synced
-            if tail_length <= 0:
-                continue
-            if self.disk.tears_on_crash():
-                keep = self.disk.crash_keep_count(tail_length)
-                replica.records[replica.synced + keep].tear()
-                del replica.records[replica.synced + keep + 1 :]
-                replica.synced = len(replica.records)
-            else:
-                del replica.records[replica.synced :]
+            replica.power_cut(self.disk)
 
     def on_revive(self) -> None:
         """Block report on reconnect, as a restarted HDFS datanode sends.

@@ -1,59 +1,18 @@
-"""File and record abstractions for the simulated distributed filesystem.
+"""Namenode-side file metadata for the simulated distributed filesystem.
 
 The filesystem stores *record streams*: an append-only sequence of opaque
 records, each with an explicit byte-size estimate used for bandwidth and
 disk-latency accounting.  This matches how the two consumers use HDFS --
 the HBase-like WAL appends log records, and memstore flushes write batches
 of cells -- without modelling byte-level block layout, which none of the
-paper's experiments depend on.
+paper's experiments depend on.  The record and a datanode's copy of a
+stream (``Record``, ``StoredFile``) live in :mod:`repro.storage`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
-
-from repro.storage import checksum
-
-
-@dataclass
-class Record:
-    """One opaque record in a DFS file.
-
-    Records written through the append pipeline are *framed*: they carry
-    a CRC32 over their payload, so readers can detect bit rot and torn
-    writes instead of silently replaying garbage.  ``crc is None`` marks
-    an unframed record (bulk-preloaded datasets, pre-framing files);
-    those verify trivially, like data covered by device-level checksums.
-    """
-
-    payload: Any
-    nbytes: int = 128
-    crc: Optional[int] = None
-    torn: bool = False
-
-    @staticmethod
-    def framed(payload: Any, nbytes: int) -> "Record":
-        """A record checksummed at write time."""
-        return Record(payload=payload, nbytes=nbytes, crc=checksum(payload))
-
-    @property
-    def state(self) -> str:
-        """Medium state: ``"ok"``, ``"torn"`` or ``"corrupt"``."""
-        if self.torn:
-            return "torn"
-        if self.crc is not None and self.crc != checksum(self.payload):
-            return "corrupt"
-        return "ok"
-
-    def damage(self) -> None:
-        """Latent corruption: the stored frame no longer matches the payload."""
-        base = self.crc if self.crc is not None else checksum(self.payload)
-        self.crc = base ^ 0x5A5A5A5A
-
-    def tear(self) -> None:
-        """Mark this record as a half-written (torn) final record."""
-        self.torn = True
+from typing import List
 
 
 @dataclass
@@ -83,23 +42,3 @@ class FileMeta:
             "closed": self.closed,
             "scattered": self.scattered,
         }
-
-
-@dataclass
-class StoredFile:
-    """Datanode-side replica of one file."""
-
-    path: str
-    records: List[Record] = field(default_factory=list)
-    #: Records [0, synced) are on this replica's disk; the rest are only in
-    #: the datanode's memory and are lost if the datanode crashes.
-    synced: int = 0
-
-    @property
-    def length(self) -> int:
-        """Records currently held by this replica."""
-        return len(self.records)
-
-    def durable_records(self) -> List[Record]:
-        """The prefix of records that survives a datanode crash."""
-        return self.records[: self.synced]

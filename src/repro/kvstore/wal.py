@@ -22,7 +22,7 @@ from repro.kvstore.keys import WireCell
 from repro.metrics.spans import tracer_for
 from repro.sim.events import Event, Interrupt
 from repro.sim.resource import Resource
-from repro.storage import SegmentHeader, is_segment_header
+from repro.storage import SalvageReport, SegmentHeader, is_segment_header
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.node import Node
@@ -274,17 +274,13 @@ class WriteAheadLog:
         self._sync_waiters.clear()
 
 
-def salvage_wal_records(dfs: DfsClient, path: str):
-    """Salvage every verifiable record of a WAL file.  (Generator API.)
+def _strip_segment_headers(path: str, entries, report: SalvageReport):
+    """Validate and strip the segment headers of a salvaged WAL read.
 
-    Reads through :meth:`DfsClient.read_all_salvaged`: records are merged
-    across replicas, checksum-verified, and truncated at the first record
-    no replica holds intact.  Segment headers are validated (a segment
-    written by a different server is rejected outright) and stripped.
-    Returns ``(payloads, report)`` -- the :data:`WalRecord` list in append
-    order plus the salvage report; damaged records are never replayed.
+    A segment written by a different server (spliced from the wrong log)
+    is rejected outright: nothing of it is kept.  Returns ``(payloads,
+    report)`` -- the :data:`WalRecord` list in append order.
     """
-    entries, report = yield from dfs.read_all_salvaged(path)
     payloads = []
     for payload, _nbytes in entries:
         if is_segment_header(payload):
@@ -297,6 +293,20 @@ def salvage_wal_records(dfs: DfsClient, path: str):
             continue
         payloads.append(payload)
     return payloads, report
+
+
+def salvage_wal_records(dfs: DfsClient, path: str):
+    """Salvage every verifiable record of a WAL file.  (Generator API.)
+
+    Reads through :meth:`DfsClient.read_all_salvaged`: records are merged
+    across replicas, checksum-verified, and truncated at the first record
+    no replica holds intact.  Segment headers are validated (a segment
+    written by a different server is rejected outright) and stripped.
+    Returns ``(payloads, report)`` -- the :data:`WalRecord` list in append
+    order plus the salvage report; damaged records are never replayed.
+    """
+    entries, report = yield from dfs.read_all_salvaged(path)
+    return _strip_segment_headers(path, entries, report)
 
 
 def fetch_region_records(dfs: DfsClient, path: str, regions: List[str]):
@@ -311,18 +321,7 @@ def fetch_region_records(dfs: DfsClient, path: str, regions: List[str]):
     is rejected outright.  Returns ``(payloads, report)``.
     """
     entries, report = yield from dfs.read_region_salvaged(path, regions)
-    payloads = []
-    for payload, _nbytes in entries:
-        if is_segment_header(payload):
-            header = SegmentHeader.from_wire(payload)
-            if not path.startswith(wal_dir(header.writer)):
-                report.reason = "foreign-segment"
-                report.kept = 0
-                report.dropped = report.total
-                return [], report
-            continue
-        payloads.append(payload)
-    return payloads, report
+    return _strip_segment_headers(path, entries, report)
 
 
 def read_wal_records(dfs: DfsClient, path: str):

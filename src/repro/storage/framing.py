@@ -1,10 +1,16 @@
-"""On-"disk" record framing: checksums, segment headers, salvage.
+"""On-"disk" record framing: checksums, segment headers, power cuts, salvage.
 
 Durable state in the simulation is a list of records rather than a byte
-stream, so framing works at record granularity: every record carries its
-payload length (the length prefix) and a CRC32 over a canonical encoding
-of the payload.  A reader that finds a checksum mismatch knows the
-record is torn or rotted and must not replay it.
+stream, so framing works at record granularity: every :class:`Record`
+carries its payload length (the length prefix) and a CRC32 over a
+canonical encoding of the payload.  A reader that finds a checksum
+mismatch knows the record is torn or rotted and must not replay it.
+
+A :class:`StoredFile` is one host's copy of one record stream (a
+datanode's replica, the TM's commit log, a logger shard's slice of it)
+with the watermark below which records are genuinely on the platter;
+:meth:`StoredFile.power_cut` is the one rule for what a crash does to the
+rest.
 
 Log files additionally open with a :class:`SegmentHeader` record naming
 the writer, its epoch and the segment sequence number, so recovery can
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: Marker heading every segment-header payload (first tuple element).
 HEADER_KIND = "__segment_header__"
@@ -36,6 +42,88 @@ def checksum(payload: Any) -> int:
     processes, so the same payload always frames to the same checksum.
     """
     return zlib.crc32(repr(payload).encode("utf-8", "replace"))
+
+
+@dataclass
+class Record:
+    """One opaque record on a storage medium.
+
+    Records written through an append path are *framed*: they carry a
+    CRC32 over their payload, so readers can detect bit rot and torn
+    writes instead of silently replaying garbage.  ``crc is None`` marks
+    an unframed record (bulk-preloaded datasets, pre-framing files);
+    those verify trivially, like data covered by device-level checksums.
+    """
+
+    payload: Any
+    nbytes: int = 128
+    crc: Optional[int] = None
+    torn: bool = False
+
+    @staticmethod
+    def framed(payload: Any, nbytes: int) -> "Record":
+        """A record checksummed at write time."""
+        return Record(payload=payload, nbytes=nbytes, crc=checksum(payload))
+
+    @property
+    def state(self) -> str:
+        """Medium state: ``"ok"``, ``"torn"`` or ``"corrupt"``."""
+        if self.torn:
+            return "torn"
+        if self.crc is not None and self.crc != checksum(self.payload):
+            return "corrupt"
+        return "ok"
+
+    def damage(self) -> None:
+        """Latent corruption: the stored frame no longer matches the payload."""
+        base = self.crc if self.crc is not None else checksum(self.payload)
+        self.crc = base ^ 0x5A5A5A5A
+
+    def tear(self) -> None:
+        """Mark this record as a half-written (torn) final record."""
+        self.torn = True
+
+
+@dataclass
+class StoredFile:
+    """One host's copy of one record stream."""
+
+    path: str
+    records: List[Record] = field(default_factory=list)
+    #: Records [0, synced) are on this host's disk; the rest were only
+    #: buffered (or acknowledged off a lying fsync) and are lost if the
+    #: host crashes before a genuine sync covers them.
+    synced: int = 0
+
+    @property
+    def length(self) -> int:
+        """Records currently held by this copy."""
+        return len(self.records)
+
+    def durable_records(self) -> List[Record]:
+        """The prefix of records that survives a crash of the host."""
+        return self.records[: self.synced]
+
+    def power_cut(self, disk: Any) -> int:
+        """A crash of the host: the un-synced tail vanishes (it never
+        left the page cache) -- or, when ``disk`` (a
+        :class:`~repro.sim.disk.Disk`) tears, a prefix of it landed plus
+        one half-written record.  Those are *on the platter*: they survive
+        the restart and must be caught by checksum at read time, not
+        trusted.  The device's fault stream is drawn from only when there
+        is a tail to lose.  Returns how many acknowledged records were lost.
+        """
+        tail = len(self.records) - self.synced
+        if tail <= 0:
+            return 0
+        if disk.tears_on_crash():
+            keep = disk.crash_keep_count(tail)
+            self.records[self.synced + keep].tear()
+            del self.records[self.synced + keep + 1 :]
+            self.synced = len(self.records)
+            return tail - keep - 1
+        del self.records[self.synced :]
+        return tail
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,16 @@ commit that arrived meanwhile (Section 4.1: "the logging sub-component
 supports group commit [and] has access to its own high performance stable
 storage").
 
-The log's storage is *not* assumed perfect: every record is framed with a
-sequence number and a CRC32 at append time, the log tracks which prefix
-genuinely reached the platter (a lying fsync leaves acknowledged records
-volatile until the next genuine sync covers them), and a host crash
-applies power-cut semantics to the un-synced tail -- discarded, or torn
-into one half-written record when the device tears.  Recovery-side reads
-salvage rather than trust: the first torn/corrupt record truncates the
-replayable suffix, and every such scan surfaces a
+:class:`LogStore` is one host's stable storage for commit records -- the
+TM's own device or a logger shard's (:mod:`repro.txn.loggers`) -- and
+:func:`group_commit` is the one loop that batches queued appends into
+writes, whichever host takes them.  The storage is *not* assumed perfect:
+records are framed (:class:`~repro.storage.Record`), the store tracks
+which prefix genuinely reached the platter (a lying fsync leaves
+acknowledged records volatile until the next genuine sync covers them), a
+host crash is a power cut for the rest, and recovery-side reads salvage
+rather than trust: the first torn/corrupt record truncates the replayable
+suffix, and every such scan surfaces a
 :class:`~repro.storage.SalvageReport` so damage is auditable, never
 silently replayed.
 """
@@ -24,17 +26,19 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.config import TxnSettings
+from repro.config import DiskSettings, TxnSettings
 from repro.kvstore.keys import WireCell
 from repro.errors import DiskWriteError
 from repro.metrics.spans import tracer_for
 from repro.sim.disk import Disk
 from repro.sim.events import Event, Interrupt
+from repro.sim.kernel import Kernel
 from repro.sim.node import Node
 from repro.sim.resource import SimQueue
-from repro.storage import SalvageReport, checksum
+from repro.storage import Record, SalvageReport, StoredFile, salvage_prefix
 
 
 @dataclass
@@ -60,25 +64,7 @@ class LogRecord:
     def from_wire(wire: dict) -> "LogRecord":
         """Inverse of :meth:`to_wire` (a wire dict without a size
         estimate gets the default)."""
-        return LogRecord(
-            commit_ts=wire["commit_ts"],
-            client_id=wire["client_id"],
-            cells_by_table=wire["cells_by_table"],
-            nbytes=wire.get("nbytes", 128),
-        )
-
-
-@dataclass
-class _Frame:
-    """On-medium framing for one log record: sequence number + CRC32."""
-
-    seq: int
-    crc: int
-    torn: bool = False
-
-    def verifies(self, record: LogRecord) -> bool:
-        """Whether the stored frame still matches the record."""
-        return not self.torn and self.crc == checksum(record.to_wire())
+        return LogRecord(**wire)
 
 
 @dataclass
@@ -103,232 +89,129 @@ class LogStats:
         return sum(self.group_sizes) / len(self.group_sizes)
 
 
-class RecoveryLog:
-    """Append-only, group-committed, truncatable, checksummed commit log."""
+_commit_ts = attrgetter("payload.commit_ts")  # bisect key over framed records
+
+
+class LogStore:
+    """One host's stable storage for commit records: checksummed,
+    ascending by commit timestamp, truncatable, salvageable."""
 
     def __init__(
         self,
-        host: Node,
-        settings: Optional[TxnSettings] = None,
-        ordered: bool = True,
+        kernel: Kernel,
+        name: str,
+        disk_settings: DiskSettings,
+        ordered: bool = False,
     ) -> None:
-        self.host = host
-        self.settings = settings or TxnSettings()
-        #: Ordered logs (the single TM) enforce strictly ascending commit
-        #: timestamps -- appends arrive in oracle order.  TM *shards* store
-        #: records for their keyspace slice: cross-shard decision fan-out
-        #: can deliver timestamps out of order and more than once, so the
-        #: unordered mode bisect-inserts and dedups by commit_ts instead.
-        self.ordered = ordered
-        disk_cfg = self.settings.log_disk
         self.disk = Disk(
-            host.kernel,
-            name=f"{host.addr}-log",
-            sync_latency=disk_cfg.sync_latency,
-            bytes_per_second=disk_cfg.bytes_per_second,
-            faults=disk_cfg.faults,
+            kernel,
+            name=name,
+            sync_latency=disk_settings.sync_latency,
+            bytes_per_second=disk_settings.bytes_per_second,
+            faults=disk_settings.faults,
         )
-        self._records: List[LogRecord] = []  # durable, ascending commit_ts
-        self._timestamps: List[int] = []  # parallel array for bisecting
-        self._frames: List[_Frame] = []  # parallel on-medium framing
-        self._pending: SimQueue = SimQueue(host.kernel)
-        self._truncated_below = 0
-        #: Retained records [0, _durable_upto) are genuinely on the
-        #: platter; the rest were acknowledged off a lying fsync and are
-        #: still volatile (covered by the next genuine sync).
-        self._durable_upto = 0
-        self._seq = 0
+        #: An ordered store (the single TM's) takes appends in oracle
+        #: order and rejects anything else.  TM *shards* and logger shards
+        #: hold a slice of the stream: decision fan-out and a batcher's
+        #: retry deliver timestamps out of order and more than once, so
+        #: they insert in place and drop repeats.
+        self.ordered = ordered
+        #: Framed :class:`LogRecord` s ascending by commit_ts; records
+        #: [0, ``file.synced``) are genuinely on the platter, the rest
+        #: were acknowledged off a lying fsync and are still volatile.
+        self.file = StoredFile(path=name)
+        #: Everything below this timestamp has been discarded.
+        self.truncated_below = 0
         self._damaged = False
         self.salvage_reports: List[SalvageReport] = []
         self.stats = LogStats()
-        host.crash_hooks.append(self.on_host_crash)
-        host.spawn(self._group_committer(), name="group-commit")
+        self._tracer = tracer_for(kernel)
 
-    # ------------------------------------------------------------------
-    # appends
-    # ------------------------------------------------------------------
-    def append(self, record: LogRecord) -> Event:
-        """Queue a commit record; the event fires once it is durable."""
-        done = Event(self.host.kernel)
-        self._pending.put((record, done))
-        return done
+    def write(self, records: Sequence[LogRecord], nbytes: int):
+        """Generator: one device sync of ``nbytes`` covering ``records``
+        (a ``log.group_sync`` span).
 
-    def _group_committer(self):
+        Raises :class:`~repro.errors.DiskWriteError` with nothing stored
+        (the caller retries the same write); a lying fsync stores the
+        records but leaves the durable watermark where it was.
+        """
+        span = self._tracer.begin("log.group_sync", batch=len(records), nbytes=nbytes)
         try:
-            while True:
-                first = yield self._pending.get()
-                if self.settings.group_commit_interval > 0:
-                    yield self.host.sleep(self.settings.group_commit_interval)
-                batch = [first] + self._pending.drain()
-                tracer = tracer_for(self.host.kernel)
-                while batch:
-                    chunk = batch[: self.settings.group_commit_max]
-                    nbytes = sum(record.nbytes for record, _done in chunk)
-                    sync_span = tracer.begin(
-                        "log.group_sync", batch=len(chunk), nbytes=nbytes
-                    )
-                    try:
-                        durable = yield from self.disk.sync_write(nbytes)
-                    except DiskWriteError:
-                        # Transient device error: nothing landed; retry the
-                        # same chunk after a beat.  Commit latency absorbs
-                        # the stall -- the waiters' events simply fire late.
-                        sync_span.end(outcome="write_error")
-                        yield self.host.sleep(
-                            self.settings.group_commit_interval or 0.001
-                        )
-                        continue
-                    sync_span.end()
-                    batch = batch[self.settings.group_commit_max :]
-                    self.stats.syncs += 1
-                    self.stats.group_sizes.append(len(chunk))
-                    for record, done in chunk:
-                        self._store(record)
-                        if not done.triggered:
-                            done.succeed(record.commit_ts)
-                    if durable:
-                        # A genuine sync covers everything buffered so far,
-                        # including records an earlier lying fsync claimed.
-                        self._durable_upto = len(self._records)
-        except Interrupt:
-            return
+            durable = yield from self.disk.sync_write(nbytes)
+        except DiskWriteError:
+            span.end(outcome="write_error")
+            raise
+        span.end()
+        self.stats.syncs += 1
+        self.stats.group_sizes.append(len(records))
+        for record in records:
+            self._store(record)
+        if durable:
+            # A genuine sync covers everything buffered so far, including
+            # records an earlier lying fsync claimed.
+            self.file.synced = len(self.file.records)
 
     def _store(self, record: LogRecord) -> None:
-        if not self.ordered:
-            # Shard mode: decision fan-out may repeat deliveries and land
-            # timestamps out of order; dedup by commit_ts, bisect-insert.
-            idx = bisect.bisect_left(self._timestamps, record.commit_ts)
-            if idx < len(self._timestamps) and self._timestamps[idx] == record.commit_ts:
-                return
-            frame = _Frame(seq=self._seq, crc=checksum(record.to_wire()))
-            self._seq += 1
-            if self.disk.corrupts_record():
-                frame.crc ^= 0x5A5A5A5A
-                self._damaged = True
-            self._records.insert(idx, record)
-            self._timestamps.insert(idx, record.commit_ts)
-            self._frames.insert(idx, frame)
-            if idx < self._durable_upto:
+        stored = self.file.records
+        idx = len(stored)
+        if idx and record.commit_ts <= stored[-1].payload.commit_ts:
+            if self.ordered:
+                # Commit timestamps are assigned by a single oracle and
+                # appended in assignment order; anything else is a bug.
+                raise ValueError(
+                    f"log append out of order: {record.commit_ts} after "
+                    f"{stored[-1].payload.commit_ts}"
+                )
+            idx = bisect.bisect_left(stored, record.commit_ts, key=_commit_ts)
+            if stored[idx].payload.commit_ts == record.commit_ts:
+                return  # duplicate delivery
+            if idx < self.file.synced:
                 # Slid in under the durable watermark; keep the watermark
                 # covering the same genuinely-synced records.
-                self._durable_upto += 1
-            self.stats.appended += 1
-            return
-        # Commit timestamps are assigned by a single oracle and appended in
-        # assignment order, so this stays sorted; assert the invariant.
-        if self._timestamps and record.commit_ts <= self._timestamps[-1]:
-            raise ValueError(
-                f"log append out of order: {record.commit_ts} after "
-                f"{self._timestamps[-1]}"
-            )
-        frame = _Frame(seq=self._seq, crc=checksum(record.to_wire()))
-        self._seq += 1
+                self.file.synced += 1
+        framed = Record.framed(record, record.nbytes)
         if self.disk.corrupts_record():
-            frame.crc ^= 0x5A5A5A5A
+            framed.damage()
             self._damaged = True
-        self._records.append(record)
-        self._timestamps.append(record.commit_ts)
-        self._frames.append(frame)
+        stored.insert(idx, framed)
         self.stats.appended += 1
 
-    def restart(self) -> None:
-        """Bring the log back after its host node revived.
+    def power_cut(self) -> None:
+        """The host crashed (:meth:`~repro.storage.StoredFile.power_cut`);
+        a torn tail is left for the next :meth:`verify` to cut off."""
+        self.stats.lost_unsynced += self.file.power_cut(self.disk)
+        if self.file.records and self.file.records[-1].torn:
+            self._damaged = True
 
-        Queued-but-unsynced appends were already dropped at crash time
-        (see :meth:`on_host_crash`); anything in the queue *now* was
-        enqueued after the revive by a live waiter and must survive.
-        Salvage if the medium is damaged and respawn the committer over
-        the durable prefix.
-        """
+    def verify(self) -> None:
+        """Salvage if a tear or rot may be on the medium: before a fetch,
+        so a damaged record is never handed to replay, and before a
+        revived host stores anything behind a torn tail."""
         if self._damaged:
             self.salvage()
-        self.host.spawn(self._group_committer(), name="group-commit")
-
-    # ------------------------------------------------------------------
-    # crash semantics and salvage
-    # ------------------------------------------------------------------
-    def on_host_crash(self) -> None:
-        """Power-cut semantics for the acknowledged-but-volatile tail.
-
-        Registered as a host crash hook.  Records beyond the genuinely
-        durable prefix (acknowledged off lying fsyncs) vanish -- or, when
-        the device tears, a prefix of them lands plus one half-written
-        record that survives detectably torn.
-        """
-        # Queued appends die here, not at restart: their waiters died
-        # with this crash, whereas an append enqueued between revive()
-        # and the restart call belongs to a live handler and a
-        # restart-time drain would orphan its done-event forever.
-        self._pending.drain()
-        tail = len(self._records) - self._durable_upto
-        if tail <= 0:
-            return
-        if self.disk.tears_on_crash():
-            keep = self.disk.crash_keep_count(tail)
-            torn_at = self._durable_upto + keep
-            self._frames[torn_at].torn = True
-            self._drop_suffix(torn_at + 1)
-            self.stats.lost_unsynced += tail - keep - 1
-            self._damaged = True
-        else:
-            self._drop_suffix(self._durable_upto)
-            self.stats.lost_unsynced += tail
-        self._durable_upto = len(self._records)
-
-    def _drop_suffix(self, from_index: int) -> None:
-        del self._records[from_index:]
-        del self._timestamps[from_index:]
-        del self._frames[from_index:]
 
     def salvage(self) -> SalvageReport:
-        """Verify every retained record; truncate at the first bad one.
-
-        The standard log-recovery scan: frames are checked in sequence
-        order and the suffix from the first torn/corrupt record is not
-        replayable (everything past a tear is unordered garbage).  The
-        report is retained for audit and the log returns to a verified
-        state.
-        """
-        report = SalvageReport(
-            path=f"{self.host.addr}-log", total=len(self._records)
+        """Verify every retained record and truncate at the first bad one
+        (:func:`~repro.storage.salvage_prefix`); a report that is not
+        clean is retained for audit."""
+        stored = self.file.records
+        kept, report = salvage_prefix(
+            self.disk.name, [(r.payload, r.nbytes, r.state) for r in stored]
         )
-        cut: Optional[int] = None
-        for index, (record, frame) in enumerate(zip(self._records, self._frames)):
-            if frame.verifies(record):
-                continue
-            cut = index
-            report.reason = "torn-record" if frame.torn else "corrupt-record"
-            break
-        if cut is not None:
-            for record, frame in zip(self._records[cut:], self._frames[cut:]):
-                report.bytes_truncated += record.nbytes
-                if frame.torn:
-                    report.torn += 1
-                elif not frame.verifies(record):
-                    report.corrupt += 1
-            self._drop_suffix(cut)
-            self._durable_upto = min(self._durable_upto, len(self._records))
-        report.kept = len(self._records)
-        report.dropped = report.total - report.kept
+        del stored[len(kept) :]
+        self.file.synced = min(self.file.synced, len(kept))
         self._damaged = False
         if not report.clean:
             self.salvage_reports.append(report)
         return report
 
-    # ------------------------------------------------------------------
-    # recovery-side reads
-    # ------------------------------------------------------------------
     def fetch(self, after_ts: int, client_id: Optional[str] = None) -> List[LogRecord]:
-        """Durable records with commit_ts > after_ts, optionally one client's.
-
-        This is the ``fetchlogs`` interface Algorithms 2 and 4 call.  The
-        log is salvaged first if any damage is suspected, so a damaged
-        record is never handed to replay.
-        """
-        if self._damaged:
-            self.salvage()
-        idx = bisect.bisect_right(self._timestamps, after_ts)
-        records = self._records[idx:]
+        """Verified records with commit_ts > after_ts, optionally one
+        client's: the ``fetchlogs`` interface Algorithms 2 and 4 call."""
+        self.verify()
+        stored = self.file.records
+        idx = bisect.bisect_right(stored, after_ts, key=_commit_ts)
+        records = [framed.payload for framed in stored[idx:]]
         if client_id is not None:
             records = [r for r in records if r.client_id == client_id]
         return records
@@ -339,34 +222,19 @@ class RecoveryLog:
         Safe exactly when ``up_to_ts`` <= the global persisted threshold
         T_P (Section 3.2: such transactions are durable in the store).
         """
-        idx = bisect.bisect_left(self._timestamps, up_to_ts)
+        stored = self.file.records
+        idx = bisect.bisect_left(stored, up_to_ts, key=_commit_ts)
         if idx <= 0:
             return 0
-        reclaimed = sum(record.nbytes for record in self._records[:idx])
-        del self._records[:idx]
-        del self._timestamps[:idx]
-        del self._frames[:idx]
-        self._durable_upto = max(0, self._durable_upto - idx)
-        self._truncated_below = max(self._truncated_below, up_to_ts)
         self.stats.truncated += idx
-        self.stats.truncated_bytes += reclaimed
+        self.stats.truncated_bytes += sum(framed.nbytes for framed in stored[:idx])
+        del stored[:idx]
+        self.file.synced = max(0, self.file.synced - idx)
+        self.truncated_below = max(self.truncated_below, up_to_ts)
         return idx
 
-    # Generator-form wrappers so the TM can treat the local and the
-    # distributed (sharded) logs uniformly.
-    def fetch_gen(self, after_ts: int, client_id: Optional[str] = None):
-        """Generator form of :meth:`fetch`."""
-        yield from ()
-        return self.fetch(after_ts, client_id=client_id)
-
-    def truncate_gen(self, up_to_ts: int):
-        """Generator form of :meth:`truncate`."""
-        yield from ()
-        return self.truncate(up_to_ts)
-
-    def stats_gen(self):
-        """Generator form of the headline statistics."""
-        yield from ()
+    def headline(self) -> dict:
+        """The headline statistics (one host's share of ``stats_gen``)."""
         return {
             "length": self.length,
             "appended": self.stats.appended,
@@ -377,20 +245,143 @@ class RecoveryLog:
 
     @property
     def length(self) -> int:
-        """Durable records currently retained."""
-        return len(self._records)
+        """Records currently retained."""
+        return len(self.file.records)
 
     @property
     def durable_length(self) -> int:
         """Retained records genuinely on the platter (tracked watermark)."""
-        return self._durable_upto
-
-    @property
-    def truncated_below(self) -> int:
-        """Everything below this timestamp has been discarded."""
-        return self._truncated_below
+        return self.file.synced
 
     @property
     def last_ts(self) -> int:
         """The newest retained commit timestamp (truncation floor if none)."""
-        return self._timestamps[-1] if self._timestamps else self._truncated_below
+        stored = self.file.records
+        return stored[-1].payload.commit_ts if stored else self.truncated_below
+
+
+def group_commit(
+    host: Node,
+    queue: SimQueue,
+    settings: TxnSettings,
+    write_chunk: Callable[[List[LogRecord], int], object],
+):
+    """The group committer, one process per queue of ``(record, done)``:
+    wait for an append, hold the window open, drain what arrived, and
+    hand it -- ``group_commit_max`` at a time -- to ``write_chunk(records,
+    nbytes)``, a generator that returns once the records are durable
+    (retrying as its medium requires); then wake that chunk's waiters."""
+    try:
+        while True:
+            first = yield queue.get()
+            if settings.group_commit_interval > 0:
+                yield host.sleep(settings.group_commit_interval)
+            batch = [first] + queue.drain()
+            while batch:
+                chunk = batch[: settings.group_commit_max]
+                batch = batch[settings.group_commit_max :]
+                records = [record for record, _done in chunk]
+                yield from write_chunk(records, sum(r.nbytes for r in records))
+                for record, done in chunk:
+                    if not done.triggered:
+                        done.succeed(record.commit_ts)
+    except Interrupt:
+        return
+
+
+class RecoveryLog:
+    """The TM-hosted commit log: a local :class:`LogStore` behind the
+    group committer."""
+
+    def __init__(
+        self,
+        host: Node,
+        settings: Optional[TxnSettings] = None,
+        ordered: bool = True,
+    ) -> None:
+        self.host = host
+        self.settings = settings or TxnSettings()
+        self.store = LogStore(
+            host.kernel, f"{host.addr}-log", self.settings.log_disk, ordered
+        )
+        self.stats = self.store.stats
+        self._pending: SimQueue = SimQueue(host.kernel)
+        host.crash_hooks.append(self.on_host_crash)
+        self.restart()
+
+    def append(self, record: LogRecord) -> Event:
+        """Queue a commit record; the event fires once it is durable."""
+        done = Event(self.host.kernel)
+        self._pending.put((record, done))
+        return done
+
+    def _retrying(self, attempt: Callable[[], object]):
+        """Run ``attempt()``, a generator making one device write, until
+        it lands: a transient device error left nothing on the medium, so
+        the same write is retried after a beat.  Commit latency absorbs
+        the stall -- the waiters simply hear late."""
+        while True:
+            try:
+                yield from attempt()
+                return
+            except DiskWriteError:
+                yield self.host.sleep(self.settings.group_commit_interval or 0.001)
+
+    def _write_chunk(self, records: List[LogRecord], nbytes: int):
+        yield from self._retrying(lambda: self.store.write(records, nbytes))
+
+    def force(self, nbytes: int):
+        """Generator: sync ``nbytes`` to the log device outside the group
+        committer (a prepare or a decision the TM journals itself), under
+        the committer's write-error policy."""
+        yield from self._retrying(lambda: self.store.disk.sync_write(nbytes))
+
+    def restart(self) -> None:
+        """Start the committer: at construction, and after the host node
+        revived -- then over the salvaged, durable prefix.
+
+        Queued-but-unsynced appends were already dropped at crash time
+        (see :meth:`on_host_crash`); anything in the queue *now* was
+        enqueued after the revive by a live waiter and must survive.
+        """
+        self.store.verify()
+        self.host.spawn(
+            group_commit(self.host, self._pending, self.settings, self._write_chunk),
+            name="group-commit",
+        )
+
+    def on_host_crash(self) -> None:
+        """Host crash hook: queued appends die, the store takes the cut."""
+        # Queued appends die here, not at restart: their waiters died
+        # with this crash, whereas an append enqueued between revive()
+        # and the restart call belongs to a live handler and a
+        # restart-time drain would orphan its done-event forever.
+        self._pending.drain()
+        self.store.power_cut()
+
+    # Generator forms of the recovery-side operations, so the TM can treat
+    # the local and the distributed logs uniformly.
+    def fetch_gen(self, after_ts: int, client_id: Optional[str] = None):
+        """Generator form of :meth:`LogStore.fetch`."""
+        yield from ()
+        return self.store.fetch(after_ts, client_id=client_id)
+
+    def truncate_gen(self, up_to_ts: int):
+        """Generator form of :meth:`LogStore.truncate`."""
+        yield from ()
+        return self.store.truncate(up_to_ts)
+
+    def stats_gen(self):
+        """Generator form of :meth:`LogStore.headline`."""
+        yield from ()
+        return self.store.headline()
+
+    @property
+    def truncated_below(self) -> int:
+        """Everything below this timestamp has been discarded."""
+        return self.store.truncated_below
+
+    @property
+    def last_ts(self) -> int:
+        """The newest retained commit timestamp (truncation floor if none)."""
+        return self.store.last_ts

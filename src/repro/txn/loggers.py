@@ -18,23 +18,23 @@ the retained range's two ends.
 
 from __future__ import annotations
 
-import bisect
+from functools import partial
 from typing import Dict, List, Optional
 
 from repro.config import TxnSettings
 from repro.metrics.registry import MetricsRegistry, status_envelope
 from repro.metrics.spans import tracer_for
-from repro.sim.disk import Disk
-from repro.sim.events import Event, Interrupt
+from repro.sim.events import Event
 from repro.sim.kernel import Kernel
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.resource import SimQueue
-from repro.txn.log import LogRecord, LogStats
+from repro.txn.log import LogRecord, LogStats, LogStore, group_commit
 
 
 class LoggerShard(Node):
-    """One dedicated logging node with its own stable storage."""
+    """One dedicated logging node hosting a :class:`LogStore` on its own
+    stable storage."""
 
     def __init__(
         self,
@@ -45,26 +45,23 @@ class LoggerShard(Node):
     ) -> None:
         super().__init__(kernel, net, addr)
         self.settings = settings or TxnSettings()
-        disk_cfg = self.settings.log_disk
-        self.disk = Disk(
-            kernel,
-            name=f"{addr}-disk",
-            sync_latency=disk_cfg.sync_latency,
-            bytes_per_second=disk_cfg.bytes_per_second,
-            faults=disk_cfg.faults,
-        )
-        self._records: List[LogRecord] = []  # ascending commit_ts
-        self._timestamps: List[int] = []
-        self.stats = LogStats()
+        self.store = LogStore(kernel, f"{addr}-disk", self.settings.log_disk)
         #: Registry view of the shard counters (see ``metrics()``).
         self.registry = MetricsRegistry("logger_shard", addr)
-        self._tracer = tracer_for(kernel)
+
+    def on_crash(self) -> None:
+        """The store's volatile tail takes the power cut."""
+        self.store.power_cut()
+
+    def on_revive(self) -> None:
+        """Cut a torn tail off before anything is stored behind it."""
+        self.store.verify()
 
     def metrics(self) -> dict:
         """Uniform registry snapshot (shard counters mirrored in)."""
         for name in ("appended", "syncs", "truncated", "truncated_bytes"):
-            self.registry.counter(name).set(getattr(self.stats, name))
-        self.registry.gauge("length").set(len(self._records))
+            self.registry.counter(name).set(getattr(self.store.stats, name))
+        self.registry.gauge("length").set(self.store.length)
         return self.registry.snapshot()
 
     def rpc_status(self, sender: str):
@@ -75,59 +72,27 @@ class LoggerShard(Node):
         """Durably append a batch (one disk sync for the whole batch).
 
         A transient disk error surfaces to the TM's batcher as a remote
-        failure; the batcher retries and the timestamp dedup below makes
-        the repeat safe.
+        failure; the batcher retries and the store's timestamp dedup
+        makes the repeat safe.
         """
         parsed = [LogRecord.from_wire(w) for w in records]
         nbytes = sum(max(r.nbytes, 96) for r in parsed)
-        span = self._tracer.begin(
-            "log.group_sync", shard=self.addr, batch=len(parsed)
-        )
-        yield from self.disk.sync_write(nbytes)
-        span.end()
-        for record in parsed:
-            idx = bisect.bisect_left(self._timestamps, record.commit_ts)
-            if idx < len(self._timestamps) and self._timestamps[idx] == record.commit_ts:
-                continue  # duplicate delivery
-            self._timestamps.insert(idx, record.commit_ts)
-            self._records.insert(idx, record)
-            self.stats.appended += 1
-        self.stats.syncs += 1
-        self.stats.group_sizes.append(len(parsed))
+        yield from self.store.write(parsed, nbytes)
         return len(parsed)
 
     def rpc_shard_fetch(
         self, sender: str, after_ts: int, client_id: Optional[str] = None
     ) -> List[dict]:
         """Records with commit_ts > after_ts (optionally one client's)."""
-        idx = bisect.bisect_right(self._timestamps, after_ts)
-        records = self._records[idx:]
-        if client_id is not None:
-            records = [r for r in records if r.client_id == client_id]
-        return [r.to_wire() for r in records]
+        return [r.to_wire() for r in self.store.fetch(after_ts, client_id)]
 
     def rpc_shard_truncate(self, sender: str, up_to_ts: int) -> int:
         """Drop records with commit_ts < up_to_ts."""
-        idx = bisect.bisect_left(self._timestamps, up_to_ts)
-        if idx > 0:
-            self.stats.truncated_bytes += sum(
-                record.nbytes for record in self._records[:idx]
-            )
-            del self._records[:idx]
-            del self._timestamps[:idx]
-            self.stats.truncated += idx
-        return idx
+        return self.store.truncate(up_to_ts)
 
     def rpc_shard_stats(self, sender: str) -> dict:
         """Shard counters for aggregation at the TM."""
-        return {
-            "addr": self.addr,
-            "length": len(self._records),
-            "appended": self.stats.appended,
-            "syncs": self.stats.syncs,
-            "truncated": self.stats.truncated,
-            "truncated_bytes": self.stats.truncated_bytes,
-        }
+        return dict(self.store.headline(), addr=self.addr)
 
 
 class DistributedRecoveryLog:
@@ -161,7 +126,10 @@ class DistributedRecoveryLog:
         shards, so there is nothing to salvage here."""
         for shard, queue in self._queues.items():
             self.host.spawn(
-                self._shard_committer(shard, queue), name=f"log-batcher:{shard}"
+                group_commit(
+                    self.host, queue, self.settings, partial(self._write_chunk, shard)
+                ),
+                name=f"log-batcher:{shard}",
             )
 
     def on_host_crash(self) -> None:
@@ -183,60 +151,48 @@ class DistributedRecoveryLog:
         self._queues[shard].put((record, done))
         return done
 
-    def _shard_committer(self, shard: str, queue: SimQueue):
-        try:
-            while True:
-                first = yield queue.get()
-                if self.settings.group_commit_interval > 0:
-                    yield self.host.sleep(self.settings.group_commit_interval)
-                batch = [first] + queue.drain()
-                while batch:
-                    chunk = batch[: self.settings.group_commit_max]
-                    batch = batch[self.settings.group_commit_max :]
-                    wire = [record.to_wire() for record, _done in chunk]
-                    nbytes = sum(record.nbytes for record, _done in chunk)
-                    span = tracer_for(self.host.kernel).begin(
-                        "log.shard_append", shard=shard, batch=len(chunk)
-                    )
-                    while True:
-                        try:
-                            yield self.host.call(
-                                shard,
-                                "shard_append",
-                                timeout=10.0,
-                                size=max(nbytes, 96),
-                                records=wire,
-                            )
-                            span.end()
-                            break
-                        except Exception:
-                            # Logging nodes are reliable stable storage in
-                            # the paper's model, but the *network* to them
-                            # may hiccup; duplicates are deduplicated at
-                            # the shard, so retrying is safe.
-                            yield self.host.sleep(0.05)
-                    self.stats.group_sizes.append(len(chunk))
-                    for record, done in chunk:
-                        self.stats.appended += 1
-                        self.last_ts = max(self.last_ts, record.commit_ts)
-                        if not done.triggered:
-                            done.succeed(record.commit_ts)
-        except Interrupt:
-            return
+    def _write_chunk(self, shard: str, records: List[LogRecord], nbytes: int):
+        span = tracer_for(self.host.kernel).begin(
+            "log.shard_append", shard=shard, batch=len(records)
+        )
+        wire = [record.to_wire() for record in records]
+        while True:
+            try:
+                yield self.host.call(
+                    shard,
+                    "shard_append",
+                    timeout=10.0,
+                    size=max(nbytes, 96),
+                    records=wire,
+                )
+                break
+            except Exception:
+                # Logging nodes are reliable stable storage in the paper's
+                # model, but the *network* to them may hiccup (and their
+                # device may refuse a write); duplicates are deduplicated
+                # at the shard, so retrying is safe.
+                yield self.host.sleep(0.05)
+        span.end()
+        self.stats.group_sizes.append(len(records))
+        self.stats.appended += len(records)
+        self.last_ts = max(self.last_ts, *(r.commit_ts for r in records))
 
     # ------------------------------------------------------------------
     # recovery-side operations (generator API)
     # ------------------------------------------------------------------
-    def fetch_gen(self, after_ts: int, client_id: Optional[str] = None):
-        """Fan out to every shard and merge by commit timestamp."""
+    def _fan_out(self, method: str, **payload):
+        """Call ``method`` on every shard; the replies in shard order."""
         calls = [
-            self.host.call(
-                shard, "shard_fetch", timeout=10.0,
-                after_ts=after_ts, client_id=client_id,
-            )
+            self.host.call(shard, method, timeout=10.0, **payload)
             for shard in self.shards
         ]
-        replies = yield self.host.kernel.all_of(calls)
+        return (yield self.host.kernel.all_of(calls))
+
+    def fetch_gen(self, after_ts: int, client_id: Optional[str] = None):
+        """Fan out to every shard and merge by commit timestamp."""
+        replies = yield from self._fan_out(
+            "shard_fetch", after_ts=after_ts, client_id=client_id
+        )
         merged: List[LogRecord] = []
         for wire_records in replies:
             merged.extend(LogRecord.from_wire(w) for w in wire_records)
@@ -249,29 +205,16 @@ class DistributedRecoveryLog:
 
     def truncate_gen(self, up_to_ts: int):
         """Broadcast truncation; returns the total records dropped."""
-        calls = [
-            self.host.call(shard, "shard_truncate", timeout=10.0, up_to_ts=up_to_ts)
-            for shard in self.shards
-        ]
-        dropped = yield self.host.kernel.all_of(calls)
-        total = sum(dropped)
+        total = sum((yield from self._fan_out("shard_truncate", up_to_ts=up_to_ts)))
         self.stats.truncated += total
         self.truncated_below = max(self.truncated_below, up_to_ts)
         self.last_ts = max(self.last_ts, up_to_ts)
         return total
 
     def stats_gen(self):
-        """Aggregate shard statistics."""
-        calls = [
-            self.host.call(shard, "shard_stats", timeout=10.0)
-            for shard in self.shards
-        ]
-        replies = yield self.host.kernel.all_of(calls)
-        return {
-            "shards": replies,
-            "length": sum(r["length"] for r in replies),
-            "appended": sum(r["appended"] for r in replies),
-            "syncs": sum(r["syncs"] for r in replies),
-            "truncated": sum(r["truncated"] for r in replies),
-            "truncated_bytes": sum(r["truncated_bytes"] for r in replies),
+        """Every shard's :meth:`LogStore.headline`, and their sums."""
+        replies = yield from self._fan_out("shard_stats")
+        totals = {
+            key: sum(r[key] for r in replies) for key in replies[0] if key != "addr"
         }
+        return dict(totals, shards=replies)

@@ -19,7 +19,6 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import TxnSettings
-from repro.errors import DiskWriteError
 from repro.metrics.registry import MetricsRegistry, status_envelope
 from repro.metrics.spans import tracer_for
 from repro.sim.events import Interrupt
@@ -396,16 +395,6 @@ class TransactionManager(Node):
         if ts is not None and ts > self._max_seen_ts:
             self._max_seen_ts = ts
 
-    def _durable_write(self, nbytes: int):
-        """Sync ``nbytes`` to this shard's log device, riding out
-        transient write errors (the group committer's policy)."""
-        while True:
-            try:
-                yield from self.log.disk.sync_write(nbytes)
-                return
-            except DiskWriteError:
-                yield self.sleep(self.settings.group_commit_interval or 0.001)
-
     def _mint(self, start_ts, wkeys, reads, read_only=False) -> dict:
         """The authority's stamping step: the SSI rw-edge check (when the
         window exists), the globally ordered commit stamp, the window
@@ -591,7 +580,7 @@ class TransactionManager(Node):
             return {"status": "aborted", "conflict_key": list(conflict)}
         self._reserve(keys, key)
         try:
-            yield from self._durable_write(max(96 * len(writes), 96))
+            yield from self.log.force(max(96 * len(writes), 96))
         except BaseException:
             self._release(keys, key)
             raise
@@ -650,7 +639,7 @@ class TransactionManager(Node):
                         "conflict_key": grant["conflict_key"],
                         "ssi": True,
                     }
-            yield from self._durable_write(128)
+            yield from self.log.force(128)
         except BaseException as exc:
             self._registry_gates.pop(key, None)
             if not gate.triggered and not isinstance(exc, Interrupt):

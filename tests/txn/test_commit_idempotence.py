@@ -119,7 +119,7 @@ def test_retried_commit_returns_cached_verdict(topo):
     assert again == first  # same verdict, same commit timestamp
     assert topo.counters()["commits"] == 1
     assert topo.counters()["duplicate_commits"] == 1
-    assert [r.commit_ts for r in topo.tm.log.fetch(0)] == [first["commit_ts"]]
+    assert [r.commit_ts for r in topo.tm.log.store.fetch(0)] == [first["commit_ts"]]
 
 
 def test_inflight_duplicate_parks_on_the_first_decision(topo):
@@ -172,7 +172,7 @@ def test_first_committer_wins(topo):
     assert r1["status"] == "committed"
     assert r2 == {"status": "aborted", "conflict_key": ["t", topo.row(0), "f"]}
     assert topo.counters()["aborts"] == 1
-    assert topo.tm.log.length == 1
+    assert topo.tm.log.store.length == 1
 
 
 def test_read_only_commit_takes_the_fast_path(topo):
@@ -183,7 +183,7 @@ def test_read_only_commit_takes_the_fast_path(topo):
     }
     assert topo.counters()["read_only"] == 1
     assert topo.counters()["commits"] == 0
-    assert topo.tm.log.length == 0
+    assert topo.tm.log.store.length == 0
     assert topo.tms[0].oracle.current() == opened["start_ts"]  # no stamp
 
 
@@ -201,7 +201,7 @@ def test_fenced_client_cannot_commit(topo):
     assert first == {"status": "aborted", "conflict_key": None, "fenced": True}
     assert again == first
     assert topo.counters()["fenced_commits"] == 1
-    assert topo.tm.log.length == 0
+    assert topo.tm.log.store.length == 0
 
 
 def test_commit_without_logging_still_certifies_and_stamps(topo):
@@ -218,7 +218,7 @@ def test_commit_without_logging_still_certifies_and_stamps(topo):
     assert r1["status"] == "committed"
     assert r1["commit_ts"] == topo.tms[0].oracle.current()
     assert r2["status"] == "aborted"
-    assert topo.tm.log.length == 0
+    assert topo.tm.log.store.length == 0
 
 
 # ----------------------------------------------------------------------
@@ -283,7 +283,7 @@ def test_duplicate_decision_delivery_applies_the_slice_once():
     decision, acks = drive(k, proc())
     assert acks == [True, True, True]
     assert tms[1].metrics()["counters"]["decisions_applied"] == 1
-    logged = [r.commit_ts for r in tms[1].log.fetch(0)]
+    logged = [r.commit_ts for r in tms[1].log.store.fetch(0)]
     assert logged == [decision["commit_ts"]]  # exactly one slice record
     assert tms[1]._applied[("c1", opened["txn_id"])] == {
         "outcome": "commit", "commit_ts": decision["commit_ts"],
@@ -357,5 +357,5 @@ def test_retried_cross_shard_commit_returns_cached_verdict():
     assert counters0["decide_commits"] == 1
     assert counters1["prepares"] == 1  # the retry never re-prepared
     for tm in tms:
-        logged = [r.commit_ts for r in tm.log.fetch(0)]
+        logged = [r.commit_ts for r in tm.log.store.fetch(0)]
         assert logged == [first["commit_ts"]]

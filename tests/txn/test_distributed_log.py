@@ -42,7 +42,7 @@ def run(k, gen):
 def test_records_stripe_across_shards(shard_env):
     k, shards, _tm, log = shard_env
     append_all(k, log, [record(ts) for ts in range(1, 31)])
-    lengths = [len(s._records) for s in shards]
+    lengths = [s.store.length for s in shards]
     assert sum(lengths) == 30
     assert all(length == 10 for length in lengths)  # ts % 3 striping
 
@@ -80,7 +80,7 @@ def test_duplicate_batch_delivery_deduplicated(shard_env):
         yield tm.call("log0", "shard_append", records=wire)
 
     run(k, deliver_twice())
-    assert len(shards[0]._records) == 1
+    assert shards[0].store.length == 1
 
 
 def test_stats_aggregate(shard_env):

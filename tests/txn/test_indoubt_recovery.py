@@ -164,7 +164,7 @@ def test_coordinator_dies_before_decision_presumes_abort():
     assert tms[2].metrics()["counters"]["indoubt_resolved"] >= 1
     # The write never reached any slice log.
     for tm in tms:
-        assert list(tm.log.fetch(0)) == []
+        assert list(tm.log.store.fetch(0)) == []
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +210,7 @@ def test_coordinator_dies_after_partial_fanout_commit_survives():
     assert_converged(tms, key, "commit")
     assert tms[2].metrics()["counters"]["indoubt_resolved"] == 1
     for s in (1, 2):
-        logged = [r.commit_ts for r in tms[s].log.fetch(0)]
+        logged = [r.commit_ts for r in tms[s].log.store.fetch(0)]
         assert logged == [decision["commit_ts"]]
 
 
@@ -251,7 +251,7 @@ def test_coordinator_dies_during_own_log_sync_commit_survives():
     k.run(until=k.now + 2.0)  # coordinator finishes its own slice
     assert_converged(tms, key, "commit")
     for s in (1, 2):
-        logged = [r.commit_ts for r in tms[s].log.fetch(0)]
+        logged = [r.commit_ts for r in tms[s].log.store.fetch(0)]
         assert logged == [commit_ts], f"shard {s} slice not durable"
 
 
@@ -295,4 +295,4 @@ def test_late_and_duplicate_proposals_return_the_original_outcome():
     assert second == first
     assert_converged(tms, key, "abort")
     # The denied commit consumed no timestamp and logged nothing.
-    assert list(tms[2].log.fetch(0)) == []
+    assert list(tms[2].log.store.fetch(0)) == []

@@ -43,7 +43,7 @@ def test_append_event_fires_after_durable():
     assert not done.triggered
     k.run(until=1.0)
     assert done.triggered and done.value == 1
-    assert log.length == 1
+    assert log.store.length == 1
 
 
 def test_group_commit_batches_concurrent_appends():
@@ -64,10 +64,10 @@ def test_group_commit_max_chunks_large_batches():
 def test_fetch_after_ts():
     k, log = make_log()
     append_all(k, log, [record(ts) for ts in (1, 2, 3, 4, 5)])
-    got = log.fetch(after_ts=3)
+    got = log.store.fetch(after_ts=3)
     assert [r.commit_ts for r in got] == [4, 5]
-    assert log.fetch(after_ts=0) and len(log.fetch(after_ts=0)) == 5
-    assert log.fetch(after_ts=99) == []
+    assert log.store.fetch(after_ts=0) and len(log.store.fetch(after_ts=0)) == 5
+    assert log.store.fetch(after_ts=99) == []
 
 
 def test_fetch_filters_by_client():
@@ -76,20 +76,20 @@ def test_fetch_filters_by_client():
         k, log,
         [record(1, "a"), record(2, "b"), record(3, "a"), record(4, "b")],
     )
-    got = log.fetch(after_ts=1, client_id="a")
+    got = log.store.fetch(after_ts=1, client_id="a")
     assert [r.commit_ts for r in got] == [3]
-    got = log.fetch(after_ts=0, client_id="b")
+    got = log.store.fetch(after_ts=0, client_id="b")
     assert [r.commit_ts for r in got] == [2, 4]
 
 
 def test_truncate_drops_strictly_below():
     k, log = make_log()
     append_all(k, log, [record(ts) for ts in (1, 2, 3, 4, 5)])
-    dropped = log.truncate(up_to_ts=3)
+    dropped = log.store.truncate(up_to_ts=3)
     assert dropped == 2  # ts 1 and 2; ts 3 itself is retained
-    assert [r.commit_ts for r in log.fetch(after_ts=0)] == [3, 4, 5]
+    assert [r.commit_ts for r in log.store.fetch(after_ts=0)] == [3, 4, 5]
     assert log.truncated_below == 3
-    assert log.truncate(up_to_ts=3) == 0  # idempotent
+    assert log.store.truncate(up_to_ts=3) == 0  # idempotent
 
 
 def test_out_of_order_append_rejected():
