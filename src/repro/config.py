@@ -128,10 +128,9 @@ class KvSettings:
 class TxnSettings:
     """Transaction manager and its recovery log."""
 
-    #: Group-commit window: the log syncs at most once per this interval,
-    #: batching every commit that arrived meanwhile.
-    group_commit_interval: float = 0.003
-    #: Cap on commits bundled into one sync.
+    #: Cap on commits bundled into one log sync.  There is no window: the
+    #: log syncs as soon as its device is free, batching what queued
+    #: during the previous sync.
     group_commit_max: int = 128
     #: The TM's dedicated stable storage is faster than the datanode disks
     #: ("has access to its own high performance stable storage").

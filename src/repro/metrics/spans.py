@@ -17,7 +17,7 @@ Stage taxonomy (see ``docs/OBSERVABILITY.md`` for the full catalogue)::
     txn.begin            client->TM begin RPC
     commit.rpc           client-observed commit call (parent of the rest)
     commit.certify       TM certification (conflict check + timestamps)
-    commit.log_append    TM recovery-log append (queue + group window + sync)
+    commit.log_append    TM recovery-log append (queue + sync)
     log.group_sync       one group-commit disk sync (batch granularity)
     log.shard_append     one logger-shard append RPC (distributed log)
     commit.reply         derived: commit.rpc minus its TM-side children

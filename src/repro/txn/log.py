@@ -3,10 +3,11 @@
 Committed write-sets are appended here -- together with the commit
 timestamp and the client identifier, exactly the fields the paper's
 recovery procedures filter on -- and made durable with **group commit**:
-the log device syncs at most once per configurable window, covering every
-commit that arrived meanwhile (Section 4.1: "the logging sub-component
-supports group commit [and] has access to its own high performance stable
-storage").
+the log device syncs as soon as it is free, and one sync covers every
+commit that queued while the previous sync was in flight (Section 4.1:
+"the logging sub-component supports group commit [and] has access to its
+own high performance stable storage").  There is no timer: a group is
+exactly what arrived during the last sync, so its size follows load.
 
 :class:`LogStore` is one host's stable storage for commit records -- the
 TM's own device or a logger shard's (:mod:`repro.txn.loggers`) -- and
@@ -90,6 +91,10 @@ class LogStats:
 
 
 _commit_ts = attrgetter("payload.commit_ts")  # bisect key over framed records
+
+#: Pause before a device write that raised is retried (a transient error
+#: left nothing on the medium).
+WRITE_RETRY_DELAY = 0.003
 
 
 class LogStore:
@@ -261,21 +266,19 @@ class LogStore:
 
 
 def group_commit(
-    host: Node,
     queue: SimQueue,
     settings: TxnSettings,
     write_chunk: Callable[[List[LogRecord], int], object],
 ):
     """The group committer, one process per queue of ``(record, done)``:
-    wait for an append, hold the window open, drain what arrived, and
-    hand it -- ``group_commit_max`` at a time -- to ``write_chunk(records,
-    nbytes)``, a generator that returns once the records are durable
-    (retrying as its medium requires); then wake that chunk's waiters."""
+    wait for an append, drain everything else queued -- what arrived
+    while the previous write was on the device -- and hand it,
+    ``group_commit_max`` at a time, to ``write_chunk(records, nbytes)``, a
+    generator that returns once the records are durable (retrying as its
+    medium requires); then wake that chunk's waiters."""
     try:
         while True:
             first = yield queue.get()
-            if settings.group_commit_interval > 0:
-                yield host.sleep(settings.group_commit_interval)
             batch = [first] + queue.drain()
             while batch:
                 chunk = batch[: settings.group_commit_max]
@@ -325,7 +328,7 @@ class RecoveryLog:
                 yield from attempt()
                 return
             except DiskWriteError:
-                yield self.host.sleep(self.settings.group_commit_interval or 0.001)
+                yield self.host.sleep(WRITE_RETRY_DELAY)
 
     def _write_chunk(self, records: List[LogRecord], nbytes: int):
         yield from self._retrying(lambda: self.store.write(records, nbytes))
@@ -346,7 +349,7 @@ class RecoveryLog:
         """
         self.store.verify()
         self.host.spawn(
-            group_commit(self.host, self._pending, self.settings, self._write_chunk),
+            group_commit(self._pending, self.settings, self._write_chunk),
             name="group-commit",
         )
 

@@ -126,9 +126,7 @@ class DistributedRecoveryLog:
         shards, so there is nothing to salvage here."""
         for shard, queue in self._queues.items():
             self.host.spawn(
-                group_commit(
-                    self.host, queue, self.settings, partial(self._write_chunk, shard)
-                ),
+                group_commit(queue, self.settings, partial(self._write_chunk, shard)),
                 name=f"log-batcher:{shard}",
             )
 

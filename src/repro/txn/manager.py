@@ -465,8 +465,8 @@ class TransactionManager(Node):
         if self.settings.snapshot_visibility == "flushed":
             heapq.heappush(self._unflushed, commit_ts)
         if log_commit:
-            # Queue wait + group-commit window + disk sync, all in one
-            # stage: the client is unblocked exactly when this ends.
+            # Queue wait + disk sync, all in one stage: the client is
+            # unblocked exactly when this ends.
             append_span = certify_span.child("commit.log_append")
             yield self.log.append(self._log_record(commit_ts, key[0], writes))
             append_span.end()

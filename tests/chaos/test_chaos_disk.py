@@ -15,6 +15,16 @@ DISK = ChaosSettings(disk_faults=True)
 
 SEEDS = list(range(1, 21))
 
+#: One report per seed, shared by every test here: the sweep-wide
+#: assertions read the runs the per-seed tests already made.
+_REPORTS = {}
+
+
+def report_for(seed):
+    if seed not in _REPORTS:
+        _REPORTS[seed] = run_chaos(seed, settings=DISK)
+    return _REPORTS[seed]
+
 
 def injected_faults(report):
     """Total media faults injected across the run's devices."""
@@ -28,7 +38,7 @@ def injected_faults(report):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_disk_fault_seed_upholds_guarantee(seed):
-    report = run_chaos(seed, settings=DISK)
+    report = report_for(seed)
     detail = report.summary() + "".join(f"\n  {v}" for v in report.violations)
     assert report.violations == [], detail
     assert report.converged, detail
@@ -37,12 +47,12 @@ def test_disk_fault_seed_upholds_guarantee(seed):
 
 
 def test_sweep_actually_injects_storage_faults():
-    # Any single seed may draw few faults; across a handful the storm
-    # must hit every fault class or the sweep proves nothing.
+    # Any single seed may draw few faults; across the whole sweep the
+    # storm must hit every fault class or the sweep proves nothing.
     totals = {}
     salvage_activity = 0
-    for seed in SEEDS[:6]:
-        report = run_chaos(seed, settings=DISK)
+    for seed in SEEDS:
+        report = report_for(seed)
         for kind, count in injected_faults(report).items():
             totals[kind] = totals.get(kind, 0) + count
         integrity = report.storage["integrity"]
@@ -62,7 +72,7 @@ def test_salvage_reports_account_for_all_truncation():
     # Whenever a recovery scan dropped records, the report must say so
     # and carry the byte count -- damage is auditable, never silent.
     for seed in SEEDS[:6]:
-        report = run_chaos(seed, settings=DISK)
+        report = report_for(seed)
         for salvage in report.storage["salvage_reports"]:
             assert salvage["kept"] + salvage["dropped"] == salvage["total"]
             if salvage["dropped"]:
@@ -76,7 +86,7 @@ def test_salvage_reports_account_for_all_truncation():
 def test_tm_log_device_stays_clean():
     # The paper assumes reliable TM stable storage; the disk profile
     # honours that (the TM log's salvage path is unit-tested instead).
-    report = run_chaos(3, settings=DISK)
+    report = report_for(3)
     tm_disks = {
         name: d
         for name, d in report.storage["disks"].items()
@@ -91,9 +101,7 @@ def test_tm_log_device_stays_clean():
 
 
 def test_same_seed_reproduces_identical_report_with_disk_faults():
-    first = run_chaos(7, settings=DISK)
-    second = run_chaos(7, settings=DISK)
-    assert first == second
+    assert run_chaos(7, settings=DISK) == report_for(7)
 
 
 def test_disk_faults_default_off():

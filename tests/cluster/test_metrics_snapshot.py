@@ -136,7 +136,10 @@ def test_flat_stats_surfaces_still_work():
 
 
 def test_crashed_flush_shows_up_as_truncated_spans():
+    from repro.metrics import tracer_for
+
     cluster = make()
+    tracer = tracer_for(cluster.kernel)
     handle = cluster.add_client("doomed")
 
     def one():
@@ -148,9 +151,11 @@ def test_crashed_flush_shows_up_as_truncated_spans():
         return handle.txn.transaction(body)
 
     cluster.run(one())
-    # Crash the client immediately: a commit's async flush may be cut off
-    # mid-flight.  Run a fresh commit and kill the machine right after the
-    # commit returns, before the flush has a chance to finish.
+    # Let the first txn's async flush finish before the second commit.
+    while not tracer.spans(stage="flush.writeset"):
+        cluster.run_until(cluster.kernel.now + 0.001)
+    # Run a fresh commit and kill the machine right after the commit
+    # returns, before its flush has a chance to finish.
     def commit_only():
         ctx = yield from handle.txn.begin()
         for j in range(4):
@@ -166,7 +171,5 @@ def test_crashed_flush_shows_up_as_truncated_spans():
     # The first txn's flush finished; the second was severed by the crash
     # (it stays open forever -- never recorded as a latency sample).
     assert flush["count"] >= 1
-    from repro.metrics import tracer_for
-
-    open_stages = {s.stage for s in tracer_for(cluster.kernel).open_spans()}
+    open_stages = {s.stage for s in tracer.open_spans()}
     assert "flush.writeset" in open_stages

@@ -170,7 +170,7 @@ def test_log_fetch_truncate_model(host, ops):
     from repro.txn.loggers import LoggerShard
 
     k = Kernel()
-    txn_settings = TxnSettings(group_commit_interval=0.0)
+    txn_settings = TxnSettings()
     if host == "tm":
         node = Node(k, Network(k), "tm")
         log = RecoveryLog(node, txn_settings, ordered=False)

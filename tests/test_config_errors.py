@@ -47,7 +47,7 @@ class TestConfig:
         assert small_setup().workload.n_rows < paper_setup().workload.n_rows
 
     def test_settings_smoke(self):
-        assert TxnSettings().group_commit_interval > 0
+        assert TxnSettings().group_commit_max >= 1
         assert RecoverySettings().missed_heartbeat_limit >= 1
         assert KvSettings().region_split_entries is None  # splits opt-in
 

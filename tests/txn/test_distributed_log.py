@@ -14,7 +14,7 @@ from repro.txn.loggers import DistributedRecoveryLog, LoggerShard
 def shard_env():
     k = Kernel(seed=95)
     net = Network(k)
-    settings = TxnSettings(group_commit_interval=0.001)
+    settings = TxnSettings()
     shards = [LoggerShard(k, net, f"log{i}", settings=settings) for i in range(3)]
     tm = Node(k, net, "tm")
     log = DistributedRecoveryLog(tm, [s.addr for s in shards], settings)

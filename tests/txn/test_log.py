@@ -7,12 +7,11 @@ from repro.sim import Kernel, Network, Node
 from repro.txn.log import LogRecord, RecoveryLog
 
 
-def make_log(interval=0.002, max_group=64, sync_latency=0.002):
+def make_log(max_group=64, sync_latency=0.002):
     k = Kernel(seed=5)
     net = Network(k)
     host = Node(k, net, "tm")
     settings = TxnSettings(
-        group_commit_interval=interval,
         group_commit_max=max_group,
         log_disk=DiskSettings(sync_latency=sync_latency),
     )
@@ -37,28 +36,61 @@ def append_all(k, log, records):
     k.run_until_complete(k.process(waiter(k, events)))
 
 
+def durable_at(k, events):
+    """Simulated instant each event fires at."""
+    times = {}
+
+    def watch(event):
+        yield event
+        times[event] = k.now
+
+    for event in events:
+        k.process(watch(event))
+    return times
+
+
 def test_append_event_fires_after_durable():
     k, log = make_log()
-    done = log.append(record(1))
+    k.run(until=0.010)  # an idle log: the committer is parked on its queue
+    t0 = k.now
+    rec = record(1)
+    done = log.append(rec)
+    times = durable_at(k, [done])
     assert not done.triggered
     k.run(until=1.0)
     assert done.triggered and done.value == 1
     assert log.store.length == 1
+    # Durable exactly one device sync after the append -- no window is
+    # held open first.  The sync draws the disk's first jittered latency.
+    settings = log.settings.log_disk
+    sync = Kernel(seed=5).rng.substream("disk:tm-log").jittered(
+        settings.sync_latency, 0.15
+    ) + rec.nbytes / settings.bytes_per_second
+    assert times[done] == pytest.approx(t0 + sync, abs=1e-12)
 
 
 def test_group_commit_batches_concurrent_appends():
-    k, log = make_log(interval=0.005)
+    k, log = make_log()
     append_all(k, log, [record(ts) for ts in range(1, 21)])
-    # All 20 arrive within one window: far fewer syncs than appends.
+    # All 20 queue before the committer runs: one sync covers them.
     assert log.stats.appended == 20
-    assert log.stats.syncs <= 3
-    assert log.stats.mean_group_size > 5
+    assert log.stats.group_sizes == [20]
+    # Appends made while a sync is on the device all ride the next one.
+    first = log.append(record(21))
+    k.run(until=k.now + 0.001)  # mid-sync (2 ms device)
+    assert log.stats.syncs == 1 and not first.triggered
+    riders = [log.append(record(ts)) for ts in range(22, 27)]
+    times = durable_at(k, [first] + riders)
+    k.run(until=k.now + 1.0)
+    assert log.stats.group_sizes == [20, 1, 5]
+    assert len({times[e] for e in riders}) == 1
+    assert times[riders[0]] > times[first]
 
 
 def test_group_commit_max_chunks_large_batches():
-    k, log = make_log(interval=0.005, max_group=8)
+    k, log = make_log(max_group=8)
     append_all(k, log, [record(ts) for ts in range(1, 21)])
-    assert max(log.stats.group_sizes) <= 8
+    assert log.stats.group_sizes == [8, 8, 4]
 
 
 def test_fetch_after_ts():
@@ -93,7 +125,7 @@ def test_truncate_drops_strictly_below():
 
 
 def test_out_of_order_append_rejected():
-    k, log = make_log(interval=0.0)
+    k, log = make_log()
     append_all(k, log, [record(5)])
     log.append(record(3))
     with pytest.raises(Exception):

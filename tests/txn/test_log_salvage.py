@@ -13,9 +13,8 @@ from repro.txn.log import LogRecord, RecoveryLog
 from repro.txn.loggers import LoggerShard
 
 
-def settings_for(faults=None, interval=0.002):
+def settings_for(faults=None):
     return TxnSettings(
-        group_commit_interval=interval,
         log_disk=DiskSettings(
             sync_latency=0.002, faults=faults or DiskFaultSettings()
         ),
