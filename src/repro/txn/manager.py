@@ -436,10 +436,6 @@ class TransactionManager(Node):
             )
         finally:
             self._release(keys, key)
-        if grant["status"] == "aborted":
-            # Counted where the client's verdict is issued as well as at
-            # the window that produced it.
-            self.registry.counter("ssi_aborts").inc()
         self._note_ts(grant.get("commit_ts"))
         return grant
 

@@ -42,7 +42,8 @@ _history_for = partial(crash_free_history, suite="ssi")
 # divergence: write skew commits under SI, aborts under SSI
 # ----------------------------------------------------------------------
 def _run_write_skew(isolation: str, n_shards: int = 1):
-    """The canonical write-skew interleaving; returns (outcomes, events)."""
+    """The canonical write-skew interleaving; returns (outcomes, events,
+    the TM shards' summed ``ssi_aborts``)."""
     cluster = build(seed=11, n_shards=n_shards, isolation=isolation)
     recorder = cluster.attach_history_recorder()
     a = cluster.add_client("a")
@@ -73,13 +74,17 @@ def _run_write_skew(isolation: str, n_shards: int = 1):
             outcome["b"] = "aborted"
 
     cluster.run(scenario())
-    return outcome, recorder.events
+    ssi_aborts = sum(
+        tm.metrics()["counters"].get("ssi_aborts", 0) for tm in cluster.tms
+    )
+    return outcome, recorder.events, ssi_aborts
 
 
 @pytest.mark.parametrize("n_shards", (1, 2))
 def test_write_skew_commits_under_si_and_its_cycle_is_flagged(n_shards):
-    outcome, events = _run_write_skew("si", n_shards=n_shards)
+    outcome, events, ssi_aborts = _run_write_skew("si", n_shards=n_shards)
     assert outcome == {"a": "committed", "b": "committed"}
+    assert ssi_aborts == 0
     # SI itself is clean (disjoint write-sets, one snapshot each) ...
     si = SIChecker(events).check()
     assert si.ok, si.anomalies
@@ -94,9 +99,12 @@ def test_write_skew_commits_under_si_and_its_cycle_is_flagged(n_shards):
 
 @pytest.mark.parametrize("n_shards", (1, 2))
 def test_write_skew_aborts_under_ssi_and_history_is_acyclic(n_shards):
-    outcome, events = _run_write_skew("ssi", n_shards=n_shards)
+    outcome, events, ssi_aborts = _run_write_skew("ssi", n_shards=n_shards)
     # The first committer wins; the second is the pivot and must abort.
     assert outcome == {"a": "committed", "b": "aborted"}
+    # Counted once, at the window that refused -- with two shards the
+    # pivot's keys live on the peer, which fetches its stamp remotely.
+    assert ssi_aborts == 1
     report = SerializabilityChecker(events, mode="ssi").check()
     assert report.ok, report.anomalies
     assert report.counters["cycles"] == 0
