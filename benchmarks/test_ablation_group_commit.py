@@ -1,10 +1,12 @@
-"""Ablation: group-commit window of the TM's recovery log.
+"""Ablation: group commit of the TM's recovery log.
 
-Section 4.1 notes the logging sub-component "supports group commit".  This
-bench sweeps the group-commit window at a fixed offered load and reports
-commit latency against log-device syncs per second: a wider window trades
-a bounded latency increase for a large reduction in sync operations (and
-hence much higher sustainable commit rates on the same device).
+Section 4.1 notes the logging sub-component "supports group commit".  The
+committer holds no window: it syncs as soon as the log device is free, and
+one sync covers everything that queued during the previous one.  This bench
+sweeps offered load with groups capped at one commit (a sync per commit)
+and at the default 128, and reports throughput, commit latency and log
+syncs per commit: group size follows load, so grouping keeps up with an
+offered load that a sync per commit cannot serve.
 """
 
 import sys
@@ -12,58 +14,55 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from _harness import (
-    OFFERED_TPS,
-    STEADY_RUN,
-    base_config,
-    build_cluster,
-    emit,
-)
+from _harness import STEADY_RUN, base_config, build_cluster, emit
 from repro.metrics import format_table
 from repro.workload import WorkloadDriver
 
-WINDOWS = [0.0, 0.001, 0.003, 0.010]
+LOADS = [100.0, 250.0, 500.0]
+GROUP_MAX = [1, 128]
 
 
-def run_window(window: float, seed: int):
+def run_point(tps: float, group_max: int, seed: int = 800):
     config = base_config(seed=seed)
-    config.txn.group_commit_interval = window
+    config.txn.group_commit_max = group_max
     cluster = build_cluster(config)
-    result = WorkloadDriver(cluster).run(duration=STEADY_RUN, target_tps=OFFERED_TPS)
+    result = WorkloadDriver(cluster).run(duration=STEADY_RUN, target_tps=tps)
     log_stats = cluster.tm.log.stats
     return {
-        "window_ms": window * 1000,
+        "offered": tps,
+        "group_max": group_max,
         "tps": result.achieved_tps,
         "mean_ms": result.latency.mean * 1000,
-        "syncs": log_stats.syncs,
         "mean_group": log_stats.mean_group_size,
         "syncs_per_commit": log_stats.syncs / max(log_stats.appended, 1),
     }
 
 
 def run_ablation():
-    return [run_window(w, seed=800 + i) for i, w in enumerate(WINDOWS)]
+    return [run_point(tps, m) for tps in LOADS for m in GROUP_MAX]
 
 
-def test_group_commit_tradeoff(benchmark):
+def test_group_commit_tracks_load(benchmark):
     points = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
     emit("ablation_group_commit", format_table(
-        ["window (ms)", "tps", "mean rt (ms)", "log syncs", "mean group",
+        ["offered tps", "group max", "tps", "mean rt (ms)", "mean group",
          "syncs/commit"],
-        [(p["window_ms"], f"{p['tps']:.0f}", f"{p['mean_ms']:.2f}",
-          p["syncs"], f"{p['mean_group']:.1f}", f"{p['syncs_per_commit']:.3f}")
+        [(f"{p['offered']:.0f}", p["group_max"], f"{p['tps']:.0f}",
+          f"{p['mean_ms']:.2f}", f"{p['mean_group']:.2f}",
+          f"{p['syncs_per_commit']:.3f}")
          for p in points],
-        title="Ablation: TM recovery-log group-commit window "
-              f"({OFFERED_TPS:.0f} tps offered)",
+        title="Ablation: TM recovery-log group commit vs one sync per commit",
     ))
-    by_window = {p["window_ms"]: p for p in points}
-    # Wider windows amortise more commits per sync...
-    assert by_window[10.0]["mean_group"] > by_window[0.0]["mean_group"] * 2
-    assert by_window[10.0]["syncs_per_commit"] < by_window[0.0]["syncs_per_commit"]
-    # ...at a bounded latency cost (less than the window width itself).
-    assert (
-        by_window[10.0]["mean_ms"] - by_window[0.0]["mean_ms"] < 15.0
-    ), "group commit latency penalty should stay near the window width"
-    # Throughput keeps tracking the offered load at every window.
-    for p in points:
-        assert p["tps"] > OFFERED_TPS * 0.9
+    at = {(p["offered"], p["group_max"]): p for p in points}
+    grouped = [at[(tps, 128)] for tps in LOADS]
+    # Group size follows load: no timer, just what queued during a sync...
+    assert grouped[0]["mean_group"] < grouped[1]["mean_group"] < grouped[2]["mean_group"]
+    assert grouped[-1]["syncs_per_commit"] < 0.8
+    # ...so grouping tracks every offered load at a bounded latency...
+    for p in grouped:
+        assert p["tps"] > p["offered"] * 0.95
+        assert p["mean_ms"] < 40.0
+    # ...where one sync per commit saturates the log device.
+    single = at[(LOADS[-1], 1)]
+    assert single["tps"] < LOADS[-1] * 0.9
+    assert single["mean_ms"] > grouped[-1]["mean_ms"] * 2

@@ -50,23 +50,21 @@ def durable_at(k, events):
 
 
 def test_append_event_fires_after_durable():
+    from repro.metrics import tracer_for
+
     k, log = make_log()
     k.run(until=0.010)  # an idle log: the committer is parked on its queue
     t0 = k.now
-    rec = record(1)
-    done = log.append(rec)
+    done = log.append(record(1))
     times = durable_at(k, [done])
     assert not done.triggered
     k.run(until=1.0)
     assert done.triggered and done.value == 1
     assert log.store.length == 1
-    # Durable exactly one device sync after the append -- no window is
-    # held open first.  The sync draws the disk's first jittered latency.
-    settings = log.settings.log_disk
-    sync = Kernel(seed=5).rng.substream("disk:tm-log").jittered(
-        settings.sync_latency, 0.15
-    ) + rec.nbytes / settings.bytes_per_second
-    assert times[done] == pytest.approx(t0 + sync, abs=1e-12)
+    # The sync starts at the append and the record is durable when it
+    # ends: an idle log holds no window open first.
+    (sync,) = tracer_for(k).spans(stage="log.group_sync")
+    assert sync.start == t0 and times[done] == sync.end_time
 
 
 def test_group_commit_batches_concurrent_appends():
