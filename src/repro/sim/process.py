@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import types
 import typing
+from inspect import GEN_CREATED, getgeneratorstate
 from typing import Any, Dict, Generator, Optional
 
 from repro.errors import ScheduleError
@@ -98,10 +99,16 @@ class Process(Event):
                 self._target.callbacks.remove(self._resume)
             except ValueError:
                 pass
-        self._target = None
         wakeup = Event(self.kernel)
         wakeup.callbacks.append(self._resume)
         wakeup.fail(Interrupt(cause), priority=URGENT)
+        # A process whose queued kick-off is still ahead of the wakeup is
+        # parked on the wakeup instead: the kick-off then finds it waiting
+        # and passes, so the interrupt ends it before any first step.
+        if getgeneratorstate(self._generator) == GEN_CREATED:
+            self._target = wakeup
+        else:
+            self._target = None
 
     def _do_resume(self, event: Optional[Event]) -> None:
         """Advance the generator with the outcome of ``event``."""
@@ -113,6 +120,8 @@ class Process(Event):
             if event is not None and not event._ok:
                 event._defused = True
             return
+        if event is None and self._target is not None:
+            return  # the kick-off of a process interrupted before it ran
         self._target = None
         generator = self._generator
         send = generator.send

@@ -154,8 +154,8 @@ def test_crashed_flush_shows_up_as_truncated_spans():
     # Let the first txn's async flush finish before the second commit.
     while not tracer.spans(stage="flush.writeset"):
         cluster.run_until(cluster.kernel.now + 0.001)
-    # Run a fresh commit and kill the machine right after the commit
-    # returns, before its flush has a chance to finish.
+    # Run a fresh commit and kill the machine once its flush has started,
+    # before the flush has a chance to finish.
     def commit_only():
         ctx = yield from handle.txn.begin()
         for j in range(4):
@@ -164,6 +164,8 @@ def test_crashed_flush_shows_up_as_truncated_spans():
         return ctx
 
     cluster.run(commit_only())
+    while not any(s.stage == "flush.writeset" for s in tracer.open_spans()):
+        cluster.kernel.step()
     cluster.crash_client(0)
     cluster.run_until(cluster.kernel.now + 10.0)
     spans = cluster.metrics_snapshot()["spans"]

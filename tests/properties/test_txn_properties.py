@@ -179,7 +179,6 @@ def test_log_fetch_truncate_model(host, ops):
         node = LoggerShard(k, Network(k), "log0", settings=txn_settings)
         store = node.store
     model = _LogModel()
-    k.run(until=0.001)  # the committer is parked on its queue before any crash
 
     def write(timestamps):
         records = [LogRecord(ts, "c", {"t": []}, nbytes=64) for ts in timestamps]

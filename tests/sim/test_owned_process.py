@@ -12,6 +12,7 @@ import pytest
 from repro.errors import RpcTimeout, ScheduleError, SimulationError
 from repro.sim import Interrupt, Kernel, Network, Node
 from repro.sim.process import OwnedProcess
+from repro.sim.resource import SimQueue
 
 
 class Server(Node):
@@ -218,6 +219,28 @@ def test_crash_inside_a_forked_childs_first_step_still_reaches_it():
     app.fork(child())
     k.run()
     assert seen == ["interrupted"] and not app._procs
+
+
+def test_crash_before_a_spawned_childs_kick_off_skips_its_first_step():
+    """A committer crashed in the instant it is spawned must not take its
+    first step on the other side of the crash: here that step would
+    swallow an item a live waiter enqueued after the revive."""
+    k, app, _server = make_node()
+    queue = SimQueue(k)
+    steps = []
+
+    def committer():
+        steps.append("first step")
+        steps.append((yield queue.get()))
+
+    proc = app.spawn(committer())
+    app.crash()
+    app.revive()
+    queue.put("record")
+    k.run()
+    assert steps == [] and len(queue) == 1
+    assert not proc.ok and isinstance(proc.value, Interrupt)
+    assert not app._procs and k.dead_processes == []
 
 
 # ----------------------------------------------------------------------
