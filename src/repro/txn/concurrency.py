@@ -189,7 +189,9 @@ class SSIWindow:
         writes: Iterable[WriteKey],
         reads: Iterable[ReadPair],
     ) -> Optional[WriteKey]:
-        """None if committing is safe; else a witnessing key.
+        """None if committing is safe; else the smallest witnessing key.
+
+        The smallest, so an abort's reason never follows string hashing.
 
         ``reads`` are ``(key, version_observed)`` pairs.  Aborts when a
         read observed an outdated version of a key overwritten inside the
@@ -206,24 +208,24 @@ class SSIWindow:
         read_keys = frozenset(key for key, _version in read_pairs)
         if start_ts < self._floor_ts:
             self.aborts += 1
-            return next(iter(write_set or read_keys), None)
+            return min(write_set or read_keys, default=None)
         ins, outs, outdated = self._edges(start_ts, write_set, read_pairs)
         if outdated is not None:
             self.aborts += 1
             return outdated
         if ins and outs:
             self.aborts += 1
-            return next(iter(read_keys & outs[0].writes))
+            return min(read_keys & outs[0].writes)
         for entry in outs:
             # committer -rw-> entry -rw-> somewhere: entry is a pivot.
             if entry.out_rw:
                 self.aborts += 1
-                return next(iter(read_keys & entry.writes))
+                return min(read_keys & entry.writes)
         for entry in ins:
             # somewhere -rw-> entry -rw-> committer: entry is a pivot.
             if entry.in_rw:
                 self.aborts += 1
-                return next(iter(write_set & entry.reads))
+                return min(write_set & entry.reads)
         return None
 
     def admit(

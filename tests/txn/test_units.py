@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import InvalidTxnState
 from repro.txn import SICertifier, TimestampOracle, TxnContext, WriteSet
+from repro.txn.concurrency import SSIWindow
 from repro.txn.context import ABORTED, COMMITTED, EXECUTING, FLUSHED, PERSISTED
 
 
@@ -131,3 +132,18 @@ class TestSICertifier:
         cert.certify(13, [("t", "k", "f")])
         assert cert.conflicts == 1
         assert cert.certified == 1
+
+
+class TestSSIWindow:
+    def test_witness_is_the_smallest_key_of_a_witnessing_set(self):
+        keys = [("t", row, "f") for row in ("q", "c", "x", "p")]
+        window = SSIWindow()
+        window.raise_floor(10)
+        # A snapshot under the floor: the whole write-set witnesses.
+        assert window.check(5, keys, []) == ("t", "c", "f")
+        # A neighbour that is already a pivot source: T1 read r and wrote
+        # the committer's read keys; T2 then overwrote r.
+        window = SSIWindow()
+        window.admit(0, 1, keys, [(("t", "r", "f"), 0)])
+        window.admit(0, 2, [("t", "r", "f")], [])
+        assert window.check(0, [], [(key, None) for key in keys]) == ("t", "c", "f")
