@@ -33,6 +33,7 @@ from repro.kvstore.wal import SYNC
 from repro.metrics.spans import tracer_for
 from repro.sim import Kernel, LatencyModel, Network, Node, Resource
 from repro.txn import STORE_SYNC, TM_LOG, TransactionManager, TxnClient
+from repro.txn.loggers import LoggerShard
 from repro.txn.sharding import shard_addrs as tm_shard_addrs
 from repro.zk import ZkClient, ZkService, ZkWatcherMixin
 
@@ -106,15 +107,11 @@ class SimCluster:
             self.servers.append(rs)
             self.server_agents.append(agent)
 
-        # Optional dedicated logging nodes (distributed recovery log).
-        self.logger_shards = []
-        if cfg.txn.log_shards > 0:
-            from repro.txn.loggers import LoggerShard
-
-            self.logger_shards = [
-                LoggerShard(self.kernel, self.net, f"log{i}", settings=cfg.txn)
-                for i in range(cfg.txn.log_shards)
-            ]
+        # Dedicated logging nodes, if any: the TM log's remote members.
+        self.logger_shards = [
+            LoggerShard(self.kernel, self.net, f"log{i}", settings=cfg.txn)
+            for i in range(cfg.txn.log_shards)
+        ]
 
         # TM and RM co-hosted: one 2-core VM's worth of shared CPU.  The TM
         # is an array of ``txn.tm_shards`` shard processes sharing that CPU
@@ -642,10 +639,10 @@ class SimCluster:
         for dn in self.datanodes:
             disks[dn.addr] = dn.disk.stats()
             disks[dn.addr]["repairs"] = dn.repairs_received
-        # Every hosted commit-log store: a shard's by address, a TM's by device.
-        stores = {shard.addr: shard.store for shard in self.logger_shards} or {
-            tm.log.store.disk.name: tm.log.store for tm in self.tms
-        }
+        # Every commit-log store: a logger shard's by address, a TM's
+        # zero-hop member by device.
+        stores = [(shard.addr, shard.store) for shard in self.logger_shards]
+        stores += [(s.disk.name, s) for s in (tm.log.store for tm in self.tms) if s]
         readers = [self.master.dfs] + [rs.dfs for rs in self.servers]
         integrity = {
             "corrupt_reads": sum(r.corrupt_reads for r in readers),
@@ -654,7 +651,7 @@ class SimCluster:
             "log_lost_unsynced": 0,
         }
         salvage = [rep.to_wire() for r in readers for rep in r.salvage_reports]
-        for name, store in stores.items():
+        for name, store in stores:
             disks[name] = store.disk.stats()
             integrity["log_lost_unsynced"] += store.stats.lost_unsynced
             salvage.extend(rep.to_wire() for rep in store.salvage_reports)

@@ -12,7 +12,11 @@ exactly what arrived during the last sync, so its size follows load.
 :class:`LogStore` is one host's stable storage for commit records -- the
 TM's own device or a logger shard's (:mod:`repro.txn.loggers`) -- and
 :func:`group_commit` is the one loop that batches queued appends into
-writes, whichever host takes them.  The storage is *not* assumed perfect:
+writes, whichever host takes them.  :class:`RecoveryLog` is the TM's one
+facade over its member stores: its own store, the *zero-hop* member, or
+one :class:`RemoteStore` per logger shard when the log is striped over
+them ("can be distributed across several nodes should one logging node
+not be sufficient").  The storage is *not* assumed perfect:
 records are framed (:class:`~repro.storage.Record`), the store tracks
 which prefix genuinely reached the platter (a lying fsync leaves
 acknowledged records volatile until the next genuine sync covers them), a
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from functools import partial
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -91,15 +96,17 @@ class LogStats:
 
 
 _commit_ts = attrgetter("payload.commit_ts")  # bisect key over framed records
-
-#: Pause before a device write that raised is retried (a transient error
-#: left nothing on the medium).
-WRITE_RETRY_DELAY = 0.003
+_ts = attrgetter("commit_ts")  # merge key over members' records
 
 
 class LogStore:
     """One host's stable storage for commit records: checksummed,
     ascending by commit timestamp, truncatable, salvageable."""
+
+    #: A write that raised one of these stored nothing (a transient device
+    #: error): a RecoveryLog retries it after ``retry_delay`` seconds.
+    write_errors = DiskWriteError
+    retry_delay = 0.003
 
     def __init__(
         self,
@@ -248,6 +255,22 @@ class LogStore:
             "truncated_bytes": self.stats.truncated_bytes,
         }
 
+    # Generator forms for a RecoveryLog's fan-out: a zero-hop read never waits.
+    def fetch_gen(self, after_ts: int, client_id: Optional[str] = None):
+        """Generator form of :meth:`fetch`."""
+        yield from ()
+        return self.fetch(after_ts, client_id)
+
+    def truncate_gen(self, up_to_ts: int):
+        """Generator form of :meth:`truncate`."""
+        yield from ()
+        return self.truncate(up_to_ts)
+
+    def stats_gen(self):
+        """Generator form of :meth:`headline`."""
+        yield from ()
+        return self.headline()
+
     @property
     def length(self) -> int:
         """Records currently retained."""
@@ -292,99 +315,200 @@ def group_commit(
         return
 
 
+class RemoteStore:
+    """A remote member: a logger shard's :class:`LogStore`, reached over
+    RPC, with the zero-hop store's member interface.  A failed
+    ``shard_append`` (lost, or refused by the shard's device) is retried;
+    the shard drops repeats by timestamp."""
+
+    write_errors = Exception
+    retry_delay = 0.05
+
+    def __init__(self, host: Node, addr: str, stats: LogStats) -> None:
+        self.host = host
+        self.addr = addr
+        #: The acknowledged appends, tallied into the log's one LogStats.
+        self.stats = stats
+        # The retained range's two ends, kept with the host's other stable
+        # metadata.
+        #: The newest commit timestamp known durable on the shard -- one it
+        #: acknowledged or a fetch returned (truncation floor if none).
+        self.last_ts = 0
+        #: Everything below this timestamp has been discarded.
+        self.truncated_below = 0
+
+    def _call(self, method: str, **payload) -> Event:
+        return self.host.call(self.addr, method, timeout=10.0, **payload)
+
+    def write(self, records: Sequence[LogRecord], nbytes: int):
+        """Generator: one ``shard_append`` (a ``log.shard_append`` span)."""
+        span = tracer_for(self.host.kernel).begin(
+            "log.shard_append", shard=self.addr, batch=len(records)
+        )
+        try:
+            yield self._call(
+                "shard_append", size=nbytes, records=[r.to_wire() for r in records]
+            )
+        except Exception:
+            span.end(outcome="write_error")
+            raise
+        span.end()
+        self.stats.group_sizes.append(len(records))
+        self.stats.appended += len(records)
+        self.last_ts = max(self.last_ts, *(r.commit_ts for r in records))
+
+    def fetch_gen(self, after_ts: int, client_id: Optional[str] = None):
+        """The shard's records with commit_ts > after_ts (optionally one
+        client's)."""
+        wire = yield self._call("shard_fetch", after_ts=after_ts, client_id=client_id)
+        records = [LogRecord.from_wire(w) for w in wire]
+        if records:
+            # The shard may hold an append whose acknowledgement died with
+            # the previous incarnation of the host.
+            self.last_ts = max(self.last_ts, records[-1].commit_ts)
+        return records
+
+    def truncate_gen(self, up_to_ts: int):
+        """Drop the shard's records with commit_ts < up_to_ts."""
+        dropped = yield self._call("shard_truncate", up_to_ts=up_to_ts)
+        self.stats.truncated += dropped
+        self.truncated_below = max(self.truncated_below, up_to_ts)
+        self.last_ts = max(self.last_ts, up_to_ts)
+        return dropped
+
+    def stats_gen(self):
+        """The shard's :meth:`LogStore.headline`, tagged with its address."""
+        return (yield self._call("shard_stats"))
+
+
 class RecoveryLog:
-    """The TM-hosted commit log: a local :class:`LogStore` behind the
-    group committer."""
+    """A TM's commit log: member stores, each behind its own group
+    committer -- the host's own :class:`LogStore` (the *zero-hop* member)
+    or, with ``logger_shards``, one :class:`RemoteStore` per shard,
+    striped by ``commit_ts % k``."""
 
     def __init__(
         self,
         host: Node,
         settings: Optional[TxnSettings] = None,
         ordered: bool = True,
+        logger_shards: Sequence[str] = (),
     ) -> None:
         self.host = host
         self.settings = settings or TxnSettings()
-        self.store = LogStore(
-            host.kernel, f"{host.addr}-log", self.settings.log_disk, ordered
-        )
-        self.stats = self.store.stats
-        self._pending: SimQueue = SimQueue(host.kernel)
+        if logger_shards:
+            #: The zero-hop member (None when the log is on logger shards).
+            self.store: Optional[LogStore] = None
+            self.stats = LogStats()
+            self.members = [RemoteStore(host, a, self.stats) for a in logger_shards]
+        else:
+            self.store = LogStore(
+                host.kernel, f"{host.addr}-log", self.settings.log_disk, ordered
+            )
+            self.stats = self.store.stats
+            self.members = [self.store]
+        self._queues = [SimQueue(host.kernel) for _member in self.members]
         host.crash_hooks.append(self.on_host_crash)
         self.restart()
 
     def append(self, record: LogRecord) -> Event:
-        """Queue a commit record; the event fires once it is durable."""
+        """Queue a commit record on its member; the event fires once it is
+        durable there."""
         done = Event(self.host.kernel)
-        self._pending.put((record, done))
+        self._queues[record.commit_ts % len(self._queues)].put((record, done))
         return done
 
-    def _retrying(self, attempt: Callable[[], object]):
-        """Run ``attempt()``, a generator making one device write, until
-        it lands: a transient device error left nothing on the medium, so
-        the same write is retried after a beat.  Commit latency absorbs
-        the stall -- the waiters simply hear late."""
+    def _retrying(self, member, write: Callable[..., object], *args):
+        """Run ``write(*args)``, a generator making one write to
+        ``member``, until it lands: a write that raised one of the
+        member's ``write_errors`` left nothing durable, so the same write
+        is retried after its ``retry_delay``.  Commit latency absorbs the
+        stall -- the waiters simply hear late."""
         while True:
             try:
-                yield from attempt()
+                yield from write(*args)
                 return
-            except DiskWriteError:
-                yield self.host.sleep(WRITE_RETRY_DELAY)
-
-    def _write_chunk(self, records: List[LogRecord], nbytes: int):
-        yield from self._retrying(lambda: self.store.write(records, nbytes))
+            except member.write_errors:
+                yield self.host.sleep(member.retry_delay)
 
     def force(self, nbytes: int):
-        """Generator: sync ``nbytes`` to the log device outside the group
-        committer (a prepare or a decision the TM journals itself), under
-        the committer's write-error policy."""
-        yield from self._retrying(lambda: self.store.disk.sync_write(nbytes))
+        """Generator: sync ``nbytes`` to the zero-hop member's device
+        outside the group committer (a prepare or a decision the TM
+        journals itself), under the committer's write-error policy.  A log
+        on logger shards has no zero-hop member to force."""
+        yield from self._retrying(self.store, self.store.disk.sync_write, nbytes)
 
     def restart(self) -> None:
-        """Start the committer: at construction, and after the host node
-        revived -- then over the salvaged, durable prefix.
+        """Start the committers: at construction, and after the host node
+        revived -- then over the zero-hop member's salvaged, durable
+        prefix (a logger shard salvages its own on revive).
 
         Queued-but-unsynced appends were already dropped at crash time
-        (see :meth:`on_host_crash`); anything in the queue *now* was
+        (see :meth:`on_host_crash`); anything in a queue *now* was
         enqueued after the revive by a live waiter and must survive.
         """
-        self.store.verify()
-        self.host.spawn(
-            group_commit(self._pending, self.settings, self._write_chunk),
-            name="group-commit",
-        )
+        if self.store is not None:
+            self.store.verify()
+        for member, queue in zip(self.members, self._queues):
+            self.host.spawn(
+                group_commit(
+                    queue, self.settings, partial(self._retrying, member, member.write)
+                ),
+                name="group-commit",
+            )
 
     def on_host_crash(self) -> None:
-        """Host crash hook: queued appends die, the store takes the cut."""
+        """Host crash hook: queued appends die, the zero-hop member takes
+        the power cut."""
         # Queued appends die here, not at restart: their waiters died
         # with this crash, whereas an append enqueued between revive()
         # and the restart call belongs to a live handler and a
         # restart-time drain would orphan its done-event forever.
-        self._pending.drain()
-        self.store.power_cut()
+        for queue in self._queues:
+            queue.drain()
+        if self.store is not None:
+            self.store.power_cut()
 
-    # Generator forms of the recovery-side operations, so the TM can treat
-    # the local and the distributed logs uniformly.
+    def _fan_out(self, op: str, *args):
+        """``op`` forked on every member; the replies in member order.  A
+        zero-hop member answers inside its fork (no simulated time, no
+        kernel event); remote members' RPCs are all in flight at once."""
+        forks = [self.host.fork(getattr(m, op)(*args)) for m in self.members]
+        for fork in forks:
+            fork.defuse()  # a failure reaches the caller through all_of
+        unfinished = [fork for fork in forks if not fork.processed]
+        if unfinished:
+            yield self.host.kernel.all_of(unfinished)
+        return [fork.value for fork in forks]
+
     def fetch_gen(self, after_ts: int, client_id: Optional[str] = None):
-        """Generator form of :meth:`LogStore.fetch`."""
-        yield from ()
-        return self.store.fetch(after_ts, client_id=client_id)
+        """Every member's records with commit_ts > after_ts (optionally
+        one client's), merged by commit timestamp: the ``fetchlogs``
+        interface Algorithms 2 and 4 call."""
+        replies = yield from self._fan_out("fetch_gen", after_ts, client_id)
+        return sorted((r for records in replies for r in records), key=_ts)
 
     def truncate_gen(self, up_to_ts: int):
-        """Generator form of :meth:`LogStore.truncate`."""
-        yield from ()
-        return self.store.truncate(up_to_ts)
+        """Drop every member's records with commit_ts < up_to_ts; returns
+        how many."""
+        return sum((yield from self._fan_out("truncate_gen", up_to_ts)))
 
     def stats_gen(self):
-        """Generator form of :meth:`LogStore.headline`."""
-        yield from ()
-        return self.store.headline()
+        """Every member's :meth:`LogStore.headline` (``members``), and
+        their sums."""
+        replies = yield from self._fan_out("stats_gen")
+        totals = {
+            key: sum(r[key] for r in replies) for key in replies[0] if key != "addr"
+        }
+        return dict(totals, members=replies)
 
     @property
     def truncated_below(self) -> int:
         """Everything below this timestamp has been discarded."""
-        return self.store.truncated_below
+        return max(member.truncated_below for member in self.members)
 
     @property
     def last_ts(self) -> int:
-        """The newest retained commit timestamp (truncation floor if none)."""
-        return self.store.last_ts
+        """The newest commit timestamp durable on a member (truncation
+        floor if none)."""
+        return max(member.last_ts for member in self.members)

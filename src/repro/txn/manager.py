@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import TxnSettings
 from repro.metrics.registry import MetricsRegistry, status_envelope
@@ -76,7 +76,7 @@ class TransactionManager(Node):
         addr: str = "tm",
         settings: Optional[TxnSettings] = None,
         shared_cpu: Optional[Resource] = None,
-        logger_shards: Optional[List[str]] = None,
+        logger_shards: Sequence[str] = (),
         shard_index: int = 0,
         shard_addrs: Optional[List[str]] = None,
     ) -> None:
@@ -104,17 +104,16 @@ class TransactionManager(Node):
             self.ssi = SSIWindow(horizon=self.settings.certification_horizon)
         if self.n_shards > 1:
             if logger_shards:
+                # Prepares and decisions force the zero-hop member's
+                # device, which a log on logger shards does not have.
                 raise ValueError("tm_shards > 1 is incompatible with log_shards")
             if self.settings.snapshot_visibility == "flushed":
                 raise ValueError(
                     "tm_shards > 1 requires snapshot_visibility='latest'"
                 )
-        if logger_shards:
-            from repro.txn.loggers import DistributedRecoveryLog
-
-            self.log = DistributedRecoveryLog(self, logger_shards, self.settings)
-        else:
-            self.log = RecoveryLog(self, self.settings, ordered=self.n_shards == 1)
+        self.log = RecoveryLog(
+            self, self.settings, ordered=self.n_shards == 1, logger_shards=logger_shards
+        )
         self.cpu = shared_cpu or Resource(kernel, capacity=self.settings.rpc_workers)
         self._txn_ids = itertools.count(1)
         #: Registry behind all TM statistics (see ``metrics()``).

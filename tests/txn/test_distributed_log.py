@@ -1,23 +1,32 @@
-"""Tests for the distributed (sharded) recovery log."""
+"""Tests for the recovery log over logger shards, and for the cases its
+two shapes share.
+
+A TM's :class:`~repro.txn.log.RecoveryLog` is one facade over a list of
+member stores: three logger shards in the module-level cases, or -- in a
+class that sets ``logger_shards = 0`` -- the TM's own store alone, its
+zero-hop member.
+"""
 
 import pytest
 
 from repro import ClusterConfig, SimCluster, TABLE
 from repro.config import TxnSettings
+from repro.errors import RpcTimeout
 from repro.kvstore.keys import row_key
 from repro.sim import Kernel, Network, Node
-from repro.txn.log import LogRecord
-from repro.txn.loggers import DistributedRecoveryLog, LoggerShard
+from repro.txn.log import LogRecord, RecoveryLog
+from repro.txn.loggers import LoggerShard
 
 
 @pytest.fixture
-def shard_env():
+def shard_env(request):
     k = Kernel(seed=95)
     net = Network(k)
     settings = TxnSettings()
-    shards = [LoggerShard(k, net, f"log{i}", settings=settings) for i in range(3)]
+    n = getattr(request.cls, "logger_shards", 3)
+    shards = [LoggerShard(k, net, f"log{i}", settings=settings) for i in range(n)]
     tm = Node(k, net, "tm")
-    log = DistributedRecoveryLog(tm, [s.addr for s in shards], settings)
+    log = RecoveryLog(tm, settings, logger_shards=[s.addr for s in shards])
     return k, shards, tm, log
 
 
@@ -88,7 +97,7 @@ def test_stats_aggregate(shard_env):
     append_all(k, log, [record(ts) for ts in range(1, 13)])
     stats = run(k, log.stats_gen())
     assert stats["length"] == 12
-    assert len(stats["shards"]) == 3
+    assert len(stats["members"]) == 3
 
 
 def test_range_ends_follow_appends_and_truncation(shard_env):
@@ -126,6 +135,51 @@ def test_fetch_learns_appends_whose_ack_died_with_the_host(shard_env):
     assert log.last_ts == 0
     run(k, log.fetch_gen(0))
     assert log.last_ts == 9
+
+
+def test_fan_out_to_dead_shards_fails_only_the_caller(shard_env):
+    k, shards, _tm, log = shard_env
+    shards[0].crash()
+    shards[1].crash()
+    with pytest.raises(RpcTimeout):
+        run(k, log.fetch_gen(0))
+    k.run()  # the other timed-out fork is not a process death to escalate
+
+
+class TestOneZeroHopMember:
+    """The shared cases against the other shape: no logger shard, so the
+    log's one member is the TM's own store."""
+
+    logger_shards = 0
+    test_fetch_merges_in_timestamp_order = staticmethod(
+        test_fetch_merges_in_timestamp_order
+    )
+    test_range_ends_follow_appends_and_truncation = staticmethod(
+        test_range_ends_follow_appends_and_truncation
+    )
+    test_host_crash_drops_queued_appends_and_restart_resumes = staticmethod(
+        test_host_crash_drops_queued_appends_and_restart_resumes
+    )
+
+
+def test_zero_hop_recovery_reads_cost_no_time_and_no_events():
+    """A lone zero-hop member answers fetch, truncate and stats inside
+    the caller's step: the generators finish without yielding."""
+    k = Kernel(seed=95)
+    tm = Node(k, Network(k), "tm")
+    log = RecoveryLog(tm)
+    append_all(k, log, [record(ts) for ts in range(1, 6)])
+    before = (k.now, k.event_count)
+
+    def finish(gen):
+        with pytest.raises(StopIteration) as stop:
+            next(gen)
+        return stop.value.value
+
+    assert [r.commit_ts for r in finish(log.fetch_gen(2))] == [3, 4, 5]
+    assert finish(log.truncate_gen(3)) == 2
+    assert finish(log.stats_gen())["length"] == 3
+    assert (k.now, k.event_count) == before
 
 
 class TestClusterWithShardedLog:
