@@ -451,15 +451,26 @@ class DfsClient:
                 "torn-record" if best is not None and best[2] == "torn"
                 else "corrupt-record"
             )
-            for _dn, result_total, entries in responses:
-                for later, (_p, nbytes, state) in entries.items():
-                    if later < index:
-                        continue
-                    report.bytes_truncated += nbytes
-                    if state == "torn":
-                        report.torn += 1
-                    elif state != "ok":
-                        report.corrupt += 1
+            # Count each lost record once, from the copy the merge picks:
+            # a returned intact copy, else a backup's vouching (intact, and
+            # none of our bytes), else the first damaged copy.
+            for later in range(index, total):
+                copies = [
+                    entries.get(later)
+                    for _dn, result_total, entries in responses
+                    if later < result_total
+                ]
+                picked = next(
+                    (c for c in copies if c is not None and c[2] == "ok"), None
+                )
+                if picked is None:
+                    picked = (None, 0, "ok") if None in copies else copies[0]
+                _p, nbytes, state = picked
+                report.bytes_truncated += nbytes
+                if state == "torn":
+                    report.torn += 1
+                elif state != "ok":
+                    report.corrupt += 1
             break
         report.kept = kept
         report.dropped = report.total - kept if report.reason != "clean" else 0

@@ -201,6 +201,10 @@ class TestRegionFilteredSalvagingRead:
         assert payloads == region_a([1])
         assert report.reason == "corrupt-record"
         assert (report.kept, report.dropped) == (3, 3)
+        # Each lost record counts once, from the copy the merge picked:
+        # rotten index 3 and intact index 5 (64 B each) of region A; index
+        # 4 is B's, vouched for by the backups and none of our bytes.
+        assert (report.corrupt, report.torn, report.bytes_truncated) == (1, 0, 128)
         assert client.salvages == 1
 
     def test_repairs_salvageable_copies(self, cluster):
