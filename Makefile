@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-verbose chaos chaos-disk chaos-kill chaos-tm-shard chaos-ssi check-sweep bench bench-compare bench-figs bench-paper examples demo clean apidoc loc
+.PHONY: install test test-fast test-verbose chaos chaos-disk chaos-kill chaos-tm-shard chaos-ssi chaos-all check-sweep bench bench-compare bench-figs bench-paper examples demo clean apidoc loc
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -37,9 +37,20 @@ chaos-kill:     CHAOS_FLAGS = --kill-during-recovery
 chaos-tm-shard: CHAOS_FLAGS = --tm-shards 2
 chaos-ssi:      CHAOS_FLAGS = --isolation ssi
 
-chaos chaos-disk chaos-kill chaos-tm-shard chaos-ssi:
+CHAOS_SWEEPS = chaos chaos-disk chaos-kill chaos-tm-shard chaos-ssi
+
+$(CHAOS_SWEEPS):
 	$(PYTHON) -m repro chaos --seeds 20 $(CHAOS_FLAGS) \
 		--json artifacts/$@-report.json --history-dir artifacts/histories-$@
+
+# All five sweeps, each one's stdout kept as artifacts/<sweep>.out beside
+# its report and histories.  Two trees ran byte-identical storms when
+# `diff -r` of their artifacts/ directories prints nothing.
+chaos-all:
+	@mkdir -p artifacts
+	@status=0; for sweep in $(CHAOS_SWEEPS); do \
+		$(MAKE) --no-print-directory -s $$sweep > artifacts/$$sweep.out || status=1; \
+	done; exit $$status
 
 check-sweep: chaos chaos-disk
 

@@ -610,10 +610,9 @@ class SimCluster:
         (non-clean) reports that are gathered here.
         """
         status = self.run(self.rpc(self.master.addr, "cluster_status"))
-        reports = list(status.get("salvage_reports", []))
-        for rs in self.servers:
-            reports.extend(rep.to_wire() for rep in rs.dfs.salvage_reports)
-        status["salvage_reports"] = reports
+        status["salvage_reports"] = [
+            rep.to_wire() for rs in self.servers for rep in rs.dfs.salvage_reports
+        ]
         return status
 
     def rm_status(self) -> dict:

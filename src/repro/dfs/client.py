@@ -7,10 +7,12 @@ are issued by -- and die with -- the host.
 
 Reads verify record checksums: a replica that answers with torn or
 corrupt records is skipped in favour of a healthy one and repaired in the
-background from the verified copy.  :meth:`DfsClient.read_all_salvaged`
-additionally merges across replicas record-by-record and truncates at the
-first record *no* replica holds intact -- the log-salvage read used by
-recovery paths, which must never silently replay damaged records.
+background from the verified copy.  :meth:`DfsClient.read_region_salvaged`
+is the one salvaging read -- a failover's fetch of a region's lost edits,
+which must never silently replay damaged records: it merges the replicas
+record by record and truncates through
+:func:`~repro.storage.salvage_prefix` at the first record *no* replica
+holds intact.
 """
 
 from __future__ import annotations
@@ -42,6 +44,23 @@ NAMESPACE_RETRY = RetryPolicy(
 #: Deadline on each namenode round trip.
 NAMENODE_TIMEOUT = 10.0
 
+#: The salvage merge's entry for a record a backup verified and then
+#: filtered out: intact, so it counts as kept, but it carries none of the
+#: reader's records or bytes.
+_VOUCHED_FOR: Tuple[Any, int, str] = (None, 0, "ok")
+
+
+def _merge_rank(copy: Tuple[Any, int, str]) -> Tuple[bool, bool]:
+    """Which replica's copy of a record the salvage merge keeps (lowest
+    first, the earliest replica on a tie): a returned intact copy, then a
+    backup's vouching for a filtered-out record, then a damaged copy.
+
+    A returned copy outranks a vouching because replicas can disagree on
+    which record sits at an index: a retried segment-header append that
+    lands twice on one replica shifts every later record there by one.
+    """
+    return copy[2] != "ok", copy is _VOUCHED_FOR
+
 
 class DfsClient:
     """Access to the simulated DFS from a host node."""
@@ -63,7 +82,7 @@ class DfsClient:
         self.corrupt_reads = 0
         self.records_repaired = 0
         self.salvages = 0
-        #: Non-clean reports from :meth:`read_all_salvaged` (audit trail).
+        #: Non-clean reports from :meth:`read_region_salvaged` (audit trail).
         self.salvage_reports: List[SalvageReport] = []
 
     def _backoff(self, attempt: int):
@@ -99,8 +118,8 @@ class DfsClient:
         Create is not idempotent at the namenode (a repeat raises
         FileAlreadyExists), so a timed-out attempt that may have executed
         is resolved by checking for the file: DFS paths here are
-        creator-unique (per-server WALs, per-epoch recovered-edits), so
-        finding it after our own timeout means our create landed.
+        creator-unique (WAL segments and store files carry their server's
+        name), so finding it after our own timeout means our create landed.
         """
         attempt = 0
         while True:
@@ -298,80 +317,6 @@ class DfsClient:
                 )
                 self.records_repaired += 1
 
-    def read_all(self, path: str):
-        """Read the entire record stream of ``path``."""
-        result = yield from self.read(path, 0, None)
-        return result
-
-    def read_all_salvaged(self, path: str):
-        """Salvaging whole-file read for recovery paths.  (Generator API.)
-
-        Reads every reachable replica, merges record-by-record (the first
-        replica holding a verified copy of each record wins), and
-        truncates the merged stream at the first record *no* replica
-        holds intact -- everything past a tear is garbage even if later
-        checksums verify.  Damaged-but-salvageable copies are repaired in
-        the background.  Returns ``(records, report)`` where records are
-        ``(payload, nbytes)`` pairs; damage is always surfaced through
-        the :class:`SalvageReport`, never silently dropped.
-        """
-        replicas = yield from self._replicas(path)
-        responses: List[Tuple[str, List[Tuple[Any, int, str]]]] = []
-        last_error: Optional[Exception] = None
-        for dn in replicas:
-            if not self.host.net.reachable(self.host.addr, dn):
-                continue
-            try:
-                result = yield self.host.call(
-                    dn, "read", timeout=5.0, path=path, start=0, count=None
-                )
-                responses.append((dn, result))
-            except (RpcError, FileNotFound) as exc:
-                last_error = exc
-        if not responses:
-            raise DfsError(f"no live replica could serve {path!r}: {last_error!r}")
-        total = max(len(result) for _dn, result in responses)
-        merged: List[Tuple[Any, int, str]] = []
-        salvaged_from_peer = 0
-        for index in range(total):
-            best: Optional[Tuple[Any, int, str]] = None
-            saw_damage = False
-            for _dn, result in responses:
-                if index >= len(result):
-                    continue
-                payload, nbytes, state = result[index]
-                if state == "ok":
-                    if best is None or best[2] != "ok":
-                        best = (payload, nbytes, "ok")
-                else:
-                    # Keep scanning even after an intact copy: damaged
-                    # peers must still be observed (and later repaired).
-                    saw_damage = True
-                    if best is None:
-                        best = (payload, nbytes, state)
-            if best is None:  # pragma: no cover - total comes from responses
-                break
-            if best[2] == "ok" and saw_damage:
-                salvaged_from_peer += 1
-            merged.append(best)
-        records, report = salvage_prefix(path, merged)
-        report.repaired = salvaged_from_peer
-        report.replicas_missing = len(replicas) - len(responses)
-        for dn, result in responses:
-            for index in range(min(len(result), len(records))):
-                if result[index][2] == "ok":
-                    continue
-                payload, nbytes = records[index]
-                self.host.cast(
-                    dn, "repair_record", path=path, index=index,
-                    payload=payload, nbytes=nbytes, size=max(nbytes, 64),
-                )
-                self.records_repaired += 1
-        if not report.clean:
-            self.salvages += 1
-            self.salvage_reports.append(report)
-        return records, report
-
     def read_region_salvaged(self, path: str, regions: List[str]):
         """Region-filtered salvaging read of one WAL segment.  (Generator API.)
 
@@ -382,14 +327,18 @@ class DfsClient:
         the records they return).
 
         Replica responses are sparse -- ``(index, payload, nbytes, state)``
-        plus the replica's total record count -- and are merged with the
-        same truncation rule as :meth:`read_all_salvaged`: the stream is
-        cut at the first record *no* replica holds intact.  A record a
-        replica verified but filtered out counts as intact (the backup
-        checked its checksum to read its region id), so filtering never
-        weakens the salvage guarantee.  Returns ``(records, report)`` with
-        records as ``(payload, nbytes)`` pairs for the requested regions
-        (segment headers included, for writer validation upstream).
+        plus the replica's total record count -- and are merged into one
+        entry per record index: an intact copy wins over a damaged one
+        (:func:`_merge_rank`).  A record a replica verified but filtered
+        out is an intact placeholder (the backup checked its checksum to
+        read its region id), so filtering never weakens the salvage
+        guarantee.  The merged stream goes through
+        :func:`~repro.storage.salvage_prefix`, which cuts it at the first
+        record *no* replica holds intact.  Damaged copies within the kept
+        prefix are repaired in the background, in index order.  Returns
+        ``(records, report)`` with records as ``(payload, nbytes)`` pairs
+        for the requested regions (segment headers included, for writer
+        validation upstream).
         """
         replicas = yield from self._replicas(path)
         responses: List[Tuple[str, int, Dict[int, Tuple[Any, int, str]]]] = []
@@ -412,89 +361,35 @@ class DfsClient:
             responses.append((dn, result["total"], entries))
         if not responses:
             raise DfsError(f"no live replica could serve {path!r}: {last_error!r}")
-        total = max(result_total for _dn, result_total, _e in responses)
-        report = SalvageReport(path=path, total=total)
-        records: List[WireRecord] = []
-        kept = 0
+        total = max(count for _dn, count, _entries in responses)
+        merged: List[Tuple[Any, int, str]] = []
         for index in range(total):
-            best: Optional[Tuple[Any, int, str]] = None
-            intact_elsewhere = False  # verified by a backup, filtered out
-            saw_damage = False
-            for _dn, result_total, entries in responses:
-                if index >= result_total:
-                    continue
-                entry = entries.get(index)
-                if entry is None:
-                    intact_elsewhere = True
-                    continue
-                payload, nbytes, state = entry
-                if state == "ok":
-                    if best is None or best[2] != "ok":
-                        best = (payload, nbytes, "ok")
-                else:
-                    saw_damage = True
-                    if best is None:
-                        best = (payload, nbytes, state)
-            if best is not None and best[2] == "ok":
-                if saw_damage:
-                    report.repaired += 1
-                    self._repair_filtered(path, index, best, responses)
-                records.append((best[0], best[1]))
-                kept += 1
-                continue
-            if intact_elsewhere:
-                kept += 1  # intact somewhere, just not one of our regions
-                continue
-            # No replica holds this record intact: everything from here on
-            # is unordered garbage -- truncate, as salvage_prefix does.
-            report.reason = (
-                "torn-record" if best is not None and best[2] == "torn"
-                else "corrupt-record"
-            )
-            # Count each lost record once, from the copy the merge picks:
-            # a returned intact copy, else a backup's vouching (intact, and
-            # none of our bytes), else the first damaged copy.
-            for later in range(index, total):
-                copies = [
-                    entries.get(later)
-                    for _dn, result_total, entries in responses
-                    if later < result_total
-                ]
-                picked = next(
-                    (c for c in copies if c is not None and c[2] == "ok"), None
-                )
-                if picked is None:
-                    picked = (None, 0, "ok") if None in copies else copies[0]
-                _p, nbytes, state = picked
-                report.bytes_truncated += nbytes
-                if state == "torn":
-                    report.torn += 1
-                elif state != "ok":
-                    report.corrupt += 1
-            break
-        report.kept = kept
-        report.dropped = report.total - kept if report.reason != "clean" else 0
+            copies = [
+                entries.get(index, _VOUCHED_FOR)
+                for _dn, count, entries in responses
+                if index < count
+            ]
+            merged.append(min(copies, key=_merge_rank))
+        _kept, report = salvage_prefix(path, merged)
         report.replicas_missing = len(replicas) - len(responses)
+        records: List[WireRecord] = []
+        for index, entry in enumerate(merged[: report.kept]):
+            if entry is _VOUCHED_FOR:
+                continue  # intact on a backup, but not one of our regions
+            payload, nbytes, _state = entry
+            records.append((payload, nbytes))
+            damaged = [
+                dn for dn, _count, entries in responses
+                if entries.get(index, _VOUCHED_FOR)[2] != "ok"
+            ]
+            for dn in damaged:
+                self.host.cast(
+                    dn, "repair_record", path=path, index=index,
+                    payload=payload, nbytes=nbytes, size=max(nbytes, 64),
+                )
+            self.records_repaired += len(damaged)
+            report.repaired += bool(damaged)
         if not report.clean:
             self.salvages += 1
             self.salvage_reports.append(report)
         return records, report
-
-    def _repair_filtered(
-        self,
-        path: str,
-        index: int,
-        clean: Tuple[Any, int, str],
-        responses: List[Tuple[str, int, Dict[int, Tuple[Any, int, str]]]],
-    ) -> None:
-        """Push the verified copy at replicas whose copy answered damaged."""
-        payload, nbytes, _state = clean
-        for dn, _total, entries in responses:
-            entry = entries.get(index)
-            if entry is None or entry[2] == "ok":
-                continue
-            self.host.cast(
-                dn, "repair_record", path=path, index=index,
-                payload=payload, nbytes=nbytes, size=max(nbytes, 64),
-            )
-            self.records_repaired += 1

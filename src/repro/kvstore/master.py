@@ -88,11 +88,6 @@ class Master(ZkWatcherMixin, Node):
             self._n_splits,
             self._n_merges,
         ) = self.registry.counters("failures_handled", "splits", "merges")
-        #: Always empty: the master performs no salvaging read.  A
-        #: failover's happen at the recipients, whose non-clean reports
-        #: ``SimCluster.cluster_status`` gathers under this key (audit
-        #: trail: damaged WAL records are accounted for, never skipped).
-        self.salvage_reports: List[dict] = []
         #: Per-region recovery log sources: every WAL segment path a
         #: region's edits may live in, accumulated across failovers and
         #: never cleared while the run lasts (fan-out replay lands in
@@ -231,7 +226,6 @@ class Master(ZkWatcherMixin, Node):
             "failures_handled": self._n_failures_handled.value,
             "splits": self._n_splits.value,
             "merges": self._n_merges.value,
-            "salvage_reports": [dict(r) for r in self.salvage_reports],
             "recovery_sources": {
                 region: list(paths)
                 for region, paths in sorted(self._recovery_sources.items())

@@ -50,8 +50,8 @@ from repro.zk.client import ZkClient, ZkWatcherMixin
 #: ZK directory of live region-server ephemerals.
 RS_ZNODE_DIR = "/hbase/rs"
 
-#: Pacing for recovery-source reads (scattered WAL fragments and
-#: recovered-edits files).  A read that fails because every holder is
+#: Pacing for recovery-source reads (a region's fragments of the scattered
+#: WAL segments).  A read that fails because every holder is
 #: unreachable -- or that would *provisionally* truncate because a listed
 #: replica is dark -- waits for the holder to come back rather than
 #: accepting the loss; after the deadline the truncation is accepted and
@@ -277,23 +277,25 @@ class RegionServer(ZkWatcherMixin, Node):
         self,
         sender: str,
         descriptor: dict,
-        recovered_edits: Optional[str] = None,
         failed_server: Optional[str] = None,
         log_sources: Optional[List[str]] = None,
     ):
         """Open (and if needed recover) a region, then declare it online.
 
-        Sequence per Section 3.2: load sstables, replay recovered edits
-        from the split WAL (HBase-internal recovery), then -- if a recovery
-        extension is attached -- wait for the transactional recovery gate
-        before going online.
+        Sequence per Section 3.2: load sstables, replay the region's lost
+        edits (HBase-internal recovery), then -- if a recovery extension
+        is attached -- wait for the transactional recovery gate before
+        going online.
 
-        ``log_sources`` is the fan-out recovery path: the master's plan
-        hands each recipient the dead server's WAL segment paths, and the
-        recipient fetches *its region's* records straight from the
-        scattered backups (a region-filtered salvaging read) and replays
-        them here -- no central log splitting.  Recipients work in
-        parallel, each reading only its partition's bytes.
+        The lost edits come back one way, the fan-out read: the master's
+        plan hands each recipient the dead server's WAL segment paths
+        (``log_sources``), and the recipient fetches *its region's*
+        records straight from the scattered backups (a region-filtered
+        salvaging read) and replays them here -- no central log
+        splitting.  Recipients work in parallel, each reading only its
+        partition's bytes.  Files listed under ``/recovered/<region>/``
+        are replayed the same way, ahead of ``log_sources``; nothing in
+        this codebase writes there.
         """
         desc = RegionDescriptor.from_wire(descriptor)
         existing = self.regions.get(desc.region_id)
@@ -353,39 +355,18 @@ class RegionServer(ZkWatcherMixin, Node):
                     sstable = yield from SSTable.open(self.dfs, path)
                     region.sstables.append(sstable)
 
-            # HBase-internal recovery: replay the split WAL edits -- the
-            # file this open was handed plus every file accumulated by
-            # earlier failovers of this region.  Replayed edits land only
-            # in the memstore, not in this server's WAL, so if this server
-            # dies too the next open must still find them here; versioned
-            # cells make re-replay idempotent.
-            replayed = 0
-            replay_paths = yield from self.dfs.list_dir(
+            # HBase-internal recovery: replay this region's lost edits.
+            # Replayed edits land only in the memstore, not in this
+            # server's WAL, so if this server dies too the next open must
+            # fetch them again; versioned cells make re-replay idempotent.
+            recovered = yield from self.dfs.list_dir(
                 f"/recovered/{desc.region_id}/"
             )
-            if recovered_edits is not None and recovered_edits not in replay_paths:
-                replay_paths.append(recovered_edits)
-            for path in replay_paths:
-                # Salvaging read: recovered-edits files can carry bit rot
-                # or a torn tail just like any other DFS file; damaged
-                # records are repaired from healthy replicas or truncated
-                # with an auditable report, never replayed unverified.
-                records, salvage = yield from self._read_patiently(
-                    lambda p=path: self.dfs.read_all_salvaged(p)
-                )
-                if not salvage.clean:
-                    self._n_replay_salvages.inc()
-                for payload, _nbytes in records:
-                    _region_id, txn_ts, cells = payload
-                    for wire in cells:
-                        region.memstore.put(Cell.from_wire(wire))
-                        replayed += 1
-
-            # Fan-out recovery: fetch this region's fragments from the
-            # dead server's scattered WAL segments and replay them.
-            if log_sources:
-                replayed += yield from self._replay_log_sources(
-                    region, log_sources, failed_server
+            sources = recovered + (log_sources or [])
+            replayed = 0
+            if sources:
+                replayed = yield from self._replay_log_sources(
+                    region, sources, failed_server
                 )
 
             # Transactional recovery gate (the paper's hook).

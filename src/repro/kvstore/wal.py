@@ -6,9 +6,9 @@ to an in-memory buffer and are made durable in the DFS either synchronously
 or asynchronously (the paper's mode: ack immediately, group-sync shortly
 after).  The durable prefix is what a failover recovers -- each recipient
 of one of the dead server's regions fetches that region's records from
-the segments (:func:`fetch_region_records`); buffered entries die with
-the server -- deliberately, because the transaction manager's log owns
-their durability.
+the segments with :func:`fetch_region_records`, the one WAL reader;
+buffered entries die with the server -- deliberately, because the
+transaction manager's log owns their durability.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.kvstore.keys import WireCell
 from repro.metrics.spans import tracer_for
 from repro.sim.events import Event, Interrupt
 from repro.sim.resource import Resource
-from repro.storage import SalvageReport, SegmentHeader, is_segment_header
+from repro.storage import SegmentHeader, is_segment_header
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.node import Node
@@ -274,13 +274,23 @@ class WriteAheadLog:
         self._sync_waiters.clear()
 
 
-def _strip_segment_headers(path: str, entries, report: SalvageReport):
-    """Validate and strip the segment headers of a salvaged WAL read.
+def fetch_region_records(dfs: DfsClient, path: str, regions: List[str]):
+    """Fetch one segment's records for specific regions.  (Generator API.)
 
-    A segment written by a different server (spliced from the wrong log)
-    is rejected outright: nothing of it is kept.  Returns ``(payloads,
-    report)`` -- the :data:`WalRecord` list in append order.
+    The one WAL reader: the recipient-side fragment fetch of parallel
+    recovery, and region open's replay of anything listed under
+    ``/recovered/<region>/``.  A region-filtered salvaging read (each
+    backup returns -- and charges for -- only the requested regions'
+    records), merged across the scattered replicas and truncated at the
+    first record no replica holds intact
+    (:meth:`DfsClient.read_region_salvaged`).  Segment headers are
+    validated and stripped: a segment written by a different server
+    (spliced from the wrong log) is rejected outright and nothing of it
+    is kept.  Returns ``(payloads, report)`` -- the :data:`WalRecord` list
+    in append order plus the salvage report; damaged records are never
+    replayed.
     """
+    entries, report = yield from dfs.read_region_salvaged(path, regions)
     payloads = []
     for payload, _nbytes in entries:
         if is_segment_header(payload):
@@ -293,44 +303,3 @@ def _strip_segment_headers(path: str, entries, report: SalvageReport):
             continue
         payloads.append(payload)
     return payloads, report
-
-
-def salvage_wal_records(dfs: DfsClient, path: str):
-    """Salvage every verifiable record of a WAL file.  (Generator API.)
-
-    Reads through :meth:`DfsClient.read_all_salvaged`: records are merged
-    across replicas, checksum-verified, and truncated at the first record
-    no replica holds intact.  Segment headers are validated (a segment
-    written by a different server is rejected outright) and stripped.
-    Returns ``(payloads, report)`` -- the :data:`WalRecord` list in append
-    order plus the salvage report; damaged records are never replayed.
-    """
-    entries, report = yield from dfs.read_all_salvaged(path)
-    return _strip_segment_headers(path, entries, report)
-
-
-def fetch_region_records(dfs: DfsClient, path: str, regions: List[str]):
-    """Fetch one segment's records for specific regions.  (Generator API.)
-
-    The recipient-side fragment fetch of parallel recovery: a
-    region-filtered salvaging read (each backup returns -- and charges
-    for -- only the requested regions' records), merged across the
-    scattered replicas with the usual truncate-at-first-unsalvageable
-    rule.  Segment headers are validated exactly as in
-    :func:`salvage_wal_records`: a segment written by a different server
-    is rejected outright.  Returns ``(payloads, report)``.
-    """
-    entries, report = yield from dfs.read_region_salvaged(path, regions)
-    return _strip_segment_headers(path, entries, report)
-
-
-def read_wal_records(dfs: DfsClient, path: str):
-    """Read every durable record of a WAL file.  (Generator API.)
-
-    Returns a list of :data:`WalRecord` payloads in append order, with
-    segment headers stripped and damaged records salvaged or truncated.
-    Region open reads ``/recovered/<region>/`` files with it; a failover
-    does not (it goes through :func:`fetch_region_records`).
-    """
-    records, _report = yield from salvage_wal_records(dfs, path)
-    return records

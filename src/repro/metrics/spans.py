@@ -25,6 +25,9 @@ Stage taxonomy (see ``docs/OBSERVABILITY.md`` for the full catalogue)::
     flush.region         one per-region flush fragment RPC
     rs.apply             region-server txn_flush apply (WAL + memstore)
     wal.sync             region-server WAL sync batch
+    recovery.failover    master: one failover, failure hook -> regions opened
+    recovery.plan        master: list the dead server's WAL, partition regions
+    recovery.fragment_replay  region server: fetch + replay a region's WAL
     recovery.detect      RM: server failure noticed -> region recovery start
     recovery.log_fetch   RM: fetch relevant TM log records
     recovery.replay      RM: replay fetched fragments into the new server

@@ -86,7 +86,10 @@ class Message:
 
 
 class LatencyModel:
-    """One-way delivery delay: propagation + size/bandwidth, with jitter."""
+    """One-way delivery delay: propagation + size/bandwidth, with jitter.
+
+    Plain parameters; :meth:`Network.send` draws each delay from them.
+    """
 
     def __init__(
         self,
@@ -97,13 +100,6 @@ class LatencyModel:
         self.mean_latency = mean_latency
         self.jitter_fraction = jitter_fraction
         self.bandwidth_bytes_per_s = bandwidth_bytes_per_s
-
-    def sample(self, rng, size: int) -> float:
-        """One-way delay for a message of ``size`` bytes."""
-        base = rng.jittered(self.mean_latency, self.jitter_fraction)
-        if self.bandwidth_bytes_per_s > 0:
-            base += size / self.bandwidth_bytes_per_s
-        return base
 
 
 class Network:
@@ -343,24 +339,19 @@ class Network:
         message._refs = copies
         call_later = self.kernel.call_later
         deliver = self._deliver
+        # One-way delay: propagation with bounded uniform jitter (as
+        # SeededRng.jittered, inlined with the same arithmetic and draw
+        # order; a mean <= 0 is no delay and no draw) plus size/bandwidth.
         latency = self.latency
+        mean = latency.mean_latency
+        low = mean * (1.0 - latency.jitter_fraction)
+        width = mean * (1.0 + latency.jitter_fraction) - low
+        bandwidth = latency.bandwidth_bytes_per_s
         spike_probability = self.delay_spike_probability
-        plain = type(latency) is LatencyModel and latency.mean_latency > 0
         for _copy in range(copies):
-            if plain:
-                # LatencyModel.sample() inlined with identical arithmetic
-                # and draw order (bit-identical samples); subclassed or
-                # zero-mean models take the call.
-                mean = latency.mean_latency
-                jitter = latency.jitter_fraction
-                low = mean * (1.0 - jitter)
-                high = mean * (1.0 + jitter)
-                delay = low + (high - low) * self._rng.random()
-                bandwidth = latency.bandwidth_bytes_per_s
-                if bandwidth > 0:
-                    delay += message.size / bandwidth
-            else:
-                delay = latency.sample(self._rng, message.size)
+            delay = low + width * self._rng.random() if mean > 0 else 0.0
+            if bandwidth > 0:
+                delay += message.size / bandwidth
             if spike_probability > 0.0 and chaos.random() < spike_probability:
                 self.delay_spikes += 1
                 delay *= self.delay_spike_factor

@@ -50,7 +50,7 @@ def test_append_then_read_roundtrip(cluster):
     run(k, client.create("/t/f"))
     run(k, client.append("/t/f", [("a", 10), ("b", 20)]))
     run(k, client.append("/t/f", [("c", 30)]))
-    data = run(k, client.read_all("/t/f"))
+    data = run(k, client.read("/t/f"))
     assert [p for p, _n in data] == ["a", "b", "c"]
 
 
@@ -70,7 +70,7 @@ def test_durable_append_survives_datanode_crash(cluster):
     run(k, client.append("/t/f", [("durable", 10)], durable=True))
     by_addr = {dn.addr: dn for dn in dns}
     by_addr[replicas[0]].crash()
-    data = run(k, client.read_all("/t/f"))
+    data = run(k, client.read("/t/f"))
     assert [p for p, _n in data] == ["durable"]
 
 
@@ -102,7 +102,7 @@ def test_read_fails_over_to_surviving_replica(cluster):
     run(k, client.append("/t/f", [("x", 10)]))
     by_addr = {dn.addr: dn for dn in dns}
     by_addr[replicas[0]].crash()
-    data = run(k, client.read_all("/t/f"))
+    data = run(k, client.read("/t/f"))
     assert [p for p, _n in data] == ["x"]
 
 
@@ -156,7 +156,7 @@ def test_read_with_all_replicas_dead_raises(cluster):
     for addr in replicas:
         by_addr[addr].crash()
     with pytest.raises(DfsError):
-        run(k, client.read_all("/t/f"))
+        run(k, client.read("/t/f"))
 
 
 def test_append_pipeline_charges_latency(cluster):

@@ -55,7 +55,7 @@ def test_open_file_keeps_degraded_pipeline(repair_env):
     # Not cloned (the file is open), but appends keep flowing to the
     # surviving replica.
     run(k, client.append("/wal", [("r2", 20)]))
-    data = run(k, client.read_all("/wal"))
+    data = run(k, client.read("/wal"))
     assert [p for p, _n in data] == ["r1", "r2"]
     # The dark replica stays listed: it still holds its synced prefix on
     # disk and serves it again if it comes back, so only closed files are
@@ -73,7 +73,7 @@ def test_reads_survive_during_repair_window(repair_env):
     by_addr = {dn.addr: dn for dn in dns}
     by_addr[replicas[0]].crash()
     # Immediately, before the monitor has repaired anything:
-    data = run(k, client.read_all("/g"))
+    data = run(k, client.read("/g"))
     assert [p for p, _n in data] == ["x"]
 
 
@@ -93,7 +93,7 @@ def test_no_repair_possible_with_no_spare_datanodes():
     k.run(until=k.now + 3.0)
     assert nn.repairs_completed == 0  # nowhere to put a new replica
     # Data still readable from the survivor.
-    data = k.run_until_complete(k.process(client.read_all("/f")))
+    data = k.run_until_complete(k.process(client.read("/f")))
     assert [p for p, _n in data] == ["a"]
 
 
@@ -108,8 +108,10 @@ def test_returning_datanode_reports_blocks_and_rejoins_replica_sets(repair_env):
     sweep before datanodes sent block reports on revive).
     """
     k, _net, nn, dns, _host, client = repair_env
+    # WAL-shaped records: (region, txn_ts, cells).
+    wal_records = [("R", ts, [(f"row{ts}", "f", ts, "v")]) for ts in (1, 2)]
     replicas = run(k, client.create("/f"))
-    run(k, client.append("/f", [("a", 30), ("b", 30)]))
+    run(k, client.append("/f", [(record, 30) for record in wal_records]))
     run(k, client.close("/f"))
     by_addr = {dn.addr: dn for dn in dns}
 
@@ -131,6 +133,6 @@ def test_returning_datanode_reports_blocks_and_rejoins_replica_sets(repair_env):
     assert gone.addr in meta["replicas"]
 
     # Salvage reads the returned holder's copy: nothing is lost.
-    records, report = run(k, client.read_all_salvaged("/f"))
-    assert [p for p, _n in records] == ["a", "b"]
+    records, report = run(k, client.read_region_salvaged("/f", ["R"]))
+    assert [p for p, _n in records] == wal_records
     assert not report.dropped

@@ -50,7 +50,7 @@ class TestVerifiedReads:
         # Damage the replica the client tries first.
         first = next(dn for dn in dns if dn.addr == replicas[0])
         first.replica("/t/f").records[2].damage()
-        data = run(k, client.read_all("/t/f"))
+        data = run(k, client.read("/t/f"))
         assert [p for p, _n in data] == [f"r{i}" for i in range(5)]
         assert client.corrupt_reads == 1
 
@@ -59,14 +59,14 @@ class TestVerifiedReads:
         replicas = write_file(k, client, "/t/f")
         bad = next(dn for dn in dns if dn.addr == replicas[0])
         bad.replica("/t/f").records[2].damage()
-        run(k, client.read_all("/t/f"))
+        run(k, client.read("/t/f"))
         k.run(until=k.now + 1.0)  # let the repair cast land
         assert client.records_repaired == 1
         assert bad.repairs_received == 1
         assert bad.replica("/t/f").records[2].state == "ok"
         # A second read sees two healthy replicas again.
         client.corrupt_reads = 0
-        run(k, client.read_all("/t/f"))
+        run(k, client.read("/t/f"))
         assert client.corrupt_reads == 0
 
     def test_read_fails_when_every_replica_is_damaged(self, cluster):
@@ -75,7 +75,7 @@ class TestVerifiedReads:
         for dn in replica_holders(dns, "/t/f"):
             dn.replica("/t/f").records[0].damage()
         with pytest.raises(DfsError, match="damaged"):
-            run(k, client.read_all("/t/f"))
+            run(k, client.read("/t/f"))
 
     def test_repair_refuses_to_clobber_good_records(self, cluster):
         k, _net, _nn, dns, _host, client = cluster
@@ -84,61 +84,6 @@ class TestVerifiedReads:
         result = run(k, dn.rpc_repair_record("host", "/t/f", 1, "evil", 50))
         assert result is False
         assert dn.replica("/t/f").records[1].payload == "r1"
-
-
-class TestSalvagingRead:
-    def test_clean_file_reports_clean(self, cluster):
-        k, _net, _nn, _dns, _host, client = cluster
-        write_file(k, client, "/t/f")
-        records, report = run(k, client.read_all_salvaged("/t/f"))
-        assert len(records) == 5
-        assert report.clean
-        assert client.salvages == 0
-
-    def test_merges_damage_at_different_indices(self, cluster):
-        k, _net, _nn, dns, _host, client = cluster
-        write_file(k, client, "/t/f")
-        a, b = replica_holders(dns, "/t/f")
-        a.replica("/t/f").records[1].damage()
-        b.replica("/t/f").records[3].damage()
-        records, report = run(k, client.read_all_salvaged("/t/f"))
-        assert [p for p, _n in records] == [f"r{i}" for i in range(5)]
-        assert report.repaired == 2  # both salvaged from the peer
-        assert report.dropped == 0
-        assert not report.clean
-        assert client.salvage_reports[-1] is report
-
-    def test_truncates_where_no_replica_is_intact(self, cluster):
-        k, _net, _nn, dns, _host, client = cluster
-        write_file(k, client, "/t/f")
-        for dn in replica_holders(dns, "/t/f"):
-            dn.replica("/t/f").records[2].damage()
-        records, report = run(k, client.read_all_salvaged("/t/f"))
-        assert [p for p, _n in records] == ["r0", "r1"]
-        assert report.reason == "corrupt-record"
-        assert report.dropped == 3
-        assert client.salvages == 1
-
-    def test_repairs_salvageable_copies(self, cluster):
-        k, _net, _nn, dns, _host, client = cluster
-        write_file(k, client, "/t/f")
-        bad = replica_holders(dns, "/t/f")[0]
-        bad.replica("/t/f").records[0].damage()
-        run(k, client.read_all_salvaged("/t/f"))
-        k.run(until=k.now + 1.0)
-        assert bad.replica("/t/f").records[0].state == "ok"
-        assert bad.repairs_received == 1
-
-    def test_survives_one_dead_replica(self, cluster):
-        k, _net, _nn, dns, _host, client = cluster
-        write_file(k, client, "/t/f")
-        a, b = replica_holders(dns, "/t/f")
-        b.replica("/t/f").records[4].damage()
-        a.crash()
-        records, report = run(k, client.read_all_salvaged("/t/f"))
-        # Only the damaged replica is reachable: its rot truncates.
-        assert [p for p, _n in records] == [f"r{i}" for i in range(4)]
-        assert report.reason == "corrupt-record"
 
 
 #: A WAL segment of server rs0: its header, then records alternating
@@ -164,8 +109,9 @@ def region_a(indices):
 
 
 class TestRegionFilteredSalvagingRead:
-    """``read_region_salvaged`` -- the read every failover runs: the cases
-    of :class:`TestSalvagingRead`, then what the region filter adds."""
+    """``read_region_salvaged`` -- the one salvaging read, run by every
+    failover: clean, merge, truncate, repair and survive, then what the
+    region filter adds."""
 
     def read_a(self, k, client):
         records, report = run(k, client.read_region_salvaged(SEGMENT, ["A"]))

@@ -4,7 +4,9 @@ write-sets are flushed directly through the KvClient)."""
 import pytest
 
 from repro.config import KvSettings
+from repro.dfs import DfsClient
 from repro.errors import KvError
+from repro.metrics import tracer_for
 from tests.kvstore.conftest import MiniCluster
 
 
@@ -112,3 +114,21 @@ def test_bounded_get_retries_raise(mini):
     mini.crash_machine(1)
     with pytest.raises(KvError):
         mini.get("aaa", 10, max_retries=2)
+
+
+def test_region_open_replays_a_file_listed_under_recovered(mini):
+    # A header-less file under /recovered/<region>/ comes back through the
+    # same replay as a failover's WAL fragments.
+    region, source = mini.run(mini.client.locate("t", "aaa"))
+    target = "rs1" if source == "rs0" else "rs0"
+    dfs = DfsClient(mini.app)
+    path = f"/recovered/{region}/edits"
+    mini.run(dfs.create(path))
+    mini.run(dfs.append(path, [((region, 7, [("aaa", "f", 7, "recovered")]), 64)]))
+    mini.run(mini.call("master", "move_region", region=region, target=target))
+    replays = tracer_for(mini.kernel).spans(stage="recovery.fragment_replay")
+    assert [
+        (span.tags["region"], span.tags["segments"], span.tags["cells"])
+        for span in replays
+    ] == [(region, 1, 1)]
+    assert mini.get("aaa", 10) == (7, "recovered")

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.dfs import DataNode, DfsClient, NameNode
-from repro.kvstore.wal import ASYNC, SYNC, WriteAheadLog, read_wal_records, wal_dir
+from repro.kvstore.wal import (
+    ASYNC, SYNC, WriteAheadLog, fetch_region_records, wal_dir,
+)
 from repro.sim import Kernel, Network, Node
 
 
@@ -41,7 +43,7 @@ def test_group_syncer_persists_in_background():
     k.run(until=k.now + 0.5)
     assert wal.pending == 0
     assert wal.synced_seq == 1
-    records = run(k, read_wal_records(dfs, wal.path))
+    records, _report = run(k, fetch_region_records(dfs, wal.path, ["r1"]))
     assert records == [("r1", 10, [("a", "f", 10, "v")])]
 
 
@@ -72,7 +74,7 @@ def test_lose_buffer_drops_unsynced_only():
     run(k, wal.sync())
     wal.append("r1", 11, [("b", "f", 11, "v")])
     wal.lose_buffer()  # crash: record 2 was never durable
-    records = run(k, read_wal_records(dfs, wal.path))
+    records, _report = run(k, fetch_region_records(dfs, wal.path, ["r1"]))
     assert [ts for _r, ts, _c in records] == [10]
 
 
@@ -93,7 +95,8 @@ def test_rolls_create_new_closed_segments():
     def all_records():
         out = []
         for path in segments:
-            out.extend((yield from read_wal_records(dfs, path)))
+            records, _report = yield from fetch_region_records(dfs, path, ["r1"])
+            out.extend(records)
         return out
 
     records = run(k, all_records())

@@ -1,6 +1,8 @@
 """Tests for the metrics registry and the commit-path span tracer."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,9 @@ from repro.metrics import (
     status_table,
     tracer_for,
 )
+from repro.metrics import spans as spans_module
 from repro.sim import Kernel
+from tests.core.conftest import commit_rows, recovery_cluster
 
 
 # ---------------------------------------------------------------------------
@@ -222,3 +226,28 @@ def test_spans_table_renders_stage_rows():
     table = spans_table(tracer.stage_summary())
     assert "commit.rpc" in table
     assert "flush.region" in table
+
+
+def documented_stages():
+    """The stage names in OBSERVABILITY.md's taxonomy table and in the
+    span module's docstring."""
+    doc = (Path(__file__).parents[2] / "docs" / "OBSERVABILITY.md").read_text()
+    table = doc.split("### Stage taxonomy", 1)[1].split("\n#", 1)[0]
+    in_table = set(re.findall(r"^\| `([a-z_.]+)`", table, re.M))
+    in_docstring = set(re.findall(r"^    ([a-z_]+\.[a-z_]+) ", spans_module.__doc__, re.M))
+    return in_table, in_docstring
+
+
+def test_failover_stages_are_in_the_documented_taxonomy():
+    cluster = recovery_cluster(seed=31)
+    handle = cluster.add_client()
+    commit_rows(cluster, handle, list(range(0, 2000, 97)), "pre")
+    cluster.crash_server(0)
+    cluster.run_until(cluster.kernel.now + 15.0)
+    tracer = tracer_for(cluster.kernel)
+    stages = set(tracer.stage_summary())
+    stages |= {span.stage for span in tracer.open_spans() + tracer.truncated_spans()}
+    assert {"recovery.failover", "recovery.plan", "recovery.fragment_replay"} <= stages
+    in_table, in_docstring = documented_stages()
+    assert sorted(stages - in_table) == []
+    assert sorted(stages - in_docstring) == []
