@@ -21,7 +21,8 @@ test-verbose:
 # The five 20-seed chaos sweeps (oracle on: ledger read-back, SI checker,
 # invariant monitor, convergence gate).  Each leaves its report and every
 # seed's recorded history under artifacts/; a history can be re-audited
-# offline with `python -m repro check <file>`.
+# offline with `python -m repro check <file>` (`make recheck-<sweep>` does
+# all of them).
 #   chaos           the plain storm
 #   chaos-disk      + storage faults on the datanode disks
 #   chaos-kill      + a second crash inside each recovery window (the
@@ -43,13 +44,23 @@ $(CHAOS_SWEEPS):
 	$(PYTHON) -m repro chaos --seeds 20 $(CHAOS_FLAGS) \
 		--json artifacts/$@-report.json --history-dir artifacts/histories-$@
 
+# Re-audit every history one sweep saved with `repro check` (the SI
+# checker, and the serialization graph in the mode the history is stamped
+# with -- si sweeps get no other serializability audit), keeping the
+# output as artifacts/<sweep>.check.out; exit 1 if any history fails.
+recheck-%:
+	@status=0; for history in artifacts/histories-$*/*; do \
+		$(PYTHON) -m repro check $$history || status=1; \
+	done > artifacts/$*.check.out; exit $$status
+
 # All five sweeps, each one's stdout kept as artifacts/<sweep>.out beside
-# its report and histories.  Two trees ran byte-identical storms when
-# `diff -r` of their artifacts/ directories prints nothing.
+# its report, histories and re-audit.  Two trees ran byte-identical storms
+# when `diff -r` of their artifacts/ directories prints nothing.
 chaos-all:
 	@mkdir -p artifacts
 	@status=0; for sweep in $(CHAOS_SWEEPS); do \
 		$(MAKE) --no-print-directory -s $$sweep > artifacts/$$sweep.out || status=1; \
+		$(MAKE) --no-print-directory -s recheck-$$sweep || status=1; \
 	done; exit $$status
 
 check-sweep: chaos chaos-disk

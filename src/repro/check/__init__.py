@@ -1,12 +1,14 @@
 """History-based consistency oracle (the checking subsystem).
 
-Three cooperating pieces turn the paper's guarantees into mechanically
+Four cooperating pieces turn the paper's guarantees into mechanically
 checked properties:
 
 * :class:`HistoryRecorder` -- a low-overhead, sim-time-stamped log of
   every operation outcome (begin/read/write/scan/commit/abort/flush)
   observed by the transactional clients, serializable to a deterministic
-  JSON history file;
+  JSON history file; :class:`~repro.check.history.HistoryView`, in the
+  same module, is the one reader of that format, and both checkers below
+  are passes over it;
 * :class:`SIChecker` -- an offline checker that rebuilds the version
   order from commit timestamps and detects snapshot-isolation anomalies
   over a recorded history;

@@ -1,4 +1,9 @@
-"""Operation-history recording for the consistency oracle.
+"""Operation histories for the consistency oracle: written and read here.
+
+This module owns the event format both ways.  A :class:`HistoryRecorder`
+writes it; a :class:`HistoryView` is the one place it is read back, and
+both checkers (:mod:`~repro.check.sichecker`,
+:mod:`~repro.check.serializability`) are passes over that view.
 
 A :class:`HistoryRecorder` attaches to any number of
 :class:`~repro.txn.client.TxnClient` instances (``recorder.attach(txn)``)
@@ -21,13 +26,23 @@ a ``commit`` nor an ``abort`` event was *unacknowledged* -- the client
 crashed (or gave up) without learning the verdict.  The checker treats
 such transactions as "maybe committed", exactly the case Algorithm 2's
 client recovery exists for.
+
+The view is built in one pass over the events.  It assembles one
+:class:`TxnView` per transaction key, lists point reads and scan rows in
+one shape (the read stream, ``HistoryView.reads``), orders each key's
+committed versions by commit timestamp, and answers the one flush
+question three rules gate on (:meth:`HistoryView.flushed_before`).  A
+version is dated by its writer's *first* ``flushed`` event: the recorder
+emits at most one per transaction, but a merged or hand-written history
+may carry more.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from typing import Any, List, Optional
+from operator import itemgetter
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.metrics.registry import MetricsRegistry
 from repro.sim.kernel import Kernel
@@ -249,3 +264,146 @@ def load_history_doc(path: str) -> dict:
 def load_history(path: str) -> List[dict]:
     """Load a history file written by :meth:`HistoryRecorder.write`."""
     return load_history_doc(path)["events"]
+
+
+Key = Tuple[str, str, str]  # (table, row, column)
+
+
+class TxnView:
+    """One transaction as its history recorded it."""
+
+    __slots__ = (
+        "key", "client", "start_ts", "writes", "attempt", "owners",
+        "commit_ts", "read_only", "aborted", "flushed_at",
+    )
+
+    def __init__(self, key: str) -> None:
+        self.key = key
+        self.client: Optional[str] = None
+        self.start_ts: Optional[int] = None
+        #: Buffered writes, ``(table, row, column, value)`` in stream order.
+        self.writes: List[tuple] = []
+        #: The write-set the commit request put on the wire, if one did,
+        #: as ``[table, row, column, value]`` rows.
+        self.attempt: Optional[List[list]] = None
+        #: The owning TM shard of each ``attempt`` write (sharded TM only).
+        self.owners: Optional[List[int]] = None
+        self.commit_ts: Optional[int] = None
+        self.read_only = False
+        self.aborted = False
+        #: When the post-commit flush completed (the first ``flushed``).
+        self.flushed_at: Optional[float] = None
+
+    @property
+    def committed(self) -> bool:
+        """Acknowledged as committed (read-only commits included)."""
+        return self.commit_ts is not None and not self.aborted
+
+    @property
+    def unacked(self) -> bool:
+        """Attempted, but the client never learned the verdict."""
+        return (
+            self.attempt is not None
+            and self.commit_ts is None
+            and not self.aborted
+        )
+
+    def certified_writes(self) -> list:
+        """The write-set the TM certified (falls back to buffered writes)."""
+        return self.attempt if self.attempt is not None else self.writes
+
+
+class HistoryView:
+    """Read-only view of one history: the only reader of the event format.
+
+    ``txns`` holds one :class:`TxnView` per transaction key any event
+    names, in key order.
+
+    ``reads`` is the read stream: every point read and scan row in stream
+    order as ``(txn, key, start_ts, t0, version, value, own, where)``,
+    ``where`` being ``"read"`` or ``"scan"``.  ``own`` is False for a read
+    the store served; for one the write buffer served it is
+    ``(buffered,)``, the value the transaction had buffered for the key
+    at the read's position in the stream.
+
+    ``versions`` maps each key to its committed versions as
+    ``(commit_ts, writer, value)``, ordered by stamp, then writer: one
+    entry per committed, non-read-only writer of the key, carrying its
+    last certified value.  ``sharded`` says whether any commit attempt
+    carries per-write ``owners``.
+    """
+
+    def __init__(self, events: List[dict]) -> None:
+        self.events = events
+        self.sharded = False
+        self.reads: List[tuple] = []
+        stream = self.reads.append
+        txns: Dict[str, TxnView] = {}
+        for ev in events:
+            kind = ev["e"]
+            txn = txns.get(ev["txn"])
+            if txn is None:
+                txn = txns[ev["txn"]] = TxnView(ev["txn"])
+            if kind == "read":
+                key = (ev["table"], ev["row"], ev["column"])
+                own = ev["own"] and (_buffered(txn, key),)
+                stream((txn, key, ev["start_ts"], ev.get("t0", ev["t"]),
+                        ev["version"], ev["value"], own, "read"))
+            elif kind == "scan":
+                t0 = ev.get("t0", ev["t"])
+                for row, version, value, own in ev["rows"]:
+                    key = (ev["table"], row, ev["column"])
+                    own = own and (_buffered(txn, key),)
+                    stream((txn, key, ev["start_ts"], t0, version, value,
+                            own, "scan"))
+            elif kind == "begin":
+                txn.client = ev["client"]
+                txn.start_ts = ev["start_ts"]
+            elif kind == "write":
+                txn.writes.append(
+                    (ev["table"], ev["row"], ev["column"], ev["value"])
+                )
+            elif kind == "commit_attempt":
+                txn.attempt = ev["writes"]
+                txn.owners = ev.get("owners")
+                self.sharded = self.sharded or txn.owners is not None
+            elif kind == "commit":
+                txn.commit_ts = ev["commit_ts"]
+                txn.read_only = bool(ev.get("read_only"))
+                if txn.start_ts is None:
+                    txn.start_ts = ev["start_ts"]
+            elif kind == "abort":
+                txn.aborted = True
+            elif kind == "flushed" and txn.flushed_at is None:
+                txn.flushed_at = ev["t"]
+        self.txns = dict(sorted(txns.items()))
+
+        self.versions: Dict[Key, List[Tuple[int, str, Any]]] = {}
+        #: commit ts -> when a write-set stamped with it first flushed.
+        self._flushed: Dict[int, float] = {}
+        for txn in self.txns.values():
+            if not txn.committed or txn.read_only:
+                continue
+            ts, at = txn.commit_ts, txn.flushed_at
+            if at is not None:
+                self._flushed[ts] = min(at, self._flushed.get(ts, at))
+            last = {(t, r, c): v for t, r, c, v in txn.certified_writes()}
+            for key, value in last.items():
+                self.versions.setdefault(key, []).append((ts, txn.key, value))
+        for entries in self.versions.values():
+            entries.sort(key=itemgetter(0))  # stable: writer order kept
+
+    def flushed_before(self, ts: int, t: float) -> bool:
+        """Whether the version stamped ``ts`` was observably in the store
+        at time ``t``: the gate of ``stale_read``, ``cross_shard_atomicity``
+        and the si-mode graph audit's rw excusal."""
+        at = self._flushed.get(ts)
+        return at is not None and at <= t
+
+
+def _buffered(txn: TxnView, key: Key) -> Any:
+    """The last value ``txn`` buffered for ``key`` so far (None if none)."""
+    for table, row, column, value in reversed(txn.writes):
+        if (table, row, column) == key:
+            return value
+    return None

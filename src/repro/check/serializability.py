@@ -1,10 +1,12 @@
 """Offline serializability checker: the direct serialization graph.
 
 Builds Adya's DSG over the *committed* transactions of a recorded
-history and hunts for cycles.  Nodes are committed transactions
-(read-only ones included); edges come in three flavours, all derived
-mechanically from the multi-versioned store's property that a version
-*is* its writer's commit timestamp:
+history and hunts for cycles -- a pass over the same
+:class:`~repro.check.history.HistoryView` the SI checker reads: its
+transactions, its version order and its read stream.  Nodes are
+committed transactions (read-only ones included); edges come in three
+flavours, all derived mechanically from the multi-versioned store's
+property that a version *is* its writer's commit timestamp:
 
 * **ww** (version order) -- the writer of a key's version to the writer
   of that key's direct successor version;
@@ -38,8 +40,8 @@ Two audit modes, matching the TM's isolation levels:
   any implementation bug.  A single-rw cycle is therefore flagged only
   when its rw edge is *inexcusable*: the missed version was concurrent
   with the reader's snapshot, or its flush had already completed when
-  the read was issued (in which case the SI checker reports a
-  ``stale_read`` too).
+  the read was issued (the view's ``flushed_before``, the gate the SI
+  checker's ``stale_read`` uses, so it reports one too).
 
 Scope: reads attributed to committed transactions only (unacknowledged
 replayed write-sets are audited by :class:`~repro.check.sichecker.SIChecker`),
@@ -57,44 +59,8 @@ from bisect import bisect_right
 from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.check.history import HistoryView, Key, TxnView
 from repro.check.sichecker import Anomaly, CheckReport
-
-Key = Tuple[str, str, str]  # (table, row, column)
-
-
-class _SerTxn:
-    """Per-transaction view: just what the graph needs."""
-
-    __slots__ = ("key", "start_ts", "commit_ts", "aborted", "read_only",
-                 "attempt_writes", "buffered", "reads", "flushed_at")
-
-    def __init__(self, key: str) -> None:
-        self.key = key
-        self.start_ts: Optional[int] = None
-        self.commit_ts: Optional[int] = None
-        self.aborted = False
-        self.read_only = False
-        self.attempt_writes: Optional[List[list]] = None
-        self.buffered: List[Key] = []
-        #: Non-own reads: (key, version-read) -> latest issue time.  The
-        #: time decides whether a missed successor version was legally
-        #: still unflushed when the read went out (si-mode excusal).
-        self.reads: Dict[Tuple[Key, Optional[int]], float] = {}
-        #: When this transaction's post-commit flush completed, if the
-        #: history recorded it.
-        self.flushed_at: Optional[float] = None
-
-    @property
-    def committed(self) -> bool:
-        return self.commit_ts is not None and not self.aborted
-
-    def write_keys(self) -> Set[Key]:
-        if self.attempt_writes is not None:
-            return {
-                (table, row, column)
-                for table, row, column, _value in self.attempt_writes
-            }
-        return set(self.buffered)
 
 
 class SerializabilityChecker:
@@ -112,12 +78,12 @@ class SerializabilityChecker:
     def check(self) -> CheckReport:
         """Run the audit; returns the (deterministic) report."""
         report = CheckReport()
-        txns = self._assemble()
-        committed = {k: t for k, t in txns.items() if t.committed}
-        edges, label_counts, rw_excused = self._build_graph(committed)
-        nodes = sorted(committed)
+        view = HistoryView(self.events)
+        committed = {k: t for k, t in view.txns.items() if t.committed}
+        edges, label_counts, rw_excused = self._build_graph(view, committed)
+        nodes = list(committed)  # the view keeps key order
 
-        report.counters["txns"] = len(txns)
+        report.counters["txns"] = len(view.txns)
         report.counters["committed"] = len(committed)
         report.counters["read_only"] = sum(
             1 for t in committed.values() if t.read_only
@@ -178,117 +144,65 @@ class SerializabilityChecker:
         return report
 
     # ------------------------------------------------------------------
-    # assembly and graph construction
+    # graph construction
     # ------------------------------------------------------------------
-    def _assemble(self) -> Dict[str, _SerTxn]:
-        txns: Dict[str, _SerTxn] = {}
-
-        def get(key: str) -> _SerTxn:
-            txn = txns.get(key)
-            if txn is None:
-                txn = txns[key] = _SerTxn(key)
-            return txn
-
-        for ev in self.events:
-            kind = ev["e"]
-            if kind == "begin":
-                get(ev["txn"]).start_ts = ev["start_ts"]
-            elif kind == "read":
-                if not ev["own"]:
-                    txn = get(ev["txn"])
-                    pair = ((ev["table"], ev["row"], ev["column"]),
-                            ev["version"])
-                    t0 = ev.get("t0", ev["t"])
-                    txn.reads[pair] = max(txn.reads.get(pair, t0), t0)
-            elif kind == "scan":
-                txn = get(ev["txn"])
-                t0 = ev.get("t0", ev["t"])
-                for row, version, _value, own in ev["rows"]:
-                    if not own:
-                        pair = ((ev["table"], row, ev["column"]), version)
-                        txn.reads[pair] = max(txn.reads.get(pair, t0), t0)
-            elif kind == "write":
-                get(ev["txn"]).buffered.append(
-                    (ev["table"], ev["row"], ev["column"])
-                )
-            elif kind == "commit_attempt":
-                get(ev["txn"]).attempt_writes = ev["writes"]
-            elif kind == "commit":
-                txn = get(ev["txn"])
-                txn.commit_ts = ev["commit_ts"]
-                txn.read_only = bool(ev.get("read_only"))
-            elif kind == "abort":
-                get(ev["txn"]).aborted = True
-            elif kind == "flushed":
-                txn = get(ev["txn"])
-                if txn.flushed_at is None:
-                    txn.flushed_at = ev["t"]
-        return txns
-
-    def _build_graph(self, committed: Dict[str, _SerTxn]):
+    @staticmethod
+    def _build_graph(view: HistoryView, committed: Dict[str, TxnView]):
         """Adjacency ``u -> v -> {labels}``, per-label edge counts, and
         the set-like map of rw edges that are *excused* in si mode: every
         read behind the edge missed a version inside its snapshot whose
         flush was still in flight when the read was issued (legal lag
         under "latest" visibility, not a broken snapshot)."""
-        versions: Dict[Key, List[Tuple[int, str]]] = {}
-        for tkey in sorted(committed):
-            txn = committed[tkey]
-            if txn.read_only:
-                continue
-            for wkey in txn.write_keys():
-                versions.setdefault(wkey, []).append((txn.commit_ts, tkey))
-        for ordered in versions.values():
-            ordered.sort()
-
         edges: Dict[str, Dict[str, Set[str]]] = {}
 
         def add(u: str, v: str, label: str) -> None:
             if u != v:
                 edges.setdefault(u, {}).setdefault(v, set()).add(label)
 
-        for ordered in versions.values():
-            for (_ts1, w1), (_ts2, w2) in zip(ordered, ordered[1:]):
+        stamps: Dict[Key, List[int]] = {}
+        for key, ordered in view.versions.items():
+            stamps[key] = [ts for ts, _writer, _value in ordered]
+            for (_ts1, w1, _v1), (_ts2, w2, _v2) in zip(ordered, ordered[1:]):
                 add(w1, w2, "ww")
 
+        #: Committed txns' non-own reads: (reader, key, version read) ->
+        #: latest issue time, which decides the si-mode excusal.
+        reads: Dict[Tuple[str, Key, Optional[int]], float] = {}
+        for txn, key, _start, t0, version, _value, own, _where in view.reads:
+            if not own and txn.key in committed:
+                read = (txn.key, key, version)
+                latest = reads.get(read)
+                if latest is None or t0 > latest:
+                    reads[read] = t0
+
         rw_excused: Dict[Tuple[str, str], bool] = {}
-        for tkey in sorted(committed):
-            txn = committed[tkey]
-            for rkey, version in sorted(
-                txn.reads, key=lambda item: (item[0], -1 if item[1] is None else item[1])
-            ):
-                ordered = versions.get(rkey)
-                if not ordered:
-                    continue
-                stamps = [ts for ts, _writer in ordered]
-                if version is not None:
-                    index = bisect_right(stamps, version) - 1
-                    if index >= 0 and stamps[index] == version:
-                        add(ordered[index][1], tkey, "wr")
-                # The direct successor of the read version (miss = before
-                # everything, so the successor is the first version).
-                base = -1 if version is None else version
-                succ = bisect_right(stamps, base)
-                if succ < len(ordered):
-                    succ_ts, succ_writer = ordered[succ]
-                    if succ_writer != tkey:
-                        add(tkey, succ_writer, "rw")
-                        # Excusable miss: the successor sat inside the
-                        # reader's snapshot but its flush had not
-                        # completed when the read went out.
-                        excusable = (
-                            txn.start_ts is not None
-                            and succ_ts <= txn.start_ts
-                            and (
-                                committed[succ_writer].flushed_at is None
-                                or committed[succ_writer].flushed_at
-                                > txn.reads[(rkey, version)]
-                            )
-                        )
-                        edge = (tkey, succ_writer)
-                        rw_excused[edge] = (
-                            rw_excused.get(edge, True) and excusable
-                        )
+        for (tkey, rkey, version), issued_at in reads.items():
+            ordered = view.versions.get(rkey)
+            if not ordered:
+                continue
+            if version is not None:
+                index = bisect_right(stamps[rkey], version) - 1
+                if index >= 0 and stamps[rkey][index] == version:
+                    add(ordered[index][1], tkey, "wr")
+            # The direct successor of the read version (miss = before
+            # everything, so the successor is the first version).
+            base = -1 if version is None else version
+            succ = bisect_right(stamps[rkey], base)
+            if succ < len(ordered):
+                succ_ts, succ_writer, _value = ordered[succ]
+                if succ_writer != tkey:
+                    add(tkey, succ_writer, "rw")
+                    # Excusable miss: the successor sat inside the reader's
+                    # snapshot but its flush had not completed when the
+                    # read went out.
+                    start_ts = committed[tkey].start_ts
+                    excusable = (
+                        start_ts is not None
+                        and succ_ts <= start_ts
+                        and not view.flushed_before(succ_ts, issued_at)
+                    )
+                    edge = (tkey, succ_writer)
+                    rw_excused[edge] = rw_excused.get(edge, True) and excusable
 
         counts = {"ww": 0, "wr": 0, "rw": 0}
         for adj in edges.values():

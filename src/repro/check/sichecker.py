@@ -1,9 +1,10 @@
 """Offline snapshot-isolation checker over a recorded history.
 
-Rebuilds the version order from commit timestamps (the store is
-multi-versioned by commit timestamp, the property the paper leans on for
-idempotent replay) and audits every recorded read, scan, and commit
-against the transactional contract:
+A pass over :class:`~repro.check.history.HistoryView`, which parses the
+events: it takes the view's version order (the store is multi-versioned
+by commit timestamp, the property the paper leans on for idempotent
+replay) and audits every read and scan row of the view's read stream,
+and every commit, against the transactional contract:
 
 * **non_snapshot_read** -- a read returned a version newer than the
   transaction's snapshot timestamp (the store's ``max_version`` bound,
@@ -39,7 +40,8 @@ against the transactional contract:
   commit timestamp must not return an *older* version for any of its
   keys -- doing so means one shard's slice materialized while another's
   was lost (a torn cross-shard commit).  The rule is flush-gated exactly
-  like ``stale_read``, so deferred visibility never trips it.
+  like ``stale_read`` (:meth:`~repro.check.history.HistoryView.flushed_before`),
+  so deferred visibility never trips it.
 
 The checker is pure: same history in, byte-identical report out.
 """
@@ -49,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-Key = Tuple[str, str, str]  # (table, row, column)
+from repro.check.history import HistoryView, Key, TxnView
 
 
 @dataclass(frozen=True)
@@ -101,40 +103,6 @@ class CheckReport:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-class _Txn:
-    """Per-transaction view assembled from the event stream."""
-
-    __slots__ = (
-        "key", "client", "start_ts", "writes", "attempt", "commit_ts",
-        "read_only", "aborted", "flush_time", "own_values",
-    )
-
-    def __init__(self, key: str) -> None:
-        self.key = key
-        self.client: Optional[str] = None
-        self.start_ts: Optional[int] = None
-        self.writes: List[dict] = []  # write events, in order
-        self.attempt: Optional[dict] = None
-        self.commit_ts: Optional[int] = None
-        self.read_only = False
-        self.aborted = False
-        self.flush_time: Optional[float] = None
-        #: (table, row, column) -> latest buffered value (for own-reads).
-        self.own_values: Dict[Key, Any] = {}
-
-    @property
-    def committed(self) -> bool:
-        return self.commit_ts is not None and not self.aborted
-
-    @property
-    def unacked(self) -> bool:
-        return (
-            self.attempt is not None
-            and self.commit_ts is None
-            and not self.aborted
-        )
-
-
 class SIChecker:
     """Offline consistency oracle over one recorded history.
 
@@ -160,52 +128,32 @@ class SIChecker:
     def check(self) -> CheckReport:
         """Run every check; returns the (deterministic) report."""
         report = CheckReport()
-        txns = self._assemble(report)
-        versions, flush_times = self._build_version_order(txns, report)
-        aborted_values, unacked_values = self._index_uncommitted(txns)
+        view = HistoryView(self.events)
+        versions = self._version_order(view, report)
+        aborted_values, unacked_values = self._index_uncommitted(view)
         bindings: Dict[str, int] = {}  # unacked txn -> inferred commit ts
 
-        reads_checked = 0
-        scan_rows = 0
-        for ev in self.events:
-            if ev["e"] == "write":
-                # Replay the write buffer in stream order so own-reads
-                # below see the value that was buffered *when they ran*.
-                txn = txns.get(ev["txn"])
-                if txn is not None:
-                    key = (ev["table"], ev["row"], ev["column"])
-                    txn.own_values[key] = ev["value"]
-            elif ev["e"] == "read":
+        reads_checked = scan_rows = 0
+        for txn, key, start_ts, t0, version, value, own, where in view.reads:
+            if where == "read":
                 reads_checked += 1
-                self._check_read(
-                    ev["txn"], txns, ev["table"], ev["row"], ev["column"],
-                    ev["start_ts"], ev.get("t0", ev["t"]), ev["version"],
-                    ev["value"], ev["own"], versions, flush_times,
-                    aborted_values, unacked_values, bindings, report,
-                )
-            elif ev["e"] == "scan":
-                for row_entry in ev["rows"]:
-                    row, version, value, own = row_entry
-                    scan_rows += 1
-                    self._check_read(
-                        ev["txn"], txns, ev["table"], row, ev["column"],
-                        ev["start_ts"], ev.get("t0", ev["t"]), version,
-                        value, own, versions, flush_times,
-                        aborted_values, unacked_values, bindings, report,
-                        where="scan",
-                    )
+            else:
+                scan_rows += 1
+            self._check_read(
+                view, txn, key, start_ts, t0, version, value, own, where,
+                versions, aborted_values, unacked_values, bindings, report,
+            )
 
-        self._check_lost_updates(txns, bindings, report)
-        n_cross_shard = self._check_cross_shard_atomicity(
-            txns, flush_times, bindings, report
-        )
+        self._check_lost_updates(view, bindings, report)
+        n_cross_shard = self._check_cross_shard_atomicity(view, bindings, report)
 
+        txns = view.txns.values()
         report.counters = {
             "events": len(self.events),
             "txns": len(txns),
-            "committed": sum(1 for t in txns.values() if t.committed),
-            "aborted": sum(1 for t in txns.values() if t.aborted),
-            "unacked": sum(1 for t in txns.values() if t.unacked),
+            "committed": sum(1 for t in txns if t.committed),
+            "aborted": sum(1 for t in txns if t.aborted),
+            "unacked": sum(1 for t in txns if t.unacked),
             "bound_unacked": len(bindings),
             "reads_checked": reads_checked,
             "scan_rows_checked": scan_rows,
@@ -217,87 +165,40 @@ class SIChecker:
         return report
 
     # ------------------------------------------------------------------
-    # assembly
+    # version order
     # ------------------------------------------------------------------
-    def _assemble(self, report: CheckReport) -> Dict[str, _Txn]:
-        txns: Dict[str, _Txn] = {}
-
-        def get(key: str) -> _Txn:
-            txn = txns.get(key)
-            if txn is None:
-                txn = txns[key] = _Txn(key)
-            return txn
-
-        for ev in self.events:
-            kind = ev["e"]
-            if kind in ("read",):
-                continue  # validated in the read pass
-            txn = get(ev["txn"])
-            if kind == "begin":
-                txn.client = ev["client"]
-                txn.start_ts = ev["start_ts"]
-            elif kind == "write":
-                # own_values is populated in stream order by the read pass,
-                # not here: an own-read must be judged against the buffer as
-                # of the read's position, not the transaction's final state.
-                txn.writes.append(ev)
-            elif kind == "commit_attempt":
-                txn.attempt = ev
-            elif kind == "commit":
-                txn.commit_ts = ev["commit_ts"]
-                txn.read_only = bool(ev.get("read_only"))
-                if txn.start_ts is None:
-                    txn.start_ts = ev["start_ts"]
-            elif kind == "abort":
-                txn.aborted = True
-            elif kind == "flushed":
-                txn.flush_time = ev["t"]
-            elif kind == "scan":
-                continue
-        return txns
-
-    def _build_version_order(
-        self, txns: Dict[str, _Txn], report: CheckReport
-    ) -> Tuple[Dict[Key, Dict[int, Tuple[Any, str]]], Dict[int, float]]:
-        """Version map (key -> commit_ts -> (value, txn)) + flush times."""
-        versions: Dict[Key, Dict[int, Tuple[Any, str]]] = {}
-        flush_times: Dict[int, float] = {}
+    @staticmethod
+    def _version_order(
+        view: HistoryView, report: CheckReport
+    ) -> Dict[Key, Dict[int, Tuple[Any, str]]]:
+        """Version map (key -> commit_ts -> (value, txn)); of writers
+        sharing a stamp the last in key order holds it.  Audits commit
+        timestamps on the way."""
         seen_ts: Dict[int, str] = {}
-        for key in sorted(txns):
-            txn = txns[key]
+        for txn in view.txns.values():
             if not txn.committed or txn.read_only:
                 continue
             ts = txn.commit_ts
             if txn.start_ts is not None and ts <= txn.start_ts:
                 report.anomalies.append(Anomaly(
-                    "commit_order", key,
+                    "commit_order", txn.key,
                     f"commit_ts {ts} <= start_ts {txn.start_ts}",
                 ))
             prev = seen_ts.get(ts)
             if prev is not None:
                 report.anomalies.append(Anomaly(
-                    "duplicate_commit_ts", key,
+                    "duplicate_commit_ts", txn.key,
                     f"commit_ts {ts} already used by {prev}",
                 ))
-            seen_ts[ts] = key
-            if txn.flush_time is not None:
-                flush_times[ts] = txn.flush_time
-            for table, row, column, value in self._certified_writes(txn):
-                versions.setdefault((table, row, column), {})[ts] = (value, key)
-        return versions, flush_times
+            seen_ts[ts] = txn.key
+        return {
+            key: {ts: (value, writer) for ts, writer, value in entries}
+            for key, entries in view.versions.items()
+        }
 
     @staticmethod
-    def _certified_writes(txn: _Txn) -> List[tuple]:
-        """The write-set the TM certified (falls back to buffered writes)."""
-        if txn.attempt is not None:
-            return [tuple(w) for w in txn.attempt["writes"]]
-        return [
-            (ev["table"], ev["row"], ev["column"], ev["value"])
-            for ev in txn.writes
-        ]
-
     def _index_uncommitted(
-        self, txns: Dict[str, _Txn]
+        view: HistoryView,
     ) -> Tuple[Dict[Key, Dict[str, List[str]]], Dict[Key, Dict[str, List[str]]]]:
         """Value indexes for aborted and unacknowledged write-sets.
 
@@ -306,17 +207,16 @@ class SIChecker:
         """
         aborted: Dict[Key, Dict[str, List[str]]] = {}
         unacked: Dict[Key, Dict[str, List[str]]] = {}
-        for key in sorted(txns):
-            txn = txns[key]
+        for txn in view.txns.values():
             if txn.aborted:
                 target = aborted
             elif txn.unacked:
                 target = unacked
             else:
                 continue
-            for table, row, column, value in self._certified_writes(txn):
+            for table, row, column, value in txn.certified_writes():
                 bucket = target.setdefault((table, row, column), {})
-                bucket.setdefault(_vkey(value), []).append(key)
+                bucket.setdefault(_vkey(value), []).append(txn.key)
         return aborted, unacked
 
     # ------------------------------------------------------------------
@@ -324,32 +224,27 @@ class SIChecker:
     # ------------------------------------------------------------------
     def _check_read(
         self,
-        txn_key: str,
-        txns: Dict[str, _Txn],
-        table: str,
-        row: str,
-        column: str,
+        view: HistoryView,
+        txn: TxnView,
+        key: Key,
         start_ts: int,
         issued_at: float,
         version: Optional[int],
         value: Any,
-        own: bool,
+        own: Any,
+        where: str,
         versions: Dict[Key, Dict[int, Tuple[Any, str]]],
-        flush_times: Dict[int, float],
         aborted_values: Dict[Key, Dict[str, List[str]]],
         unacked_values: Dict[Key, Dict[str, List[str]]],
         bindings: Dict[str, int],
         report: CheckReport,
-        where: str = "read",
     ) -> None:
-        key = (table, row, column)
-        loc = f"{table}/{row}/{column}"
+        loc = "/".join(key)
         if own:
-            txn = txns.get(txn_key)
-            expected = txn.own_values.get(key) if txn is not None else None
-            if txn is None or _vkey(expected) != _vkey(value):
+            (expected,) = own  # buffered as of the read's stream position
+            if _vkey(expected) != _vkey(value):
                 report.anomalies.append(Anomaly(
-                    "own_read_mismatch", txn_key,
+                    "own_read_mismatch", txn.key,
                     f"{where} of {loc} returned {value!r}, "
                     f"buffered write was {expected!r}",
                 ))
@@ -357,7 +252,7 @@ class SIChecker:
 
         if version is not None and version > start_ts:
             report.anomalies.append(Anomaly(
-                "non_snapshot_read", txn_key,
+                "non_snapshot_read", txn.key,
                 f"{where} of {loc} returned version {version} > "
                 f"snapshot {start_ts}",
             ))
@@ -365,7 +260,7 @@ class SIChecker:
 
         if version is not None:
             self._check_version_value(
-                txn_key, key, loc, version, value, versions, aborted_values,
+                txn.key, key, loc, version, value, versions, aborted_values,
                 unacked_values, bindings, report, where,
             )
 
@@ -373,22 +268,21 @@ class SIChecker:
         # whose flush had completed before the read was issued must not
         # be newer than what the read returned.
         visible = versions.get(key, {})
+        returned = version if version is not None else self.INITIAL_VERSION - 1
         newest_flushed = None
         for ts in visible:
-            if ts > start_ts:
+            if not returned < ts <= start_ts:
+                continue  # not newer than the read, or outside the snapshot
+            if newest_flushed is not None and ts <= newest_flushed:
                 continue
-            flushed_at = flush_times.get(ts)
-            if flushed_at is None or flushed_at > issued_at:
-                continue  # not observably in the store yet
-            if newest_flushed is None or ts > newest_flushed:
+            if view.flushed_before(ts, issued_at):
                 newest_flushed = ts
-        returned = version if version is not None else self.INITIAL_VERSION - 1
-        if newest_flushed is not None and newest_flushed > returned:
+        if newest_flushed is not None:
             missed_value, missed_txn = visible[newest_flushed]
             if version is None and missed_value is None:
                 return  # a miss correctly reflecting a flushed delete
             report.anomalies.append(Anomaly(
-                "stale_read", txn_key,
+                "stale_read", txn.key,
                 f"{where} of {loc} at snapshot {start_ts} returned "
                 f"version {version} but {missed_txn} committed "
                 f"{newest_flushed} (flushed before the read)",
@@ -462,25 +356,19 @@ class SIChecker:
     # ------------------------------------------------------------------
     # write-write certification audit
     # ------------------------------------------------------------------
+    @staticmethod
     def _check_lost_updates(
-        self, txns: Dict[str, _Txn], bindings: Dict[str, int], report: CheckReport
+        view: HistoryView, bindings: Dict[str, int], report: CheckReport
     ) -> None:
         """First-committer-wins: committed writers of one key must not have
         overlapping [start_ts, commit_ts] execution intervals."""
         writers: Dict[Key, List[Tuple[int, int, str]]] = {}
-        for key in sorted(txns):
-            txn = txns[key]
-            ts = txn.commit_ts
-            if ts is None and key in bindings:
-                ts = bindings[key]  # replayed unacked txn, inferred ts
-            if ts is None or txn.aborted or txn.read_only:
+        for txn in view.txns.values():
+            ts = _stamp(txn, bindings)
+            if ts is None or txn.start_ts is None:
                 continue
-            if txn.start_ts is None:
-                continue
-            for wkey in {
-                (w[0], w[1], w[2]) for w in self._certified_writes(txn)
-            }:
-                writers.setdefault(wkey, []).append((ts, txn.start_ts, key))
+            for wkey in {(t, r, c) for t, r, c, _v in txn.certified_writes()}:
+                writers.setdefault(wkey, []).append((ts, txn.start_ts, txn.key))
         for wkey in sorted(writers):
             entries = sorted(writers[wkey])
             for (c1, _s1, t1), (c2, s2, t2) in zip(entries, entries[1:]):
@@ -493,16 +381,11 @@ class SIChecker:
                         f"intervals",
                     ))
 
-
     # ------------------------------------------------------------------
     # cross-shard atomicity audit (sharded-TM histories)
     # ------------------------------------------------------------------
     def _check_cross_shard_atomicity(
-        self,
-        txns: Dict[str, _Txn],
-        flush_times: Dict[int, float],
-        bindings: Dict[str, int],
-        report: CheckReport,
+        self, view: HistoryView, bindings: Dict[str, int], report: CheckReport
     ) -> Optional[int]:
         """All-or-nothing visibility of multi-shard write-sets.
 
@@ -511,85 +394,51 @@ class SIChecker:
         unsharded run) -- the report then stays byte-identical to the
         pre-sharding checker's.
         """
-        sharded_history = False
+        if not view.sharded:
+            return None
         #: key -> [(commit_ts, value, writer, owner_shard)], cross-shard only.
         cross: Dict[Key, List[Tuple[int, Any, str, int]]] = {}
         n_cross = 0
-        for tkey in sorted(txns):
-            txn = txns[tkey]
-            attempt = txn.attempt
-            if attempt is None:
+        for txn in view.txns.values():
+            if txn.owners is None or len(set(txn.owners)) < 2:
                 continue
-            owners = attempt.get("owners")
-            if owners is None:
-                continue
-            sharded_history = True
-            if len(set(owners)) < 2:
-                continue
-            ts = txn.commit_ts
-            if ts is None and tkey in bindings:
-                ts = bindings[tkey]  # replayed unacked txn, inferred ts
-            if ts is None or txn.aborted or txn.read_only:
+            ts = _stamp(txn, bindings)
+            if ts is None:
                 continue
             n_cross += 1
-            for (table, row, column, value), owner in zip(
-                (tuple(w) for w in attempt["writes"]), owners
-            ):
+            for (table, row, column, value), owner in zip(txn.attempt, txn.owners):
                 cross.setdefault((table, row, column), []).append(
-                    (ts, value, tkey, owner)
+                    (ts, value, txn.key, owner)
                 )
-        if not sharded_history:
-            return None
         if not cross:
             return n_cross
-
-        def judge(
-            txn_key: str, table: str, row: str, column: str,
-            start_ts: int, issued_at: float, version: Optional[int],
-            own: bool, where: str,
-        ) -> None:
+        for reader, key, start_ts, t0, version, _value, own, where in view.reads:
             if own:
-                return
-            for ts, value, writer, owner in cross.get(
-                (table, row, column), ()
-            ):
-                if ts > start_ts:
-                    continue  # outside the reader's snapshot
-                returned = (
-                    version if version is not None else self.INITIAL_VERSION - 1
-                )
-                if returned >= ts:
-                    continue  # the slice (or something newer) was seen
+                continue
+            returned = version if version is not None else self.INITIAL_VERSION - 1
+            for ts, value, writer, owner in cross.get(key, ()):
+                if ts > start_ts or returned >= ts:
+                    continue  # outside the snapshot, or the slice was seen
                 if version is None and value is None:
                     continue  # a miss correctly reflecting a delete
-                flushed_at = flush_times.get(ts)
-                if flushed_at is None or flushed_at > issued_at:
+                if not view.flushed_before(ts, t0):
                     continue  # not observably in the store yet
                 report.anomalies.append(Anomaly(
-                    "cross_shard_atomicity", txn_key,
-                    f"{where} of {table}/{row}/{column} at snapshot "
+                    "cross_shard_atomicity", reader.key,
+                    f"{where} of {'/'.join(key)} at snapshot "
                     f"{start_ts} returned version {version} but "
                     f"cross-shard {writer} committed {ts} (shard {owner} "
                     f"slice, flushed before the read): torn write-set",
                 ))
-
-        for ev in self.events:
-            if ev["e"] == "read":
-                judge(
-                    ev["txn"], ev["table"], ev["row"], ev["column"],
-                    ev["start_ts"], ev.get("t0", ev["t"]), ev["version"],
-                    ev["own"], "read",
-                )
-            elif ev["e"] == "scan":
-                for row_entry in ev["rows"]:
-                    row, version, _value, own = row_entry
-                    judge(
-                        ev["txn"], ev["table"], row, ev["column"],
-                        ev["start_ts"], ev.get("t0", ev["t"]), version,
-                        own, "scan",
-                    )
         return n_cross
 
+
+def _stamp(txn: TxnView, bindings: Dict[str, int]) -> Optional[int]:
+    """A writing transaction's commit ts -- inferred for a replayed unacked
+    one -- or None if it is aborted, read-only or never stamped."""
+    if txn.aborted or txn.read_only:
+        return None
+    return txn.commit_ts if txn.commit_ts is not None else bindings.get(txn.key)
 
 def _vkey(value: Any) -> str:
     """Comparison key tolerant of JSON round-trips (tuples become lists)."""

@@ -8,10 +8,21 @@ worse than no checker, because it lends green sweeps false authority.
 """
 
 import itertools
+import json
+import re
+from pathlib import Path
 
 from repro.check import SerializabilityChecker, SIChecker, evaluate_invariants
 
 T = "usertable"
+
+#: The invariant-monitor fixtures, replayed by the vocabulary test.
+MONITOR_FIXTURES = []
+
+
+def monitor_fixture(test):
+    MONITOR_FIXTURES.append(test)
+    return test
 
 
 class H:
@@ -555,6 +566,194 @@ def test_scan_rows_feed_the_serialization_graph():
     assert ser_kinds(h.events, "ssi") == ["serializability_cycle"]
 
 
+def test_version_dated_by_its_first_flushed_event():
+    # t1 is flushed at t=1 and (in a merged or hand-written history) again
+    # at t=3; t2's reads at t=2 miss x@5.  Both oracles date the version
+    # at t=1, so the SI checker reports the miss as stale and the si-mode
+    # graph audit finds the single-rw cycle inexcusable.
+    h = H()
+    h.begin("t1:1", 0)
+    h.write("t1:1", "x", "a").write("t1:1", "y", "a")
+    h.attempt("t1:1", 0, [(T, "x", "f", "a"), (T, "y", "f", "a")])
+    h.commit("t1:1", 0, 5)
+    h.flushed("t1:1", 5, at=1.0)
+    h.flushed("t1:1", 5, at=3.0)
+    h.begin("t2:1", 5, at=1.5)
+    h.read("t2:1", 5, "y", 5, "a", at=2.0)
+    h.read("t2:1", 5, "x", 0, "i", at=2.0)
+    h.write("t2:1", "w", "b", at=2.5)
+    h.attempt("t2:1", 5, [(T, "w", "f", "b")], at=2.5)
+    h.commit("t2:1", 5, 9, at=2.5)
+    assert kinds(h.events) == ["stale_read"]
+    assert ser_kinds(h.events, "si") == ["serializability_cycle"]
+
+
+# ----------------------------------------------------------------------
+# whole reports: one history with every anomaly kind, pinned byte for byte
+# ----------------------------------------------------------------------
+def combined_history():
+    """Every SI anomaly kind, scan rows, and serialization-graph cycles
+    that the si audit flags and permits.  No transaction is flushed twice
+    and every one begins, so nothing here depends on how an oracle reads
+    an irregular history."""
+    h = H()
+    # w1 commits a@5, flushed at t=1.  r1's scan returns it mangled, plus
+    # an aborted write and a version nobody wrote; r4's later read misses
+    # it (stale); r2's snapshot 3 is older than the a@5 it returned.
+    h.committed_write("w1:1", 0, 5, "a", "va", flush_at=1.0)
+    h.begin("x1:1", 0).write("x1:1", "b", "dirty")
+    h.attempt("x1:1", 0, [(T, "b", "f", "dirty")]).abort("x1:1", 0)
+    h.begin("r1:1", 10, at=1.5)
+    h._emit("scan", txn="r1:1", client="r1", table=T, start_row="a",
+            end_row="d", column="f", start_ts=10, t0=1.8,
+            rows=[["a", 5, "mangled", False], ["b", 7, "dirty", False],
+                  ["c", 9, "ghost", False]], at=1.8)
+    h.commit("r1:1", 10, 11, read_only=True, at=1.9)
+    h.begin("r2:1", 3, at=1.5).read("r2:1", 3, "a", 5, "va", at=1.6)
+    h.begin("r4:1", 10, at=1.5).read("r4:1", 10, "a", 0, "init", at=2.0)
+    # Overlapping writers of d; a duplicated stamp; start_ts >= commit_ts.
+    h.committed_write("w2:1", 2, 6, "d", "d2")
+    h.committed_write("w3:1", 4, 8, "d", "d3")
+    h.committed_write("w4:1", 10, 12, "g", "g4")
+    h.committed_write("w5:1", 11, 12, "h", "h5")
+    h.committed_write("w6:1", 20, 15, "i", "i6")
+    # Own reads judged at their stream position: the second one misses
+    # the overwrite.  o1 aborts without an attempt (buffered write-set).
+    h.begin("o1:1", 0).write("o1:1", "e", "v1", at=0.2)
+    h.read("o1:1", 0, "e", None, "v1", own=True, at=0.3)
+    h.write("o1:1", "e", "v2", at=0.4)
+    h.read("o1:1", 0, "e", None, "v1", own=True, at=0.5)
+    h.abort("o1:1", 0, reason="application", at=0.6)
+    # u1 never learns its verdict; r3 sees its write-set at two stamps.
+    # xs is a cross-shard commit, flushed at t=1; r3 sees only one slice.
+    h.begin("u1:1", 0).write("u1:1", "j", "u").write("u1:1", "k", "u")
+    h.attempt("u1:1", 0, [(T, "j", "f", "u"), (T, "k", "f", "u")])
+    cross_shard_commit(h, "xs:1", 0, 16, flush_at=1.0)
+    h.begin("r3:1", 30, at=2.5)
+    h.read("r3:1", 30, "j", 13, "u", at=3.0)
+    h.read("r3:1", 30, "k", 14, "u", at=3.5)
+    h.read("r3:1", 30, "r1", 16, "a", at=4.0)
+    h.read("r3:1", 30, "r2", 0, "init", at=4.0)
+    h.commit("r3:1", 30, 31, read_only=True, at=4.5)
+    # Write skew (two rw edges: si permits it), one side reading by scan.
+    h.begin("sa:1", 0)
+    h._emit("scan", txn="sa:1", client="sa", table=T, start_row="p",
+            end_row="r", column="f", start_ts=0, t0=0.3,
+            rows=[["p", 0, "i", False], ["q", 0, "i", False]], at=0.3)
+    h.write("sa:1", "q", "sa")
+    h.attempt("sa:1", 0, [(T, "q", "f", "sa")]).commit("sa:1", 0, 21)
+    _reading_writer(h, "sb:1", 0, 22, [("p", 0, "i"), ("q", 0, "i")],
+                    [("p", "sb")])
+    # One rw edge over a version flushed before the read: si flags it.
+    h.begin("t1:1", 0)
+    h.write("t1:1", "s", "t1").write("t1:1", "t", "t1")
+    h.attempt("t1:1", 0, [(T, "s", "f", "t1"), (T, "t", "f", "t1")])
+    h.commit("t1:1", 0, 23).flushed("t1:1", 23, at=0.5)
+    _reading_writer(h, "t2:1", 23, 24, [("t", 23, "t1"), ("s", 0, "init")],
+                    [("z", "t2")])
+    return h.events
+
+
+def pinned(counters, anomalies):
+    """The exact ``CheckReport.to_json()`` of a failing report."""
+    return json.dumps(
+        {"ok": False, "counters": counters,
+         "anomalies": [{"kind": k, "txn": t, "detail": d} for k, t, d in anomalies]},
+        sort_keys=True, separators=(",", ":"),
+    )
+
+
+SI_REPORT = pinned(
+    {"aborted": 2, "anomalies": 13, "bound_unacked": 1, "committed": 13,
+     "cross_shard_txns": 1, "events": 81, "reads_checked": 12,
+     "scan_rows_checked": 5, "txns": 18, "unacked": 1, "versions": 13},
+    [("duplicate_commit_ts", "w5:1", "commit_ts 12 already used by w4:1"),
+     ("commit_order", "w6:1", "commit_ts 15 <= start_ts 20"),
+     ("value_mismatch", "r1:1",
+      "scan of usertable/a/f@5 returned 'mangled', w1:1 certified 'va'"),
+     ("aborted_read", "r1:1",
+      "scan of usertable/b/f@7 returned 'dirty', only ever written by "
+      "aborted x1:1"),
+     ("phantom_version", "r1:1",
+      "scan of usertable/c/f@9 returned 'ghost': no recorded transaction "
+      "produced this version"),
+     ("non_snapshot_read", "r2:1",
+      "read of usertable/a/f returned version 5 > snapshot 3"),
+     ("stale_read", "r4:1",
+      "read of usertable/a/f at snapshot 10 returned version 0 but w1:1 "
+      "committed 5 (flushed before the read)"),
+     ("own_read_mismatch", "o1:1",
+      "read of usertable/e/f returned 'v1', buffered write was 'v2'"),
+     ("inconsistent_replay", "u1:1",
+      "unacked write-set observed at both commit ts 13 and 14 (via read "
+      "of usertable/k/f)"),
+     ("stale_read", "r3:1",
+      "read of usertable/r2/f at snapshot 30 returned version 0 but xs:1 "
+      "committed 16 (flushed before the read)"),
+     ("stale_read", "t2:1",
+      "read of usertable/s/f at snapshot 23 returned version 0 but t1:1 "
+      "committed 23 (flushed before the read)"),
+     ("lost_update", "w3:1",
+      "w3:1 [start 4, commit 8] and w2:1 [commit 6] both wrote "
+      "usertable/d/f with overlapping intervals"),
+     ("cross_shard_atomicity", "r3:1",
+      "read of usertable/r2/f at snapshot 30 returned version 0 but "
+      "cross-shard xs:1 committed 16 (shard 1 slice, flushed before the "
+      "read): torn write-set")],
+)
+GRAPH_COUNTERS = {"committed": 13, "cycles": 3, "edges_rw": 4,
+                  "edges_wr": 3, "edges_ww": 1, "read_only": 2, "txns": 18}
+GRAPH_SI_REPORT = pinned(
+    dict(GRAPH_COUNTERS, permitted_si_cycles=1),
+    [("serializability_cycle", "r3:1", "cycle r3:1 -rw-> xs:1 -wr-> r3:1"),
+     ("serializability_cycle", "t1:1", "cycle t2:1 -rw-> t1:1 -wr-> t2:1")],
+)
+GRAPH_SSI_REPORT = pinned(
+    GRAPH_COUNTERS,
+    [("serializability_cycle", "r3:1", "cycle r3:1 -rw-> xs:1 -wr-> r3:1"),
+     ("serializability_cycle", "sa:1", "cycle sa:1 -rw-> sb:1 -rw-> sa:1"),
+     ("serializability_cycle", "t1:1", "cycle t1:1 -wr-> t2:1 -rw-> t1:1")],
+)
+
+
+def test_combined_history_reports_are_pinned():
+    # Every counter and every detail string, in report order: a refactor
+    # of either oracle must leave these bytes alone.
+    events = combined_history()
+    assert SIChecker(events).check().to_json() == SI_REPORT
+    assert SerializabilityChecker(events, mode="si").check().to_json() == \
+        GRAPH_SI_REPORT
+    assert SerializabilityChecker(events, mode="ssi").check().to_json() == \
+        GRAPH_SSI_REPORT
+
+
+def documented_kinds():
+    """Every backticked name in the first column of CHECKING.md's tables."""
+    doc = (Path(__file__).parents[2] / "docs" / "CHECKING.md").read_text()
+    cells = re.findall(r"^\|([^|\n]*)\|", doc, re.M)
+    return {name for cell in cells for name in re.findall(r"`([a-z_]+)`", cell)}
+
+
+def test_every_reported_kind_is_in_the_checking_doc(monkeypatch):
+    # One anomaly vocabulary: whatever the oracles report -- on the
+    # combined history and on every invariant-monitor fixture below --
+    # has a row in docs/CHECKING.md.
+    events = combined_history()
+    reported = set(kinds(events)) | set(ser_kinds(events, "ssi"))
+    evaluate = evaluate_invariants
+
+    def recording(state, memory=None):
+        found = evaluate(state, memory)
+        reported.update(v["kind"] for v in found)
+        return found
+
+    monkeypatch.setitem(globals(), "evaluate_invariants", recording)
+    for fixture in MONITOR_FIXTURES:
+        fixture()
+    assert "tf_order" in reported and "truncation_le_tp" in reported
+    assert sorted(reported - documented_kinds()) == []
+
+
 # ----------------------------------------------------------------------
 # invariant-monitor fixtures
 # ----------------------------------------------------------------------
@@ -577,6 +776,7 @@ def vkinds(st, memory=None):
     return sorted({v["kind"] for v in evaluate_invariants(st, memory)})
 
 
+@monitor_fixture
 def test_clean_state_passes():
     st = state(
         rm=rm_state(tf=10, tp=8, live=["w0"]),
@@ -588,10 +788,12 @@ def test_clean_state_passes():
     assert vkinds(st, {}) == []
 
 
+@monitor_fixture
 def test_tp_above_tf_flagged():
     assert vkinds(state(rm=rm_state(tf=5, tp=9))) == ["tp_le_tf"]
 
 
+@monitor_fixture
 def test_tf_passing_pending_head_flagged():
     st = state(
         rm=rm_state(tf=10, tp=5, live=["w0"]),
@@ -601,6 +803,7 @@ def test_tf_passing_pending_head_flagged():
     assert vkinds(st) == ["tf_le_pending"]
 
 
+@monitor_fixture
 def test_dead_client_pending_head_ignored():
     st = state(
         rm=rm_state(tf=10, tp=5, live=[]),  # RM no longer tracks w0 live
@@ -610,12 +813,14 @@ def test_dead_client_pending_head_ignored():
     assert vkinds(st) == []
 
 
+@monitor_fixture
 def test_out_of_order_retirement_flagged():
     st = state(clients={"w0": {"epoch": 1, "tf": 5, "pending_head": None,
                                "order_violations": 2}})
     assert vkinds(st) == ["tf_order"]
 
 
+@monitor_fixture
 def test_client_tf_regression_flagged():
     memory = {}
     base = {"pending_head": None, "order_violations": 0}
@@ -624,6 +829,7 @@ def test_client_tf_regression_flagged():
         ["tf_monotone"]
 
 
+@monitor_fixture
 def test_client_restart_resets_tf_watermark():
     memory = {}
     base = {"pending_head": None, "order_violations": 0}
@@ -632,11 +838,13 @@ def test_client_restart_resets_tf_watermark():
     assert vkinds(state(clients={"w0": dict(base, epoch=2, tf=0)}), memory) == []
 
 
+@monitor_fixture
 def test_server_tp_above_last_tf_flagged():
     st = state(servers={"rs0": {"incarnation": 1, "tp": 12, "last_tf_seen": 9}})
     assert vkinds(st) == ["tp_le_last_tf"]
 
 
+@monitor_fixture
 def test_server_tf_view_ahead_of_rm_flagged():
     st = state(
         rm=rm_state(tf=10, tp=5),
@@ -645,6 +853,7 @@ def test_server_tf_view_ahead_of_rm_flagged():
     assert vkinds(st) == ["server_tf_view"]
 
 
+@monitor_fixture
 def test_server_tp_regression_flagged_within_incarnation():
     memory = {}
     st1 = state(servers={"rs0": {"incarnation": 1, "tp": 10, "last_tf_seen": 10}})
@@ -653,6 +862,7 @@ def test_server_tp_regression_flagged_within_incarnation():
     assert vkinds(st2, memory) == ["tp_monotone"]
 
 
+@monitor_fixture
 def test_server_restart_resets_tp_watermark():
     memory = {}
     st1 = state(servers={"rs0": {"incarnation": 1, "tp": 10, "last_tf_seen": 10}})
@@ -661,17 +871,20 @@ def test_server_restart_resets_tp_watermark():
     assert vkinds(st2, memory) == []
 
 
+@monitor_fixture
 def test_truncation_past_tp_flagged():
     st = state(rm=rm_state(tf=10, tp=5), tm={"truncated_below": {"tm": 8}})
     assert vkinds(st) == ["truncation_le_tp"]
 
 
+@monitor_fixture
 def test_global_threshold_regression_flagged():
     memory = {}
     assert vkinds(state(rm=rm_state(tf=10, tp=8)), memory) == []
     assert vkinds(state(rm=rm_state(tf=7, tp=6)), memory) == ["global_monotone"]
 
 
+@monitor_fixture
 def test_rm_restart_resets_global_watermarks():
     memory = {}
     evaluate_invariants(state(rm=rm_state(tf=10, tp=8, epoch=1)), memory)
@@ -681,6 +894,7 @@ def test_rm_restart_resets_global_watermarks():
 # ----------------------------------------------------------------------
 # sharded TM: one pair of thresholds, every shard's truncation checked
 # ----------------------------------------------------------------------
+@monitor_fixture
 def test_sharded_clean_state_passes():
     st = state(
         rm=rm_state(tf=10, tp=8),
@@ -689,6 +903,7 @@ def test_sharded_clean_state_passes():
     assert vkinds(st, {}) == []
 
 
+@monitor_fixture
 def test_shard_truncation_past_tp_flagged():
     st = state(
         rm=rm_state(tf=10, tp=5),
