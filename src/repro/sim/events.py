@@ -138,8 +138,9 @@ class Event:
         """Trigger *and* process the event now, inside the caller.
 
         For a same-instant hand-off within one causal chain (an RPC reply
-        reaching its caller, a free slot's grant, a node's process
-        returning): the waiters run here rather than after a
+        reaching its caller, a slot's grant to a free or timed request, an
+        item put to a parked getter, a node's process returning): the
+        waiters run here rather than after a
         zero-delay trip through the kernel queue, so no kernel event is
         spent where no simulated time passes.  The event must be pending.
         """

@@ -8,6 +8,14 @@ in the benchmarks.
 :class:`SimQueue` is an unbounded producer/consumer channel (SimPy's Store):
 ``put`` never blocks, ``get`` returns an event that fires when an item is
 available.
+
+Both hand over in place where the receiver's next step is part of the
+giver's instant: a slot released to a waiter in ``use(duration > 0)``
+starts that waiter's service timeout inside :meth:`Resource.release`, and
+an item put to a parked getter resumes the getter inside
+:meth:`SimQueue.put` -- no kernel event for either.  Every other grant,
+and a ``get`` of an item already queued, is still a queued event
+(docs/SIMULATION.md, "What stays queued on purpose").
 """
 
 from __future__ import annotations
@@ -21,6 +29,14 @@ from repro.sim.events import Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Kernel
+
+
+class _ServiceGrant(Event):
+    """The grant a ``use(duration > 0)`` waiter parks on.  Its only step
+    once granted is to start its service timeout, so :meth:`Resource.release`
+    completes it in place."""
+
+    __slots__ = ()
 
 
 class Resource:
@@ -53,10 +69,11 @@ class Resource:
         """Return an event that fires once a slot is granted to the caller.
 
         With a slot free it is taken here and now and the returned event is
-        already processed; otherwise the request queues FIFO.  The caller
-        must eventually :meth:`release` the slot.  If the waiting process
-        is interrupted it must call :meth:`cancel` with the pending event
-        so the slot is not granted to a ghost.
+        already processed; otherwise the request queues FIFO and its grant
+        is a queued event, so the caller resumes after the releaser's step.
+        The caller must eventually :meth:`release` the slot.  If the
+        waiting process is interrupted it must call :meth:`cancel` with the
+        pending event so the slot is not granted to a ghost.
         """
         if self._in_use < self.capacity:
             self._in_use += 1
@@ -78,26 +95,40 @@ class Resource:
             pass
 
     def release(self) -> None:
-        """Return a slot to the pool, waking the oldest waiter if any."""
+        """Return a slot to the pool, handing it to the oldest waiter if any.
+
+        A ``use(duration > 0)`` waiter is granted in place: it starts its
+        service timeout here, at the release instant.  Any other grant is
+        queued, so its waiter acts after the releaser's step.
+        """
         if self._in_use <= 0:
             raise ScheduleError("release() without a matching request()")
         while self._waiters:
             waiter = self._waiters.popleft()
             if waiter.triggered:  # cancelled but not yet removed
                 continue
-            waiter.succeed(self)
+            if type(waiter) is _ServiceGrant:
+                waiter._complete(True, self)
+            else:
+                waiter.succeed(self)
             return
         self._in_use -= 1
 
     def use(self, duration: float):
         """Generator helper: hold one slot for ``duration`` simulated seconds.
 
-        Usage inside a process: ``yield from resource.use(0.001)``.
-        Interrupt-safe: the slot (or pending request) is released on the way
-        out even if the process is interrupted mid-wait.
+        Usage inside a process: ``yield from resource.use(0.001)``.  A free
+        slot is taken without suspending; otherwise the process queues
+        FIFO, and with a service time to run it is granted in place by
+        :meth:`release`.  Interrupt-safe: the slot (or pending request) is
+        released on the way out even if the process is interrupted
+        mid-wait.
         """
-        grant = self.request()
-        if grant.callbacks is not None:  # no slot free: wait in the queue
+        if self._in_use < self.capacity:
+            self._in_use += 1
+        else:  # no slot free: wait in the queue
+            grant = _ServiceGrant(self.kernel) if duration > 0 else Event(self.kernel)
+            self._waiters.append(grant)
             try:
                 yield grant
             except BaseException:
@@ -122,7 +153,10 @@ class SimQueue:
         return len(self._items)
 
     def put(self, item: Any) -> None:
-        """Append ``item``; wakes the oldest waiting getter if any."""
+        """Append ``item``, or hand it to the oldest parked getter in place.
+
+        The getter resumes here, before ``put`` returns.
+        """
         while self._getters:
             getter = self._getters.popleft()
             if getter.triggered or not getter.callbacks:
@@ -132,12 +166,16 @@ class SimQueue:
                 # but leaves the event pending, and handing the item to
                 # it would silently lose the item.
                 continue
-            getter.succeed(item)
+            getter._complete(True, item)
             return
         self._items.append(item)
 
     def get(self) -> Event:
-        """Event that fires with the next item (immediately if available)."""
+        """Event that fires with the next item.
+
+        An item already queued is still delivered through the kernel
+        queue, after the caller's step.
+        """
         event = Event(self.kernel)
         if self._items:
             event.succeed(self._items.popleft())

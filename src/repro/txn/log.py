@@ -298,7 +298,14 @@ def group_commit(
     while the previous write was on the device -- and hand it,
     ``group_commit_max`` at a time, to ``write_chunk(records, nbytes)``, a
     generator that returns once the records are durable (retrying as its
-    medium requires); then wake that chunk's waiters."""
+    medium requires); then wake that chunk's waiters.
+
+    An append to an idle committer resumes it inside the appender's
+    ``put``, so that record's write starts at the append instant with no
+    kernel event between.  The waiters' ``done`` events and the re-``get``
+    of appends that queued during a write stay queued: either in place
+    moves a schedule (docs/SIMULATION.md, "What stays queued on
+    purpose")."""
     try:
         while True:
             first = yield queue.get()
@@ -412,8 +419,10 @@ class RecoveryLog:
         self.restart()
 
     def append(self, record: LogRecord) -> Event:
-        """Queue a commit record on its member; the event fires once it is
-        durable there."""
+        """Queue a commit record on its member; the event fires once durable.
+
+        An idle committer starts the record's write before this returns.
+        """
         done = Event(self.host.kernel)
         self._queues[record.commit_ts % len(self._queues)].put((record, done))
         return done
@@ -458,8 +467,13 @@ class RecoveryLog:
             )
 
     def on_host_crash(self) -> None:
-        """Host crash hook: queued appends die, the zero-hop member takes
-        the power cut."""
+        """Host crash hook: queued appends die; power-cut the zero-hop member.
+
+        Only appends queued behind a write in flight are still queued.  The
+        write in flight stores nothing on the zero-hop member (its power
+        cut); a ``shard_append`` already on the wire may still land on its
+        logger shard, and its acknowledgement dies with the host.
+        """
         # Queued appends die here, not at restart: their waiters died
         # with this crash, whereas an append enqueued between revive()
         # and the restart call belongs to a live handler and a

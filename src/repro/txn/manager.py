@@ -287,7 +287,7 @@ class TransactionManager(Node):
         self._decisions[key] = reply
         while len(self._decisions) > self.settings.commit_cache_size:
             self._decisions.popitem(last=False)
-        if not gate.triggered:
+        if gate.callbacks:  # duplicates wait; nobody else can find the gate
             gate.succeed(reply)
         return dict(reply)
 
@@ -648,7 +648,8 @@ class TransactionManager(Node):
         else:
             self._n_decide_aborts.inc()
         self._registry_gates.pop(key, None)
-        gate.succeed(dict(entry))
+        if gate.callbacks:  # duplicates wait; nobody else can find the gate
+            gate.succeed(dict(entry))
         return dict(entry)
 
     def _decide(self, key, proposal, **keysets):

@@ -4,6 +4,16 @@ import pytest
 
 from repro.errors import ScheduleError
 from repro.sim import Interrupt, Kernel, Resource, SimQueue
+from repro.sim.events import Timeout
+
+
+def run_popping(k):
+    """Run ``k`` until its queue drains; every event popped, in order."""
+    popped = []
+    while k._queue:
+        popped.append(k._queue.peek()[3])
+        k.step()
+    return popped
 
 
 def test_resource_limits_parallelism():
@@ -35,6 +45,57 @@ def test_resource_fifo_grant_order():
         k.process(worker(k, res, name))
     k.run()
     assert order == ["a", "b", "c"]
+
+
+def test_timed_waiter_starts_its_service_at_the_release_instant():
+    k = Kernel()
+    res = Resource(k, capacity=1)
+    served = []
+
+    def worker(k, res, hold):
+        yield from res.use(hold)
+        served.append(k.now)
+
+    k.process(worker(k, res, 1.0))
+    waiter = k.process(worker(k, res, 2.0))
+    k.run(until=0.5)
+    assert res.queue_length == 1
+    k.step()  # the holder's service ends at t=1.0 and it releases
+    # The waiter is already in its service: no grant is left to pop.
+    assert k.now == 1.0 and isinstance(waiter.target, Timeout)
+    assert res.in_use == 1 and res.queue_length == 0
+    popped = run_popping(k)
+    assert served == [1.0, 3.0]
+    assert [e for e in popped if getattr(e, "_value", None) is res] == []
+
+
+def test_untimed_waiters_resume_after_the_releasers_step():
+    """A ``use(0.0)`` waiter and a raw ``request()`` waiter act the moment
+    they are granted, so their grants stay queued: each resumes only once
+    the process that released has finished its step.  The FlushTracker
+    lock relies on this order."""
+    k = Kernel()
+    res = Resource(k, capacity=1)
+    order = []
+
+    def holder():
+        yield from res.use(1.0)
+        order.append("holder")
+
+    def zero_hold():
+        yield from res.use(0.0)
+        order.append("zero-hold")
+
+    def raw():
+        yield res.request()
+        order.append("raw")
+        res.release()
+
+    for gen in (holder(), zero_hold(), raw()):
+        k.process(gen)
+    popped = run_popping(k)
+    assert order == ["holder", "zero-hold", "raw"] and k.now == 1.0
+    assert len([e for e in popped if getattr(e, "_value", None) is res]) == 2
 
 
 def test_release_without_request_raises():
@@ -193,15 +254,62 @@ def test_simqueue_immediate_get_when_item_present():
     q = SimQueue(k)
     q.put(1)
     q.put(2)
+    q.put(3)
     got = []
 
     def consumer(k, q):
         got.append((yield q.get()))
         got.append((yield q.get()))
 
+    # A get of an item already queued still resumes through the kernel
+    # queue, after the getter's step.
+    first = q.get()
+    assert first.triggered and not first.processed
+    k.run()
+    assert first.processed and first.value == 1
     k.process(consumer(k, q))
     k.run()
-    assert got == [1, 2]
+    assert got == [2, 3]
+
+
+def test_put_to_a_parked_getter_runs_it_before_put_returns():
+    k = Kernel()
+    q = SimQueue(k)
+    got = []
+
+    def consumer(k, q):
+        got.append(((yield q.get()), k.now))
+
+    k.process(consumer(k, q))
+    k.run(until=1.0)
+    before = k.event_count
+    q.put("item")
+    assert got == [("item", 1.0)] and len(q) == 0
+    k.run()
+    assert k.event_count - before == 1  # the consumer's own end, no wake-up
+
+
+def test_put_skips_a_getter_interrupted_away():
+    k = Kernel()
+    q = SimQueue(k)
+    got = []
+
+    def consumer(k, q):
+        try:
+            got.append((yield q.get()))
+        except Interrupt:
+            got.append("interrupted")
+
+    victim = k.process(consumer(k, q))
+    k.run()
+    victim.interrupt("crash")
+    q.put("item")  # the victim's get is still pending, but nobody waits on it
+    assert len(q) == 1
+    k.run()
+    assert got == ["interrupted"] and len(q) == 1
+    k.process(consumer(k, q))
+    k.run()
+    assert got == ["interrupted", "item"]
 
 
 def test_simqueue_drain():
