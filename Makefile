@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-verbose chaos chaos-disk chaos-kill chaos-tm-shard chaos-ssi chaos-all check-sweep bench bench-compare bench-figs bench-paper examples demo clean apidoc loc
+.PHONY: install test test-fast test-verbose chaos chaos-disk chaos-kill chaos-tm-shard chaos-ssi chaos-all check-sweep bench bench-compare host-pairs bench-figs bench-paper examples demo clean apidoc loc
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -73,6 +73,18 @@ bench:
 
 bench-compare:
 	$(PYTHON) bench/compare.py $(OLD) $(NEW)
+
+# host_txn_per_s of the working tree against the git ref BASE, in N
+# alternating pairs of one-workload benchmark runs on workload W; AA=1
+# adds a BASE-against-BASE set; BASE_DIR=<checkout of BASE> skips the
+# temporary worktree (tools/host_pairs.py).
+BASE ?= HEAD
+W ?= saturated_closed
+N ?= 10
+SEED ?= 0
+host-pairs:
+	$(PYTHON) tools/host_pairs.py $(BASE) --workload $(W) --pairs $(N) \
+		--seed $(SEED) $(if $(AA),--aa) $(if $(BASE_DIR),--base-dir $(BASE_DIR))
 
 bench-figs:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q

@@ -40,7 +40,8 @@ bit-identical summaries.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from collections import deque
+from typing import Callable, Deque, Dict, Iterable, List, Optional
 
 from repro.metrics.histogram import LatencyHistogram
 
@@ -109,10 +110,10 @@ class SpanTracer:
         self._clock = clock
         self._next_id = 1
         self._open: Dict[int, Span] = {}
-        self._finished: List[Span] = []
-        self._max_records = max_records
+        # The newest ``max_records`` finished spans; the per-stage
+        # histograms count every span, kept or not.
+        self._finished: Deque[Span] = deque(maxlen=max_records)
         self._stage_hist: Dict[str, LatencyHistogram] = {}
-        self._stage_count: Dict[str, int] = {}
         self._truncated: List[Span] = []
         # Running duration totals per (txn, stage), maintained at finish
         # time so sum_durations() never scans the finished list (it is
@@ -136,7 +137,7 @@ class SpanTracer:
             txn=txn,
             parent_id=parent.span_id if parent is not None else None,
             start=self._clock(),
-            tags=dict(tags),
+            tags=tags,
         )
         self._next_id += 1
         self._open[span.span_id] = span
@@ -155,15 +156,12 @@ class SpanTracer:
             sums = self._txn_stage_sums
             sums[key] = sums.get(key, 0.0) + duration
         self._finished.append(span)
-        if len(self._finished) > self._max_records:
-            del self._finished[: len(self._finished) - self._max_records]
 
     def _record_duration(self, stage: str, duration: float) -> None:
         hist = self._stage_hist.get(stage)
         if hist is None:
             hist = self._stage_hist[stage] = LatencyHistogram(stage)
         hist.record(duration)
-        self._stage_count[stage] = self._stage_count.get(stage, 0) + 1
 
     def record(
         self,
@@ -186,7 +184,7 @@ class SpanTracer:
             txn=txn,
             parent_id=parent.span_id if parent is not None else None,
             start=now - duration,
-            tags=dict(tags),
+            tags=tags,
         )
         self._next_id += 1
         span.end_time = now
@@ -196,8 +194,6 @@ class SpanTracer:
             sums = self._txn_stage_sums
             sums[key] = sums.get(key, 0.0) + duration
         self._finished.append(span)
-        if len(self._finished) > self._max_records:
-            del self._finished[: len(self._finished) - self._max_records]
         return span
 
     def truncate_open(self, predicate: Callable[[Span], bool]) -> List[Span]:

@@ -26,7 +26,9 @@ ProcGen = Generator[Event, Any, Any]
 class Process(Event):
     """A running generator, resumable on events, interruptible."""
 
-    __slots__ = ("_generator", "_target", "_name", "_resume")
+    # ``__weakref__``: that a finished process is freed at once is part of
+    # its contract, and a weak reference is how a test watches it go.
+    __slots__ = ("_generator", "_target", "_name", "_resume", "__weakref__")
 
     def __init__(
         self, kernel: "Kernel", generator: ProcGen, name: Any = None
@@ -46,7 +48,11 @@ class Process(Event):
         # One bound method reused for every wait: the resume trampoline is
         # registered as a callback tens of thousands of times per run, and
         # each implicit ``self._resume`` lookup would mint a fresh bound
-        # method object.
+        # method object.  The bound method refers back to the process, so
+        # ``_do_resume`` drops it when the generator ends: a finished
+        # process is then freed by reference counting alone, never left
+        # for the cyclic collector (docs/SIMULATION.md, "Where host time
+        # goes: the collector").
         self._resume = self._do_resume
         self._start()
 
@@ -135,15 +141,22 @@ class Process(Event):
                     event._defused = True
                     nxt = generator.throw(event._value)
             except StopIteration as stop:
+                self._resume = None
                 self._exit(True, stop.value)
                 return
             except BaseException as exc:  # generator died
+                # The traceback's head is this frame, whose locals hold the
+                # process the exception is about to be stored on: start it
+                # at the generator's frame instead, so no cycle forms.
+                exc.__traceback__ = exc.__traceback__.tb_next
+                self._resume = None
                 self._exit(False, exc)
                 return
 
             try:
                 callbacks = nxt.callbacks
             except AttributeError:
+                self._resume = None
                 self._exit(False, ScheduleError(
                     f"process {self.name!r} yielded non-event {nxt!r}"
                 ))

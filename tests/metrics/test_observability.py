@@ -208,6 +208,20 @@ def test_stage_with_only_truncated_spans_reports_zero_latency():
     assert summary["truncated"] == 1
 
 
+def test_retention_keeps_the_newest_spans_and_counts_them_all():
+    clock = FakeClock()
+    tracer = SpanTracer(clock, max_records=5)
+    for i in range(4):
+        tracer.begin("wal.sync", n=i).end()
+    for i in range(4, 8):
+        tracer.record("commit.reply", 0.01, n=i)
+    assert [s.tags["n"] for s in tracer.spans()] == [3, 4, 5, 6, 7]
+    assert [s.tags["n"] for s in tracer.spans(stage="wal.sync")] == [3]
+    summary = tracer.stage_summary()
+    assert summary["wal.sync"]["count"] == 4
+    assert summary["commit.reply"]["count"] == 4
+
+
 def test_tracer_for_is_shared_per_kernel():
     kernel = Kernel(seed=1)
     assert tracer_for(kernel) is tracer_for(kernel)

@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event kernel, events, and processes."""
 
+import gc
+from contextlib import contextmanager
+
 import pytest
 
 from repro.errors import ScheduleError, SimulationError
@@ -313,3 +316,63 @@ def test_kernel_process_never_starts_inside_the_caller():
     assert not started
     k.run()
     assert started == [0.0]
+
+
+# ----------------------------------------------------------------------
+# the cyclic collector is paused inside run()
+# ----------------------------------------------------------------------
+@contextmanager
+def collector(enabled):
+    """Run the body with the automatic collector on or off, then restore."""
+    collecting = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if collecting else gc.disable)()
+
+
+def test_the_collector_is_off_inside_a_process_step():
+    k = Kernel()
+    seen = []
+
+    def proc(k):
+        seen.append(gc.isenabled())
+        yield k.timeout(1.0)
+        seen.append(gc.isenabled())
+
+    k.process(proc(k))
+    with collector(enabled=True):
+        k.run()
+        assert gc.isenabled()
+    assert seen == [False, False]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_restores_the_callers_collector_setting(enabled):
+    k = Kernel()
+
+    def proc(k):
+        yield k.timeout(1.0)
+
+    k.process(proc(k))
+    with collector(enabled):
+        k.run(until=0.5)
+        assert gc.isenabled() is enabled
+        k.run()
+        assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_restores_the_collector_setting_when_it_raises(enabled):
+    k = Kernel(strict=True)
+
+    def bad(k):
+        yield k.timeout(1.0)
+        raise RuntimeError("bug in process")
+
+    k.process(bad(k))
+    with collector(enabled):
+        with pytest.raises(SimulationError):
+            k.run()
+        assert gc.isenabled() is enabled

@@ -7,6 +7,9 @@ failure queued.  ``spawn`` keeps its queued start; ``fork`` starts the
 child inside the caller.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import RpcTimeout, ScheduleError, SimulationError
@@ -317,3 +320,65 @@ def test_rpc_handlers_are_the_same_class():
     assert k.run_until_complete(app.fork(caller())) == 7
     k.run()
     assert not server._procs and not app._procs
+
+
+# ----------------------------------------------------------------------
+# a finished process is freed by reference counting alone
+# ----------------------------------------------------------------------
+@pytest.fixture
+def no_collector():
+    """The cyclic collector off: only reference counting frees anything."""
+    collecting = gc.isenabled()
+    gc.disable()
+    yield
+    if collecting:
+        gc.enable()
+
+
+def ending(k, outcome):
+    yield k.timeout(1.0)
+    if outcome == "raise":
+        raise ValueError("boom")
+    return "done"
+
+
+@pytest.mark.parametrize("start", ["spawn", "fork", "kernel.process"])
+@pytest.mark.parametrize("outcome", ["return", "raise", "interrupt"])
+def test_a_finished_process_is_freed_without_the_collector(no_collector, start, outcome):
+    k, app, _server = make_node(strict=False)
+    if start == "kernel.process":
+        proc = k.process(ending(k, outcome))
+    else:
+        proc = getattr(app, start)(ending(k, outcome))
+    if outcome == "interrupt":
+        k.run(until=0.5)
+        proc.interrupt("crash")
+    k.run()
+    assert not proc.is_alive and proc.ok == (outcome == "return")
+    k.dead_processes.clear()  # the post-mortem list keeps a failed process
+    gone = weakref.ref(proc)
+    del proc
+    assert gone() is None
+
+
+@pytest.mark.parametrize("method", ["echo", "never"])
+def test_a_finished_rpc_handler_is_freed_without_the_collector(no_collector, method):
+    """``echo`` replies; ``never`` is still parked when its server crashes."""
+    k, app, server = make_node()
+    handlers = []
+
+    def caller():
+        payload = {"value": 7} if method == "echo" else {}
+        event = app.call("server", method, timeout=1.0, **payload)
+        yield k.timeout(0.0005)  # the request has landed, the handler is parked
+        handlers.extend(weakref.ref(p) for p in server._procs)
+        try:
+            return (yield event)
+        except RpcTimeout:
+            return "timed out"
+
+    k.call_later(0.5, lambda _arg: server.crash() if method == "never" else None)
+    expected = 7 if method == "echo" else "timed out"
+    assert k.run_until_complete(app.fork(caller())) == expected
+    k.run()
+    assert len(handlers) == 1 and handlers[0]() is None
