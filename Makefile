@@ -74,17 +74,14 @@ bench:
 bench-compare:
 	$(PYTHON) bench/compare.py $(OLD) $(NEW)
 
-# host_txn_per_s of the working tree against the git ref BASE, in N
-# alternating pairs of one-workload benchmark runs on workload W; AA=1
-# adds a BASE-against-BASE set; BASE_DIR=<checkout of BASE> skips the
-# temporary worktree (tools/host_pairs.py).
-BASE ?= HEAD
-W ?= saturated_closed
-N ?= 10
-SEED ?= 0
+# host_txn_per_s of the working tree against the git ref BASE (required),
+# in N alternating pairs of one-workload benchmark runs on workload W;
+# AA=1 adds a BASE-against-BASE set.  Unset W, N and SEED take
+# tools/host_pairs.py's defaults.
 host-pairs:
-	$(PYTHON) tools/host_pairs.py $(BASE) --workload $(W) --pairs $(N) \
-		--seed $(SEED) $(if $(AA),--aa) $(if $(BASE_DIR),--base-dir $(BASE_DIR))
+	$(if $(BASE),,$(error BASE=<git ref> is required))
+	$(PYTHON) tools/host_pairs.py $(BASE) $(if $(W),--workload $(W)) \
+		$(if $(N),--pairs $(N)) $(if $(SEED),--seed $(SEED)) $(if $(AA),--aa)
 
 bench-figs:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q

@@ -263,6 +263,7 @@ def cmd_failover(args: argparse.Namespace) -> int:
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Seed-swept chaos storms auditing the durability guarantee."""
     import dataclasses
+    import gc
     import json
     import os
 
@@ -314,6 +315,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             print(f"  violation: {violation}")
         if not report.ok:
             failed.append(seed)
+        # A finished storm's cluster is one large reference cycle, and
+        # ``Kernel.run`` pauses the collector that would otherwise reach it
+        # in time: free it here, before the next seed builds its own.
+        gc.collect()
     if args.disk_faults:
         totals = {"disks": {}, "integrity": {}, "salvage_reports": []}
         for report in reports:

@@ -4,18 +4,18 @@
     python tools/host_pairs.py BASE --workload saturated_closed --pairs 10
     make host-pairs BASE=main W=saturated_closed N=10 [SEED=0] [AA=1]
 
-Checks ``BASE`` out into a temporary ``git worktree`` (or uses the checkout
-given with ``--base-dir``) and runs the benchmark's one-workload form,
-``bench/run.py --workload W --seed S --seconds 10 --trace 0``, once in each
-tree per pair, switching which side goes first every pair: the host drifts
-between faster and slower phases, and a side that always ran first would
-always meet the same phase.  It prints every pair's ``host_txn_per_s``,
-each side's median and quartiles, how many pairs the working tree won, and
-whether that is a gain the benchmark would accept: higher in at least nine
-pairs of ten, by a median margin wider than the base's interquartile
-spread.  ``--aa`` adds a base-against-base set of the same size, the noise
-floor to read the result against.  Every simulated metric is also compared
-across all runs; a change that claims host time only must leave them equal.
+Checks ``BASE`` out into a temporary local clone and runs the benchmark's
+one-workload form at its run length, ``bench/run.py --workload W --seed S
+--seconds 10 --trace 0``, once in each tree per pair, switching which side
+goes first every pair: the host drifts between faster and slower phases,
+and a side that always ran first would always meet the same phase.  It
+prints every pair's ``host_txn_per_s``, each side's median and quartiles,
+how many pairs the working tree won, and whether that is a gain the
+benchmark would accept: higher in at least nine pairs of ten, by a median
+margin wider than the base's interquartile spread.  ``--aa`` adds a
+base-against-base set of the same size, the noise floor to read the result
+against.  Every simulated metric is also compared across all runs; a change
+that claims host time only must leave them equal.
 """
 
 import argparse
@@ -40,7 +40,7 @@ def run_once(tree: str, args) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     cmd = [sys.executable, os.path.join(tree, "bench", "run.py"),
            "--workload", args.workload, "--seed", str(args.seed),
-           "--seconds", str(args.seconds), "--trace", "0"]
+           "--seconds", "10", "--trace", "0"]
     done = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} (in {tree}) exited {done.returncode}")
@@ -101,30 +101,25 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="saturated_closed")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--aa", action="store_true",
                         help="also run a base-against-base set of the same size")
-    parser.add_argument("--base-dir",
-                        help="an existing checkout of BASE to use instead of a worktree")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 for quartiles")
+    # Resolved here, so a ref names the same commit in the clone as in ROOT.
+    commit = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify",
+                             args.base + "^{commit}"], check=True,
+                            stdout=subprocess.PIPE, text=True).stdout.strip()
     print(f"{METRIC}, {args.workload} seed {args.seed}: "
-          f"a = {args.base}, b = the working tree {ROOT}")
+          f"a = {args.base} ({commit[:12]}), b = the working tree {ROOT}")
     with tempfile.TemporaryDirectory(prefix="host-pairs-") as scratch:
-        base = args.base_dir
-        if base is None:
-            base = os.path.join(scratch, "base")
-            subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach", "--quiet",
-                            base, args.base], check=True)
-        try:
-            summarize(*run_pairs(f"a = {args.base}, b = working tree", base, ROOT, args))
-            if args.aa:
-                summarize(*run_pairs(f"A/A: a = b = {args.base}", base, base, args))
-        finally:
-            if args.base_dir is None:
-                subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", base],
-                               check=True)
+        base = os.path.join(scratch, "base")
+        subprocess.run(["git", "clone", "--quiet", "--no-checkout", ROOT, base], check=True)
+        subprocess.run(["git", "-C", base, "checkout", "--quiet", "--detach", commit],
+                       check=True)
+        summarize(*run_pairs(f"a = {args.base}, b = working tree", base, ROOT, args))
+        if args.aa:
+            summarize(*run_pairs(f"A/A: a = b = {args.base}", base, base, args))
     return 0
 
 
