@@ -415,7 +415,7 @@ class SimCluster:
         """Revive a crashed machine (datanode + region server).
 
         The datanode's durable replicas survived; the region server rejoins
-        empty and picks up work via failover, splits, or ``balance``.
+        empty and picks up work via failover, ``move_region`` or ``balance``.
         """
         self.datanodes[index].revive()
         rs = self.servers[index]
@@ -583,14 +583,6 @@ class SimCluster:
     # ------------------------------------------------------------------
     # status
     # ------------------------------------------------------------------
-    def enable_tracing(self, capacity: int = 100_000):
-        """Attach a message tracer to the network; returns it."""
-        from repro.metrics.tracing import Tracer
-
-        tracer = Tracer(capacity=capacity)
-        self.net.tracer = tracer
-        return tracer
-
     def net_stats(self) -> dict:
         """Fabric counters: traffic, chaos losses/duplicates, retries.
 

@@ -105,10 +105,6 @@ class KvSettings:
     memstore_flush_entries: int = 20_000
     #: Store files per region that trigger a (minor) compaction.
     compaction_threshold: int = 4
-    #: Entries in a region (memstore + store files) that trigger an
-    #: automatic split.  None disables splitting (the default: the paper's
-    #: experiments run with a fixed region count).
-    region_split_entries: Optional[int] = None
     #: Rows per data block (the block cache granularity).
     rows_per_block: int = 128
     #: Block-cache capacity, in blocks, per region server.  The paper sized

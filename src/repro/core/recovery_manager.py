@@ -644,9 +644,10 @@ class RecoveryManager(ZkWatcherMixin, Node):
             pass
 
     def _region_range(self, region: str):
-        # Always refetch: region boundaries change under splits, and a
-        # stale (wider) range would replay rows the hosting server must
-        # reject, wedging the recovery.
+        # Fetched from the master on every recovery: the RM keeps no copy
+        # of the region map.  Boundaries are fixed at create_table, so a
+        # cache would be sound, but this fetch is part of the failover
+        # schedule every recovery measurement includes.
         table = region.split(",", 1)[0]
         # Retried: a master failing over mid-recovery must delay the
         # replay, not abort it (an aborted replay would leave the region

@@ -153,20 +153,3 @@ class TxnConflict(TxnAborted):
 
 class InvalidTxnState(TxnError):
     """An operation was invoked in a transaction state that forbids it."""
-
-
-class RecoveryError(ReproError):
-    """Base class for recovery-middleware errors."""
-
-
-class StuckRegionAlert(RecoveryError):
-    """A flush/persist queue exceeded its configured alert threshold."""
-
-    def __init__(self, component: str, queue_size: int, threshold: int) -> None:
-        super().__init__(
-            f"{component}: tracking queue size {queue_size} exceeds "
-            f"alert threshold {threshold}"
-        )
-        self.component = component
-        self.queue_size = queue_size
-        self.threshold = threshold

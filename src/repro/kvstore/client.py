@@ -301,9 +301,9 @@ class KvClient:
         has acknowledged its fragment -- the paper's *flushed* state.
 
         Fragments retry with a per-round bound; cells whose fragment fails
-        a round (typically because the region map changed under us -- a
-        split or a move) are **re-grouped** against the fresh map and
-        retried, indefinitely unless ``max_retries`` is given.
+        a round (typically because a region moved or failed over under
+        us) are **re-grouped** against the fresh map and retried,
+        indefinitely unless ``max_retries`` is given.
         """
         remaining = list(cells)
         acks: Dict[str, object] = {}

@@ -80,14 +80,9 @@ class Master(ZkWatcherMixin, Node):
         self._live_servers: List[str] = []
         self._assign_cursor = itertools.count()
         self._epoch = itertools.count()
-        self._splitting: set = set()
         #: Registry behind the coordination counters (see ``metrics()``).
         self.registry = MetricsRegistry("master", addr)
-        (
-            self._n_failures_handled,
-            self._n_splits,
-            self._n_merges,
-        ) = self.registry.counters("failures_handled", "splits", "merges")
+        self._n_failures_handled = self.registry.counter("failures_handled")
         #: Per-region recovery log sources: every WAL segment path a
         #: region's edits may live in, accumulated across failovers and
         #: never cleared while the run lasts (fan-out replay lands in
@@ -224,8 +219,6 @@ class Master(ZkWatcherMixin, Node):
             "assignments": dict(self.assignments),
             "online": dict(self.online),
             "failures_handled": self._n_failures_handled.value,
-            "splits": self._n_splits.value,
-            "merges": self._n_merges.value,
             "recovery_sources": {
                 region: list(paths)
                 for region, paths in sorted(self._recovery_sources.items())
@@ -261,8 +254,9 @@ class Master(ZkWatcherMixin, Node):
     def rpc_balance(self, sender: str):
         """Even region counts across live servers (e.g. after scale-out).
 
-        Greedy: repeatedly move a region from the most- to the least-loaded
-        server until the spread is at most one.  Returns the moves made.
+        Greedy: repeatedly move a region (``rpc_move_region``) from the
+        most- to the least-loaded server until the spread is at most one.
+        Returns the moves made.
         """
         moves = []
         while True:
@@ -277,125 +271,9 @@ class Master(ZkWatcherMixin, Node):
             if len(loads[busiest]) - len(loads[idlest]) <= 1:
                 break
             region = sorted(loads[busiest])[0]
-            yield from self._move_region_inline(region, busiest, idlest)
+            yield from self.rpc_move_region(sender, region, idlest)
             moves.append({"region": region, "from": busiest, "to": idlest})
         return moves
-
-    def _move_region_inline(self, region: str, source: str, target: str):
-        descriptors = {d.region_id: d for ds in self.tables.values() for d in ds}
-        self.online[region] = False
-        yield self.call(source, "close_region", timeout=60.0, region_id=region)
-        self.assignments[region] = target
-        yield self.call(
-            target, "open_region", timeout=60.0,
-            descriptor=descriptors[region].to_wire(),
-        )
-
-    # ------------------------------------------------------------------
-    # region splits
-    # ------------------------------------------------------------------
-    def rpc_request_split(self, sender: str, region: str, midpoint: str, server: str):
-        """A region server reports a region over its size budget.
-
-        The master closes the region (memstore flushed), replaces it with
-        two children that inherit the parent's store-file directories, and
-        opens both on the same server.  Clients see the brief offline
-        window as routing errors and re-group their flushes against the
-        fresh region map.
-        """
-        holder = self.assignments.get(region)
-        if holder != server or region in self._splitting:
-            return {"split": False, "reason": "stale or in progress"}
-        descriptors = {d.region_id: d for ds in self.tables.values() for d in ds}
-        parent = descriptors.get(region)
-        if parent is None or not parent.key_range.contains(midpoint):
-            return {"split": False, "reason": "bad midpoint"}
-        if midpoint == parent.start:
-            return {"split": False, "reason": "degenerate midpoint"}
-        self._splitting.add(region)
-        try:
-            self.online[region] = False
-            yield self.call(holder, "close_region", timeout=60.0, region_id=region)
-
-            inherited = parent.all_dirs()
-            low = RegionDescriptor(
-                table=parent.table, start=parent.start, end=midpoint,
-                extra_dirs=inherited, gen=parent.gen + 1,
-            )
-            high = RegionDescriptor(
-                table=parent.table, start=midpoint, end=parent.end,
-                extra_dirs=inherited, gen=parent.gen + 1,
-            )
-            regions = self.tables[parent.table]
-            idx = regions.index(parent)
-            self.tables[parent.table] = regions[:idx] + [low, high] + regions[idx + 1:]
-            self.assignments.pop(region, None)
-            self.online.pop(region, None)
-            self._n_splits.inc()
-            for child in (low, high):
-                self.assignments[child.region_id] = holder
-                self.online[child.region_id] = False
-                yield self.call(
-                    holder, "open_region", timeout=60.0,
-                    descriptor=child.to_wire(),
-                )
-            return {
-                "split": True,
-                "children": [low.region_id, high.region_id],
-            }
-        finally:
-            self._splitting.discard(region)
-
-    def rpc_merge_regions(self, sender: str, region_low: str, region_high: str):
-        """Merge two adjacent regions into one (an administrative action,
-        e.g. after deletions leave neighbours cold).
-
-        Both are closed cleanly (memstores flushed), then a single region
-        spanning their union opens on the low region's server, inheriting
-        both store directories.
-        """
-        descriptors = {d.region_id: d for ds in self.tables.values() for d in ds}
-        low = descriptors.get(region_low)
-        high = descriptors.get(region_high)
-        if low is None or high is None:
-            raise KvError("unknown region(s)")
-        if low.table != high.table or low.end != high.start:
-            raise KvError(f"{region_low!r} and {region_high!r} are not adjacent")
-        if region_low in self._splitting or region_high in self._splitting:
-            raise KvError("region operation already in progress")
-        self._splitting.update((region_low, region_high))
-        try:
-            target = self.assignments.get(region_low)
-            if target is None:
-                raise KvError(f"{region_low!r} is unassigned")
-            for region in (region_low, region_high):
-                self.online[region] = False
-                holder = self.assignments[region]
-                yield self.call(holder, "close_region", timeout=60.0, region_id=region)
-
-            inherited = sorted(set(low.all_dirs()) | set(high.all_dirs()))
-            merged = RegionDescriptor(
-                table=low.table, start=low.start, end=high.end,
-                extra_dirs=inherited, gen=max(low.gen, high.gen) + 1,
-            )
-            regions = self.tables[low.table]
-            idx = regions.index(low)
-            regions = [r for r in regions if r not in (low, high)]
-            regions.insert(idx, merged)
-            self.tables[low.table] = regions
-            for region in (region_low, region_high):
-                self.assignments.pop(region, None)
-                self.online.pop(region, None)
-            self.assignments[merged.region_id] = target
-            self.online[merged.region_id] = False
-            yield self.call(
-                target, "open_region", timeout=60.0, descriptor=merged.to_wire()
-            )
-            self._n_merges.inc()
-            return {"merged": merged.region_id, "server": target}
-        finally:
-            self._splitting.discard(region_low)
-            self._splitting.discard(region_high)
 
     # ------------------------------------------------------------------
     # failure handling

@@ -23,15 +23,6 @@ class RegionDescriptor:
     table: str
     start: str
     end: Optional[str]
-    #: DFS directories inherited from parent regions after a split; the
-    #: children keep reading the parent's store files (range-filtered by
-    #: routing) until compaction rewrites them into their own directories.
-    extra_dirs: List[str] = field(default_factory=list)
-    #: Split generation.  Gives each incarnation its own store directory:
-    #: the low child of a split shares the parent's start key, and must
-    #: not share its directory, or the child's compaction would delete
-    #: parent files its sibling still reads.
-    gen: int = 0
 
     @property
     def region_id(self) -> str:
@@ -49,30 +40,18 @@ class RegionDescriptor:
             "table": self.table,
             "start": self.start,
             "end": self.end,
-            "extra_dirs": list(self.extra_dirs),
-            "gen": self.gen,
         }
 
     @staticmethod
     def from_wire(wire: dict) -> "RegionDescriptor":
         """Inverse of :meth:`to_wire`."""
         return RegionDescriptor(
-            table=wire["table"],
-            start=wire["start"],
-            end=wire["end"],
-            extra_dirs=list(wire.get("extra_dirs", ())),
-            gen=wire.get("gen", 0),
+            table=wire["table"], start=wire["start"], end=wire["end"]
         )
 
     def data_dir(self) -> str:
-        """DFS directory for this region incarnation's (own) sstables."""
-        base = self.start or "_first"
-        suffix = f".g{self.gen}" if self.gen else ""
-        return f"/data/{self.table}/{base}{suffix}/"
-
-    def all_dirs(self) -> List[str]:
-        """Every directory whose store files this region reads."""
-        return [self.data_dir()] + [d for d in self.extra_dirs if d != self.data_dir()]
+        """DFS directory for this region's sstables."""
+        return f"/data/{self.table}/{self.start or '_first'}/"
 
 
 @dataclass

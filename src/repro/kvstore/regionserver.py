@@ -177,7 +177,6 @@ class RegionServer(ZkWatcherMixin, Node):
         # block cache but never cleared by crashes (see _cached_block).
         self._map_memo: Dict[Tuple[str, int], BlockMap] = {}
         self._compacting: set = set()
-        self._split_requested: set = set()
         self._epoch = 0
         #: Registry behind all server statistics (see ``metrics()``).
         self.registry = MetricsRegistry("regionserver", addr)
@@ -245,14 +244,13 @@ class RegionServer(ZkWatcherMixin, Node):
         self.wal.lose_buffer()
         self.started = False
         self._compacting.clear()
-        self._split_requested.clear()
 
     def restart(self):
         """Bring a crashed server back into the cluster.  (Generator API.)
 
         Fresh volatile state and a new WAL epoch; the server rejoins with
         no regions (the master assigns work to it on the next failover,
-        split, or explicit balance).  Only restart once any recovery for
+        move, or balance).  Only restart once any recovery for
         the previous incarnation has completed.
         """
         if self.alive:
@@ -344,16 +342,14 @@ class RegionServer(ZkWatcherMixin, Node):
         region = Region(descriptor=desc, state=OPENING)
         self.regions[desc.region_id] = region
         try:
-            # Load the immutable store files for this region -- its own
-            # directory plus any directories inherited from split parents.
-            for directory in desc.all_dirs():
-                paths = yield from self.dfs.list_dir(directory)
-                for path in paths:
-                    meta = yield from self.dfs.stat(path)
-                    if not meta["closed"]:
-                        continue  # partial flush abandoned by a crashed server
-                    sstable = yield from SSTable.open(self.dfs, path)
-                    region.sstables.append(sstable)
+            # Load the immutable store files for this region.
+            paths = yield from self.dfs.list_dir(desc.data_dir())
+            for path in paths:
+                meta = yield from self.dfs.stat(path)
+                if not meta["closed"]:
+                    continue  # partial flush abandoned by a crashed server
+                sstable = yield from SSTable.open(self.dfs, path)
+                region.sstables.append(sstable)
 
             # HBase-internal recovery: replay this region's lost edits.
             # Replayed edits land only in the memstore, not in this
@@ -513,7 +509,6 @@ class RegionServer(ZkWatcherMixin, Node):
         if region.memstore.total_entries() > 0:
             yield from self._flush_region(region)
         self.regions.pop(region_id, None)
-        self._split_requested.discard(region_id)
         return {"region": region_id, "sstables": len(region.sstables)}
 
     def _require_region(self, region_id: str) -> Region:
@@ -566,9 +561,9 @@ class RegionServer(ZkWatcherMixin, Node):
         """Fetch one block through the cache.  (Generator API.)
 
         Returns None -- and drops the sstable from the region -- when the
-        underlying file no longer exists (e.g. deleted by a compaction
-        elsewhere after a split); its data lives on in the compacted file
-        that the region also references.
+        underlying file no longer exists (e.g. a compaction deleted its
+        inputs while this read was in flight); its data lives on in the
+        compacted file that the region references instead.
         """
         key = (sstable.path, block_idx)
         block_map = self.cache.get(key)
@@ -722,7 +717,8 @@ class RegionServer(ZkWatcherMixin, Node):
         if not region.accepts_writes(from_recovery):
             raise RegionOffline(region_id)
         if any(not region.contains(wire[0]) for wire in cells):
-            # A stale pre-split grouping: some cells belong elsewhere now.
+            # Malformed input: region boundaries are fixed at create_table,
+            # so a client grouping by the region map never sends this.
             # Reject the whole fragment; the client re-groups and retries.
             raise WrongRegionServer(region_id, self.addr)
         span = self._tracer.begin("rs.apply", region=region_id, ts=txn_ts)
@@ -770,58 +766,8 @@ class RegionServer(ZkWatcherMixin, Node):
                             name=f"compact:{region.region_id}",
                         )
                         proc.defuse()
-                    self._maybe_request_split(region)
         except Interrupt:
             return
-
-    def _maybe_request_split(self, region: Region) -> None:
-        """Ask the master to split a region that has outgrown its budget."""
-        threshold = self.settings.region_split_entries
-        if threshold is None or not region.online:
-            return
-        if region.region_id in self._split_requested:
-            return
-        if self._region_size(region) < threshold:
-            return
-        midpoint = self._split_midpoint(region)
-        if midpoint is None:
-            return
-        self._split_requested.add(region.region_id)
-        self.cast(
-            self.master,
-            "request_split",
-            region=region.region_id,
-            midpoint=midpoint,
-            server=self.addr,
-        )
-
-    def _region_size(self, region: Region) -> int:
-        """Entries attributable to this region's key range.
-
-        Inherited split-parent store files contain both children's rows;
-        pro-rate their entry counts by the fraction of block boundaries
-        that fall inside this region, or every split would immediately
-        re-trigger on the children (a split cascade).
-        """
-        size = region.memstore.total_entries()
-        for sstable in region.sstables:
-            if not sstable.index:
-                continue
-            in_range = sum(1 for row in sstable.index if region.contains(row))
-            size += int(sstable.entries * in_range / len(sstable.index))
-        return size
-
-    def _split_midpoint(self, region: Region) -> Optional[str]:
-        """A block boundary near the middle of the region's key range."""
-        candidates = []
-        for sstable in region.sstables:
-            for row in sstable.index:
-                if region.contains(row) and row != region.descriptor.start:
-                    candidates.append(row)
-        if not candidates:
-            return None
-        candidates.sort()
-        return candidates[len(candidates) // 2]
 
     def _flush_region(self, region: Region):
         """Write the region's memstore out as a new sstable."""
@@ -857,15 +803,12 @@ class RegionServer(ZkWatcherMixin, Node):
         """
         try:
             inputs = list(region.sstables)
-            own_dir = region.descriptor.data_dir()
             merged: Dict[Tuple[str, str, int], Cell] = {}
             for sstable in inputs:
                 for block_idx in range(sstable.n_blocks):
                     wire_cells = yield from sstable.read_block(self.dfs, block_idx)
                     for wire in wire_cells:
                         cell = Cell.from_wire(wire)
-                        if not region.contains(cell.row):
-                            continue  # split-parent file: other child's rows
                         merged[(cell.row, cell.column, cell.version)] = cell
             cells = [merged[key] for key in sorted(merged)]
             path = (
@@ -880,7 +823,7 @@ class RegionServer(ZkWatcherMixin, Node):
                 preferred=self.local_datanode,
             )
             if self.regions.get(region.region_id) is not region:
-                # The region was closed (moved or split) while we
+                # The region was closed (moved away) while we
                 # compacted.  Abandon: deleting the inputs now would pull
                 # files out from under whoever reads them next.  The
                 # compacted file stays as a harmless duplicate for the
@@ -892,12 +835,7 @@ class RegionServer(ZkWatcherMixin, Node):
             ]
             for old in inputs:
                 self.cache.invalidate_file(old.path)
-                # Inherited (split-parent) files may still be read by the
-                # sibling region; only our own directory's files go.  The
-                # parent directory is garbage for an offline janitor once
-                # both children have compacted, as in HBase.
-                if old.path.startswith(own_dir):
-                    yield from self.dfs.delete(old.path)
+                yield from self.dfs.delete(old.path)
             self._n_compactions.inc()
         except Interrupt:
             raise

@@ -116,8 +116,6 @@ class Network:
         for name in _FABRIC_COUNTERS:
             self.registry.counter(name)
             setattr(self, name, 0)
-        #: Optional message tracer (see repro.metrics.tracing).
-        self.tracer = None
         # Free list of recycled Message shells (see ``message()``).
         self._pool: List[Message] = []
         # ----- chaos layer (all off by default) ------------------------
@@ -286,11 +284,6 @@ class Network:
         with per-node degradation multiplying every delay.
         """
         self.messages_sent += 1
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.record(
-                self.kernel.now, "send", message.src, message.dst, message.method
-            )
         # Inlined reachable() -- once per message, and send() is one of the
         # hottest functions in the simulator.
         node = self.nodes.get(message.dst)
@@ -303,22 +296,12 @@ class Network:
             )
         ):
             self.messages_dropped += 1
-            if tracer is not None:
-                tracer.record(
-                    self.kernel.now, "drop", message.src, message.dst,
-                    message.method,
-                )
             message._refs = 1
             self._release(message)
             return
         chaos = self._chaos_rng
         if self.loss_probability > 0.0 and chaos.random() < self.loss_probability:
             self.messages_lost += 1
-            if self.tracer is not None:
-                self.tracer.record(
-                    self.kernel.now, "lose", message.src, message.dst,
-                    message.method,
-                )
             message._refs = 1
             self._release(message)
             return
@@ -369,17 +352,7 @@ class Network:
             )
         ):
             self.messages_dropped += 1
-            if self.tracer is not None:
-                self.tracer.record(
-                    self.kernel.now, "drop", message.src, message.dst,
-                    message.method,
-                )
             self._release(message)
             return
-        if self.tracer is not None:
-            self.tracer.record(
-                self.kernel.now, "deliver", message.src, message.dst,
-                message.method,
-            )
         node._on_message(message)
         self._release(message)

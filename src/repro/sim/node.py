@@ -121,8 +121,6 @@ class Node:
         if not self.alive:
             return
         self.alive = False
-        if self.net.tracer is not None:
-            self.net.tracer.record(self.kernel.now, "crash", self.addr, self.addr, "-")
         for process in list(self._procs):
             process.interrupt("crash")
         self._procs.clear()

@@ -3,8 +3,9 @@
 import pytest
 
 from repro import ClusterConfig, SimCluster, TABLE
+from repro.errors import RpcTimeout
 from repro.kvstore.keys import row_key
-from repro.workload import WorkloadDriver
+from repro.workload import CommitLedger, WorkloadDriver
 
 
 def make_cluster(seed=85):
@@ -130,3 +131,68 @@ def test_move_to_dead_server_rejected():
         cluster.run(
             cluster.rpc("master", "move_region", region=region, target="rs9")
         )
+
+
+def test_move_onto_crashed_server_fails_and_failover_recovers_region():
+    """Move a region onto a server whose machine already crashed but whose
+    coordination session has not expired yet: the master still lists the
+    target as live, so the move closes the region and assigns it there,
+    and the open on the dead target times out.  The target's failover
+    must then reopen the region on a live server with every acknowledged
+    commit intact and the table's region boundaries unchanged."""
+    config = ClusterConfig(seed=90)
+    config.workload.n_rows = 4000
+    config.kv.n_regions = 6
+    config.kv.n_region_servers = 3
+    cluster = SimCluster(config).start()
+    cluster.preload()
+    handle = cluster.add_client()
+    ledger = CommitLedger()
+
+    def triples():
+        entries = yield from cluster.rpc("master", "locate_table", table=TABLE)
+        return [(e["start"], e["end"], e["region"]) for e in entries]
+
+    created = cluster.run(triples())
+
+    def write(tag, rows, wait_flush):
+        ctx = yield from handle.txn.begin()
+        for i in rows:
+            handle.txn.write(ctx, TABLE, row_key(i), f"{tag}-{i}")
+        yield from handle.txn.commit(ctx, wait_flush=wait_flush)
+        return ctx
+
+    for n, wait_flush in enumerate((True, True, False)):
+        rows = range(n, 4000, 97)
+        cluster.run(ledger.executed(cluster, write(f"w{n}", rows, wait_flush), TABLE))
+
+    target = "rs2"
+    status = cluster.cluster_status()
+    region = sorted(r for r, s in status["assignments"].items() if s != target)[0]
+    cluster.crash_server(2)
+    assert target in cluster.cluster_status()["live_servers"]
+
+    outcome = {}
+
+    def move():
+        try:
+            yield from cluster.rpc("master", "move_region", region=region, target=target)
+            outcome["result"] = "moved"
+        except Exception as exc:
+            outcome["result"] = exc
+
+    cluster.kernel.process(move()).defuse()
+    cluster.run_until(cluster.kernel.now + 1.0)
+    # Closed on its source and handed to the corpse, whose open hangs.
+    assert "result" not in outcome
+    assert cluster.cluster_status()["assignments"][region] == target
+    cluster.run_until(cluster.kernel.now + 90.0)
+
+    assert isinstance(outcome["result"], RpcTimeout), outcome
+    status = cluster.cluster_status()
+    assert target not in status["live_servers"]
+    assert region in status["recovery_sources"]  # the target's failover took it
+    assert status["assignments"][region] in status["live_servers"]
+    assert all(status["online"].values())
+    assert ledger.verify(cluster) == []
+    assert cluster.run(triples()) == created

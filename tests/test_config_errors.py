@@ -3,7 +3,7 @@
 import pytest
 
 from repro import ClusterConfig, paper_setup, small_setup
-from repro.config import KvSettings, RecoverySettings, TxnSettings
+from repro.config import RecoverySettings, TxnSettings
 from repro.errors import (
     KvError,
     NodeDown,
@@ -12,7 +12,6 @@ from repro.errors import (
     ReproError,
     RpcError,
     RpcTimeout,
-    StuckRegionAlert,
     TxnAborted,
     TxnConflict,
     WrongRegionServer,
@@ -49,7 +48,6 @@ class TestConfig:
     def test_settings_smoke(self):
         assert TxnSettings().group_commit_max >= 1
         assert RecoverySettings().missed_heartbeat_limit >= 1
-        assert KvSettings().region_split_entries is None  # splits opt-in
 
 
 class TestErrors:
@@ -71,10 +69,6 @@ class TestErrors:
         exc = TxnConflict(7, ("t", "row", "f"))
         assert exc.txn_id == 7
         assert exc.key == ("t", "row", "f")
-
-    def test_stuck_region_alert_message(self):
-        exc = StuckRegionAlert("client0", 1234, 100)
-        assert "1234" in str(exc) and "client0" in str(exc)
 
     def test_region_errors_carry_identifiers(self):
         assert RegionOffline("r1").region == "r1"
