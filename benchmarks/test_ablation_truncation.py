@@ -29,11 +29,11 @@ def run_variant(truncate: bool, seed: int):
     cluster = build_cluster(config)
     WorkloadDriver(cluster).run(duration=STEADY_RUN, target_tps=OFFERED_TPS)
     cluster.run_until(cluster.kernel.now + 3.0)  # final heartbeats land
-    status = cluster.status("tm")
+    log = cluster.tm.log
     return {
-        "appended": cluster.tm.log.stats.appended,
-        "retained": status["log_length"],
-        "truncated_below": status["log_truncated_below"],
+        "appended": log.stats.appended,
+        "retained": log.length,
+        "truncated_below": log.truncated_below,
     }
 
 

@@ -40,8 +40,7 @@ def run_interval(interval: float):
         driver = WorkloadDriver(cluster)
         result = driver.run(duration=duration, target_tps=None, warmup=WARMUP)
         tps += result.achieved_tps
-        # Latency percentiles via the driver's metrics registry.
-        latency = driver.metrics()["histograms"]["txn_latency"]
+        latency = result.latency.summary()
         mean_ms += latency["mean"] * 1000
         p99_ms += latency["p99"] * 1000
     n = len(SEEDS)

@@ -73,10 +73,10 @@ def main() -> None:
                 print(f"  row {i}: LOST (got {value!r})")
     print("  every committed write survived the crash!" if ok else "  DATA LOSS")
 
-    status = cluster.status("tm")
-    commits = status["metrics"]["counters"]["commits"]
-    print(f"\nTM: {commits} commits, log length {status['log_length']} "
-          f"(truncated below ts {status['log_truncated_below']})")
+    tm = cluster.tm.metrics()
+    commits = tm["counters"]["commits"]
+    print(f"\nTM: {commits} commits, log length {tm['gauges']['log_length']} "
+          f"(truncated below ts {tm['gauges']['log_truncated_below']})")
 
     # The unified metrics snapshot: per-component registries plus the
     # commit-path latency breakdown measured by the span tracer.

@@ -30,7 +30,7 @@ from repro.kvstore.keys import row_key, split_points_for
 from repro.kvstore.regionserver import _block_to_map
 from repro.kvstore.sstable import build_blocks_wire, estimate_block_bytes
 from repro.kvstore.wal import SYNC
-from repro.metrics.spans import tracer_for
+from repro.metrics.spans import SUMMED_STAGES, tracer_for
 from repro.sim import Kernel, LatencyModel, Network, Node, Resource
 from repro.txn import STORE_SYNC, TM_LOG, TransactionManager, TxnClient
 from repro.txn.loggers import LoggerShard
@@ -143,19 +143,12 @@ class SimCluster:
             replication=cfg.dfs.replication,
         )
         self.observer = ClientNode(self.kernel, self.net, "observer")
-        self._observer_zk = ZkClient(self.observer)
         self.clients: List[ClientHandle] = []
         self._started = False
         #: Consistency-oracle hooks (see :mod:`repro.check`); attached via
         #: :meth:`attach_history_recorder` / :meth:`attach_invariant_monitor`.
         self.history_recorder = None
         self.invariant_monitor = None
-        #: Interval of the periodic metrics scrape (simulated seconds);
-        #: set to 0 before :meth:`start` to disable the scraper.
-        self.scrape_interval = 1.0
-        #: Rolling history of scraped snapshots (bounded).
-        self.metrics_history: List[dict] = []
-        self.max_metrics_history = 120
 
     # ------------------------------------------------------------------
     # sizing
@@ -208,25 +201,7 @@ class SimCluster:
             )
         )
         self._started = True
-        if self.scrape_interval > 0:
-            proc = self.observer.spawn(
-                self._metrics_scraper(), name="metrics-scraper"
-            )
-            proc.defuse()
         return self
-
-    def _metrics_scraper(self):
-        """Periodic scrape: fold every node registry into one snapshot.
-
-        Runs on the observer node purely in memory (no RPC traffic), so it
-        never perturbs the workload; snapshots land in
-        :attr:`metrics_history` with the newest last.
-        """
-        while True:
-            yield self.observer.sleep(self.scrape_interval)
-            self.metrics_history.append(self.metrics_snapshot())
-            if len(self.metrics_history) > self.max_metrics_history:
-                del self.metrics_history[: -self.max_metrics_history]
 
     # ------------------------------------------------------------------
     # helpers for driving the simulation
@@ -502,7 +477,7 @@ class SimCluster:
     #: Client-side commit stages: their per-transaction durations sum to
     #: the end-to-end ``commit.rpc`` latency (``commit.reply`` is derived
     #: as the exact remainder).
-    COMMIT_STAGES = ("commit.certify", "commit.log_append", "commit.reply")
+    COMMIT_STAGES = SUMMED_STAGES + ("commit.reply",)
     #: Stages below the commit RPC, reported alongside the breakdown.
     PIPELINE_STAGES = (
         "log.group_sync",
@@ -576,26 +551,19 @@ class SimCluster:
             out["p50_ratio"] = round(p50_sum / e2e["p50"], 6)
         return out
 
-    def status(self, addr: str) -> dict:
-        """Uniform ``rpc_status`` envelope from any component node."""
-        return self.run(self.rpc(addr, "status"))
-
     # ------------------------------------------------------------------
     # status
     # ------------------------------------------------------------------
-    def net_stats(self) -> dict:
-        """Fabric counters: traffic, chaos losses/duplicates, retries.
-
-        The flat ``counters`` map of the fabric's uniform snapshot
-        (``metrics_snapshot()["components"]["network:net"]``).
-        """
-        return dict(self.net.metrics()["counters"])
-
     def cluster_status(self) -> dict:
         """Assignment/liveness snapshot from the master: live servers,
-        the assignment and online tables, the coordination counters.
-        The counters also appear in ``status("master")`` (the uniform
-        envelope); the tables are only here.
+        the assignment and online tables, the failover count.
+
+        This and :meth:`rm_status` are the two reads that are RPCs; every
+        other read of the cluster (:meth:`metrics_snapshot`,
+        :meth:`storage_stats`) is direct and costs no simulated time.
+        Both stay messages because benchmark setup and chaos convergence
+        poll them on measured schedules, and a message fewer would
+        re-draw the network's shared jitter stream.
 
         ``salvage_reports`` is the cluster-wide audit view: the salvaging
         reads of a failover happen at the recipients, so it is their
@@ -610,8 +578,7 @@ class SimCluster:
     def rm_status(self) -> dict:
         """Threshold/recovery snapshot from the recovery manager: global
         and per-component T_F / T_P, pending regions, replay counters.
-        What tests, examples and benchmarks read; ``status("rm")`` is the
-        same component's uniform envelope.
+        An RPC for the reason :meth:`cluster_status` gives.
         """
         return self.run(self.rpc("rm", "rm_status"))
 
@@ -621,8 +588,8 @@ class SimCluster:
         storage-layer complement of :meth:`metrics_snapshot`, which does
         not fold raw disk counters.
 
-        The same pattern as :meth:`net_stats` for the fabric: the chaos
-        harness embeds this in its report so injected torn/corrupt
+        The chaos harness embeds this in its report (beside the fabric's
+        ``net.metrics()`` counters) so injected torn/corrupt
         records are always accounted for -- salvaged, repaired, or
         truncated, never silently replayed.
         """

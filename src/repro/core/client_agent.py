@@ -41,7 +41,6 @@ class ClientRecoveryAgent:
         self.settings = settings or RecoverySettings()
         self.tracker: Optional[FlushTracker] = None
         self._running = False
-        self.heartbeats_sent = 0
         self.alerts_raised = 0
         self._consecutive_failures = 0
         #: Set when the agent terminated its host after losing contact with
@@ -127,7 +126,6 @@ class ClientRecoveryAgent:
         yield from self.zk.set_data(
             client_path(self.client_id), payload, retry=False
         )
-        self.heartbeats_sent += 1
 
     def _heartbeat_loop(self):
         try:

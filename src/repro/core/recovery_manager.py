@@ -36,7 +36,7 @@ from repro.core.paths import (
 from repro.core.recovery_client import RecoveryClient
 from repro.errors import RpcError, RpcTimeout
 from repro.kvstore.client import KvClient
-from repro.metrics.registry import MetricsRegistry, status_envelope
+from repro.metrics.registry import MetricsRegistry
 from repro.metrics.spans import tracer_for
 from repro.sim.events import Interrupt
 from repro.sim.kernel import Kernel
@@ -668,9 +668,7 @@ class RecoveryManager(ZkWatcherMixin, Node):
     # ------------------------------------------------------------------
     def rpc_rm_status(self, sender: str) -> dict:
         """Threshold and recovery snapshot for tests and tooling: the
-        thresholds and pending regions (only here) beside the recovery
-        counters (also in ``rpc_status``, the uniform envelope).
-        """
+        thresholds and pending regions beside the recovery counters."""
         return {
             "global_tf": self.global_tf,
             "global_tp": self.global_tp,
@@ -686,16 +684,3 @@ class RecoveryManager(ZkWatcherMixin, Node):
             "alerts": len(self.alerts),
             **self.metrics()["counters"],
         }
-
-    def rpc_status(self, sender: str) -> dict:
-        """The uniform component status envelope (component/addr/metrics),
-        with the global thresholds and pin state as extra fields."""
-        return status_envelope(
-            "rm",
-            self.addr,
-            self.metrics(),
-            global_tf=self.global_tf,
-            global_tp=self.global_tp,
-            pending_regions=len(self.pending_regions),
-            alerts=len(self.alerts),
-        )

@@ -57,7 +57,6 @@ class ServerRecoveryAgent:
         self.tracker_incarnation: Optional[int] = None
         self._hb_lock = Resource(server.kernel, capacity=1)
         self._running = False
-        self.heartbeats_sent = 0
         self.alerts_raised = 0
         server.extension = self
 
@@ -204,7 +203,6 @@ class ServerRecoveryAgent:
                 yield from self.server.zk.create(
                     server_path(self.server.addr), data=payload
                 )
-            self.heartbeats_sent += 1
         finally:
             self._hb_lock.release()
 

@@ -41,7 +41,6 @@ class FlushTracker:
         self._last_ts = initial_tf
         self.lock = Resource(kernel, capacity=1)
         self.commits_tracked = 0
-        self.flushes_tracked = 0
         #: Times advance() would have moved T_F(c) backwards (must stay 0:
         #: Algorithm 1 only ever advances in local commit order).
         self.order_violations = 0
@@ -79,7 +78,6 @@ class FlushTracker:
         """Algorithm 1, "On post-flush of transaction T"."""
         yield from self.lock.use(0.0)
         heapq.heappush(self._fq_flushed, commit_ts)
-        self.flushes_tracked += 1
 
     def advance(self) -> int:
         """Algorithm 1's heartbeat drain: pop matched heads, advance T_F --
@@ -149,12 +147,10 @@ class PersistTracker:
         #: Fragments received since the last heartbeat drain (the PQ size).
         self.pending = 0
         self.lock = Resource(kernel, capacity=1)
-        self.fragments_tracked = 0
 
     def note_fragment(self) -> None:
         """A write-set fragment was applied (queued for persistence)."""
         self.pending += 1
-        self.fragments_tracked += 1
 
     def note_piggyback(self, tp_failed: int) -> None:
         """Algorithm 3's inheritance: a replayed update carried T_P(s')."""

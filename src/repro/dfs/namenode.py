@@ -42,7 +42,6 @@ class NameNode(Node):
         #: replica sets -- independent of every other stream, so enabling
         #: scatter does not perturb workload or fault schedules.
         self._scatter_rng = kernel.rng.substream(f"scatter.{addr}")
-        self.scattered_creates = 0
         self._repairs_in_progress: set = set()
         self.repairs_completed = 0
         if repair_interval > 0:
@@ -103,7 +102,6 @@ class NameNode(Node):
             # ``live`` is in registration order (deterministic), so the
             # sample is reproducible for a given seed.
             replicas = self._scatter_rng.sample(live, want)
-            self.scattered_creates += 1
         else:
             if preferred is not None and preferred in live:
                 replicas.append(preferred)

@@ -34,7 +34,7 @@ from repro.errors import KvError, RpcError
 from repro.kvstore.region import RegionDescriptor
 from repro.kvstore.regionserver import RS_ZNODE_DIR
 from repro.kvstore.wal import wal_dir
-from repro.metrics.registry import MetricsRegistry, status_envelope
+from repro.metrics.registry import MetricsRegistry
 from repro.metrics.spans import tracer_for
 from repro.sim.events import Interrupt
 from repro.sim.kernel import Kernel
@@ -198,22 +198,10 @@ class Master(ZkWatcherMixin, Node):
         """Region-server notification that a region came online."""
         self.online[region] = True
 
-    def rpc_status(self, sender: str) -> dict:
-        """The uniform component status envelope (component/addr/metrics),
-        with the live-server list as an extra field."""
-        return status_envelope(
-            "master",
-            self.addr,
-            self.metrics(),
-            live_servers=len(self._live_servers),
-            regions_online=sum(1 for v in self.online.values() if v),
-        )
-
     def rpc_cluster_status(self, sender: str) -> dict:
-        """Assignment snapshot for tooling and tests: the assignment and
-        online tables (only here) beside the coordination counters (also
-        in ``rpc_status``, the uniform envelope).
-        """
+        """Assignment snapshot for tooling and tests: the live servers,
+        the assignment and online tables, the failover count and each
+        recovered region's sources."""
         return {
             "live_servers": list(self._live_servers),
             "assignments": dict(self.assignments),

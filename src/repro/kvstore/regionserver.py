@@ -37,7 +37,7 @@ from repro.kvstore.region import (
 )
 from repro.kvstore.sstable import SSTable
 from repro.kvstore.wal import SYNC, WriteAheadLog, fetch_region_records
-from repro.metrics.registry import MetricsRegistry, status_envelope
+from repro.metrics.registry import MetricsRegistry
 from repro.metrics.spans import tracer_for
 from repro.sim.events import Interrupt
 from repro.sim.kernel import Kernel
@@ -843,18 +843,3 @@ class RegionServer(ZkWatcherMixin, Node):
             return  # failed compaction: inputs remain authoritative
         finally:
             self._compacting.discard(region.region_id)
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    def rpc_status(self, sender: str) -> dict:
-        """The uniform component status envelope (component/addr/metrics)."""
-        return status_envelope(
-            "regionserver",
-            self.addr,
-            self.metrics(),
-            regions={rid: r.state for rid, r in self.regions.items()},
-            wal_pending=self.wal.pending,
-            cache_blocks=len(self.cache),
-            cache_hit_rate=self.cache.hit_rate,
-        )

@@ -3,20 +3,12 @@ tracing, exact latency histograms, bucketed time series, and plain-text
 table/chart rendering for the CLI and benchmark harnesses."""
 
 from repro.metrics.histogram import LatencyHistogram
-from repro.metrics.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    merge_counters,
-    status_envelope,
-)
+from repro.metrics.registry import Counter, Gauge, MetricsRegistry
 from repro.metrics.report import (
     ascii_chart,
     format_table,
     ms,
     spans_table,
-    status_table,
     storage_table,
 )
 from repro.metrics.spans import Span, SpanTracer, tracer_for
@@ -25,7 +17,6 @@ from repro.metrics.timeseries import TimeSeries
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "LatencyHistogram",
     "MetricsRegistry",
     "Span",
@@ -33,11 +24,8 @@ __all__ = [
     "TimeSeries",
     "ascii_chart",
     "format_table",
-    "merge_counters",
     "ms",
     "spans_table",
-    "status_envelope",
-    "status_table",
     "storage_table",
     "tracer_for",
 ]

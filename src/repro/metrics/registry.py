@@ -1,4 +1,4 @@
-"""Per-node metrics registry: counters, gauges, and sim-time histograms.
+"""Per-node metrics registry: counters and gauges.
 
 Every simulated component (transaction manager, region server, clients,
 network, recovery manager, ...) owns one :class:`MetricsRegistry`.  The
@@ -14,9 +14,9 @@ Design constraints:
   ordered keys (sorted at snapshot time) and values derived only from
   simulation events, never from wall-clock time or hashing order.  Two
   same-seed runs therefore produce byte-identical JSON exports.
-* **Pure stdlib.**  No third-party metrics client; histograms reuse
-  :class:`repro.metrics.histogram.LatencyHistogram` (exact percentiles
-  over raw samples).
+* **Pure stdlib.**  No third-party metrics client.  Latency
+  distributions live in the span tracer (:mod:`repro.metrics.spans`),
+  not here.
 
 A metric name plus an optional, sorted label tuple identifies one time
 series, mirroring the familiar Prometheus data model::
@@ -24,15 +24,12 @@ series, mirroring the familiar Prometheus data model::
     reg = MetricsRegistry("tm", "tm0")
     reg.counter("commits").inc()
     reg.counter("flush_fragments", region="r3").inc(2)
-    reg.histogram("commit_latency").record(0.012)
     reg.snapshot()   # -> {"component": "tm", "addr": "tm0", ...}
 """
 
 from __future__ import annotations
 
 from typing import Dict, Tuple
-
-from repro.metrics.histogram import LatencyHistogram
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -93,14 +90,6 @@ class Gauge:
         """Replace the gauge value."""
         self._value = value
 
-    def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` to the gauge."""
-        self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        """Subtract ``amount`` from the gauge."""
-        self._value -= amount
-
     @property
     def value(self) -> float:
         """Current value."""
@@ -110,16 +99,8 @@ class Gauge:
         return f"Gauge({_series_name(self.name, self.labels)}={self._value})"
 
 
-class Histogram(LatencyHistogram):
-    """A :class:`LatencyHistogram` that knows its registry identity."""
-
-    def __init__(self, name: str, labels: LabelKey = ()) -> None:
-        super().__init__(name=_series_name(name, labels))
-        self.labels = labels
-
-
 class MetricsRegistry:
-    """Counters, gauges, and histograms for one simulated component.
+    """Counters and gauges for one simulated component.
 
     ``component`` names the component *kind* (``"tm"``, ``"regionserver"``,
     ``"txn_client"``, ...); ``addr`` is the node address or instance name.
@@ -132,7 +113,6 @@ class MetricsRegistry:
         self.addr = addr
         self._counters: Dict[Tuple[str, LabelKey], Counter] = {}
         self._gauges: Dict[Tuple[str, LabelKey], Gauge] = {}
-        self._histograms: Dict[Tuple[str, LabelKey], Histogram] = {}
 
     # -- metric accessors -------------------------------------------------
 
@@ -152,14 +132,6 @@ class MetricsRegistry:
             gauge = self._gauges[key] = Gauge(name, key[1])
         return gauge
 
-    def histogram(self, name: str, **labels: object) -> Histogram:
-        """Get or create the histogram ``name`` with the given labels."""
-        key = (name, _label_key(labels))
-        histogram = self._histograms.get(key)
-        if histogram is None:
-            histogram = self._histograms[key] = Histogram(name, key[1])
-        return histogram
-
     def counters(self, *names: str) -> Tuple[Counter, ...]:
         """Materialise (and return) unlabelled counters for hot paths.
 
@@ -178,8 +150,7 @@ class MetricsRegistry:
 
             {"component": ..., "addr": ...,
              "counters":   {series_name: int},
-             "gauges":     {series_name: float},
-             "histograms": {series_name: {count, mean, p50, p95, p99, max}}}
+             "gauges":     {series_name: float}}
         """
         counters = {
             _series_name(name, labels): c.value
@@ -189,42 +160,10 @@ class MetricsRegistry:
             _series_name(name, labels): g.value
             for (name, labels), g in self._gauges.items()
         }
-        histograms = {
-            _series_name(name, labels): h.summary()
-            for (name, labels), h in self._histograms.items()
-        }
         return {
             "component": self.component,
             "addr": self.addr,
             "counters": {k: counters[k] for k in sorted(counters)},
             "gauges": {k: gauges[k] for k in sorted(gauges)},
-            "histograms": {k: histograms[k] for k in sorted(histograms)},
         }
 
-
-def status_envelope(
-    component: str,
-    addr: str,
-    metrics: dict,
-    **extras: object,
-) -> dict:
-    """The common ``rpc_status`` reply shape every component returns.
-
-    ``{"component", "addr", "metrics", ...}`` — extra keys carry
-    component-specific fields (thresholds, assignments, log positions) so
-    the CLI and chaos report can render any component uniformly while
-    still exposing specifics.
-    """
-    envelope = {"component": component, "addr": addr, "metrics": metrics}
-    for key, value in extras.items():
-        envelope[key] = value
-    return envelope
-
-
-def merge_counters(*snapshots: dict) -> Dict[str, int]:
-    """Sum the ``counters`` maps of several snapshots (cluster roll-ups)."""
-    totals: Dict[str, int] = {}
-    for snap in snapshots:
-        for name, value in snap.get("counters", {}).items():
-            totals[name] = totals.get(name, 0) + value
-    return {k: totals[k] for k in sorted(totals)}

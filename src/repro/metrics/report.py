@@ -122,45 +122,6 @@ def spans_table(
     )
 
 
-def status_table(envelope: dict, title: Optional[str] = None) -> str:
-    """Render any component's ``rpc_status`` envelope as one table.
-
-    Works for every component because they all reply with the same
-    ``{"component", "addr", "metrics", ...}`` shape: counters and gauges
-    become one row each, histograms one row per headline statistic, and
-    extra envelope fields (thresholds, log positions, ...) are listed
-    beneath the table.
-    """
-    component = envelope.get("component", "?")
-    addr = envelope.get("addr", "?")
-    metrics = envelope.get("metrics", {})
-    rows = []
-    for name, value in sorted(metrics.get("counters", {}).items()):
-        rows.append((name, value))
-    for name, value in sorted(metrics.get("gauges", {}).items()):
-        rows.append((name, value))
-    for name, stats in sorted(metrics.get("histograms", {}).items()):
-        rows.append((
-            f"{name} (n={stats.get('count', 0)})",
-            f"p50={_fmt(ms(stats.get('p50', 0.0)))}ms "
-            f"p99={_fmt(ms(stats.get('p99', 0.0)))}ms",
-        ))
-    lines = [format_table(
-        ["metric", "value"],
-        rows,
-        title=title or f"{component} @ {addr}",
-    )]
-    extras = {
-        k: v for k, v in envelope.items()
-        if k not in ("component", "addr", "metrics")
-    }
-    if extras:
-        lines.append(
-            " ".join(f"{k}={v}" for k, v in sorted(extras.items()))
-        )
-    return "\n".join(lines)
-
-
 def ascii_chart(
     series: Sequence[tuple],
     height: int = 10,

@@ -41,9 +41,14 @@ bit-identical summaries.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, List, Optional
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.metrics.histogram import LatencyHistogram
+
+#: The stages whose per-transaction totals :meth:`SpanTracer.sum_durations`
+#: hands back: a commit's TM-side children, which the client subtracts
+#: from the commit RPC to derive ``commit.reply``.
+SUMMED_STAGES = ("commit.certify", "commit.log_append")
 
 
 class Span:
@@ -115,9 +120,10 @@ class SpanTracer:
         self._finished: Deque[Span] = deque(maxlen=max_records)
         self._stage_hist: Dict[str, LatencyHistogram] = {}
         self._truncated: List[Span] = []
-        # Running duration totals per (txn, stage), maintained at finish
-        # time so sum_durations() never scans the finished list (it is
-        # called on every commit, and a scan is O(total spans)).
+        # Running duration totals per (txn, stage) of SUMMED_STAGES,
+        # maintained at finish time so sum_durations() never scans the
+        # finished list (it is called on every commit, and a scan is
+        # O(total spans)); it drops what it reads.
         self._txn_stage_sums: Dict[tuple, float] = {}
 
     # -- recording --------------------------------------------------------
@@ -151,7 +157,7 @@ class SpanTracer:
         self._open.pop(span.span_id, None)
         duration = span.end_time - span.start
         self._record_duration(span.stage, duration)
-        if span.txn is not None:
+        if span.txn is not None and span.stage in SUMMED_STAGES:
             key = (span.txn, span.stage)
             sums = self._txn_stage_sums
             sums[key] = sums.get(key, 0.0) + duration
@@ -189,10 +195,6 @@ class SpanTracer:
         self._next_id += 1
         span.end_time = now
         self._record_duration(stage, duration)
-        if txn is not None:
-            key = (txn, stage)
-            sums = self._txn_stage_sums
-            sums[key] = sums.get(key, 0.0) + duration
         self._finished.append(span)
         return span
 
@@ -242,14 +244,13 @@ class SpanTracer:
         )
         return out
 
-    def sum_durations(self, txn: str, stages: Iterable[str]) -> float:
-        """Total finished-span time for ``txn`` across ``stages``.
-
-        O(len(stages)): reads the running per-(txn, stage) totals kept by
-        the finish path instead of scanning every finished span.
+    def sum_durations(self, txn: str) -> float:
+        """Total finished-span time for ``txn`` across
+        :data:`SUMMED_STAGES`, and forget it: read once per transaction,
+        so the running totals hold only transactions still in flight.
         """
         sums = self._txn_stage_sums
-        return sum(sums.get((txn, stage), 0.0) for stage in stages)
+        return sum(sums.pop((txn, stage), 0.0) for stage in SUMMED_STAGES)
 
     # -- export -----------------------------------------------------------
 

@@ -175,7 +175,6 @@ class ChaosReport:
     global_tf: int = 0
     global_tp: int = 0
     net: dict = field(default_factory=dict)
-    tm: dict = field(default_factory=dict)
     storage: dict = field(default_factory=dict)
     #: Full unified snapshot (:meth:`SimCluster.metrics_snapshot`): every
     #: component registry plus commit-path span summaries, including
@@ -640,8 +639,7 @@ def run_chaos(
         report.violations = [str(v) for v in ledger.verify(cluster)]
     except Exception as exc:  # a wedged cluster: report, don't explode
         report.violations = [f"audit aborted: {exc!r}"]
-    report.net = cluster.net_stats()
-    report.tm = cluster.status(cluster.tm.addr)
+    report.net = dict(cluster.net.metrics()["counters"])
     report.storage = cluster.storage_stats()
     monitor.check_once()  # one final sample of the converged state
     check = SIChecker(recorder.events, initial_value=preload_value_fn(N_ROWS)).check()

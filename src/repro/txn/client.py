@@ -18,7 +18,6 @@ Durability modes:
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Optional, Sequence
 
 from repro.errors import TxnConflict
@@ -79,7 +78,6 @@ class TxnClient:
         #: History-recording hook (the consistency oracle); None disables
         #: recording.  Set via ``HistoryRecorder.attach(client)``.
         self.recorder = None
-        self._local_ids = itertools.count(1)
         #: Registry behind all client statistics (see ``metrics()``).
         self.registry = MetricsRegistry("txn_client", self.client_id)
         # Hot-path counters, held directly so increments skip the
@@ -320,6 +318,7 @@ class TxnClient:
             if self.recorder is not None:
                 self.recorder.note_abort(ctx, ctx.abort_reason)
             self._n_aborted.inc()
+            self._tracer.sum_durations(txn_key)  # drop the refused certify
             span.end(outcome="aborted")
             raise TxnConflict(ctx.txn_id, tuple(reply.get("conflict_key") or ()))
 
@@ -373,9 +372,7 @@ class TxnClient:
         the end-to-end commit latency.
         """
         span.end(outcome="committed")
-        accounted = self._tracer.sum_durations(
-            txn_key, ("commit.certify", "commit.log_append")
-        )
+        accounted = self._tracer.sum_durations(txn_key)
         remainder = max(span.duration - accounted, 0.0)
         self._tracer.record("commit.reply", remainder, txn=txn_key, parent=span)
 

@@ -38,6 +38,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.config import DiskSettings, TxnSettings
 from repro.kvstore.keys import WireCell
 from repro.errors import DiskWriteError
+from repro.metrics.registry import MetricsRegistry
 from repro.metrics.spans import tracer_for
 from repro.sim.disk import Disk
 from repro.sim.events import Event, Interrupt
@@ -93,6 +94,16 @@ class LogStats:
         if not self.group_sizes:
             return 0.0
         return sum(self.group_sizes) / len(self.group_sizes)
+
+
+def mirror_log_position(registry: MetricsRegistry, log, prefix: str = "") -> None:
+    """Mirror a log's position into ``registry``, each name under
+    ``prefix``: the ``appended`` counter and the ``length`` (records
+    retained) and ``truncated_below`` gauges.  ``log`` is a logger
+    shard's :class:`LogStore` or a TM's :class:`RecoveryLog`."""
+    registry.counter(prefix + "appended").set(log.stats.appended)
+    registry.gauge(prefix + "length").set(log.length)
+    registry.gauge(prefix + "truncated_below").set(log.truncated_below)
 
 
 _commit_ts = attrgetter("payload.commit_ts")  # bisect key over framed records
@@ -245,16 +256,6 @@ class LogStore:
         self.truncated_below = max(self.truncated_below, up_to_ts)
         return idx
 
-    def headline(self) -> dict:
-        """The headline statistics (one host's share of ``stats_gen``)."""
-        return {
-            "length": self.length,
-            "appended": self.stats.appended,
-            "syncs": self.stats.syncs,
-            "truncated": self.stats.truncated,
-            "truncated_bytes": self.stats.truncated_bytes,
-        }
-
     # Generator forms for a RecoveryLog's fan-out: a zero-hop read never waits.
     def fetch_gen(self, after_ts: int, client_id: Optional[str] = None):
         """Generator form of :meth:`fetch`."""
@@ -265,11 +266,6 @@ class LogStore:
         """Generator form of :meth:`truncate`."""
         yield from ()
         return self.truncate(up_to_ts)
-
-    def stats_gen(self):
-        """Generator form of :meth:`headline`."""
-        yield from ()
-        return self.headline()
 
     @property
     def length(self) -> int:
@@ -382,10 +378,6 @@ class RemoteStore:
         self.truncated_below = max(self.truncated_below, up_to_ts)
         self.last_ts = max(self.last_ts, up_to_ts)
         return dropped
-
-    def stats_gen(self):
-        """The shard's :meth:`LogStore.headline`, tagged with its address."""
-        return (yield self._call("shard_stats"))
 
 
 class RecoveryLog:
@@ -507,14 +499,13 @@ class RecoveryLog:
         how many."""
         return sum((yield from self._fan_out("truncate_gen", up_to_ts)))
 
-    def stats_gen(self):
-        """Every member's :meth:`LogStore.headline` (``members``), and
-        their sums."""
-        replies = yield from self._fan_out("stats_gen")
-        totals = {
-            key: sum(r[key] for r in replies) for key in replies[0] if key != "addr"
-        }
-        return dict(totals, members=replies)
+    @property
+    def length(self) -> int:
+        """Records retained: the zero-hop member's, or on logger shards
+        what they acknowledged and have not truncated."""
+        if self.store is not None:
+            return self.store.length
+        return self.stats.appended - self.stats.truncated
 
     @property
     def truncated_below(self) -> int:

@@ -13,11 +13,11 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.config import TxnSettings
-from repro.metrics.registry import MetricsRegistry, status_envelope
+from repro.metrics.registry import MetricsRegistry
 from repro.sim.kernel import Kernel
 from repro.sim.network import Network
 from repro.sim.node import Node
-from repro.txn.log import LogRecord, LogStore
+from repro.txn.log import LogRecord, LogStore, mirror_log_position
 
 
 class LoggerShard(Node):
@@ -47,14 +47,10 @@ class LoggerShard(Node):
 
     def metrics(self) -> dict:
         """Uniform registry snapshot (shard counters mirrored in)."""
-        for name in ("appended", "syncs", "truncated", "truncated_bytes"):
+        for name in ("syncs", "truncated", "truncated_bytes"):
             self.registry.counter(name).set(getattr(self.store.stats, name))
-        self.registry.gauge("length").set(self.store.length)
+        mirror_log_position(self.registry, self.store)
         return self.registry.snapshot()
-
-    def rpc_status(self, sender: str):
-        """The uniform component status envelope."""
-        return status_envelope("logger_shard", self.addr, self.metrics())
 
     def rpc_shard_append(self, sender: str, records: List[dict]):
         """Durably append a batch (one disk sync for the whole batch).
@@ -76,7 +72,3 @@ class LoggerShard(Node):
     def rpc_shard_truncate(self, sender: str, up_to_ts: int) -> int:
         """Drop records with commit_ts < up_to_ts."""
         return self.store.truncate(up_to_ts)
-
-    def rpc_shard_stats(self, sender: str) -> dict:
-        """Shard counters for aggregation at the TM."""
-        return dict(self.store.headline(), addr=self.addr)

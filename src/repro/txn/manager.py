@@ -19,7 +19,7 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import TxnSettings
-from repro.metrics.registry import MetricsRegistry, status_envelope
+from repro.metrics.registry import MetricsRegistry
 from repro.metrics.spans import tracer_for
 from repro.sim.events import Interrupt
 from repro.sim.kernel import Kernel
@@ -28,7 +28,7 @@ from repro.sim.node import Node
 from repro.sim.resource import Resource
 from repro.sim.retry import RetryPolicy
 from repro.txn.concurrency import SICertifier, SSIWindow
-from repro.txn.log import LogRecord, RecoveryLog
+from repro.txn.log import LogRecord, RecoveryLog, mirror_log_position
 from repro.txn.sharding import shard_of
 from repro.txn.timestamps import TimestampOracle
 
@@ -967,7 +967,8 @@ class TransactionManager(Node):
         return self._latest_known_ts()
 
     def metrics(self) -> dict:
-        """Uniform registry snapshot for the transaction manager."""
+        """Uniform registry snapshot for the transaction manager, with
+        the recovery log's position under ``log_``."""
         self.registry.gauge("indoubt").set(len(self._prepared))
         self.registry.gauge("reserved").set(len(self._reserved))
         if self.ssi is not None:
@@ -975,23 +976,5 @@ class TransactionManager(Node):
             self.registry.gauge("ssi_window").set(tracked)
             self.registry.gauge("ssi_floor").set(floor)
             self.registry.gauge("ssi_checks").set(self.ssi.checks)
+        mirror_log_position(self.registry, self.log, prefix="log_")
         return self.registry.snapshot()
-
-    def _log_fields(self):
-        """Log counters attached to the ``rpc_status`` envelope."""
-        log_stats = yield from self.log.stats_gen()
-        return {
-            "log_length": log_stats["length"],
-            "log_syncs": log_stats["syncs"],
-            "log_appended": log_stats["appended"],
-            "log_truncated": log_stats["truncated"],
-            "log_truncated_bytes": log_stats["truncated_bytes"],
-            "log_truncated_below": self.log.truncated_below,
-            "log_mean_group": self.log.stats.mean_group_size,
-        }
-
-    def rpc_status(self, sender: str):
-        """The uniform component status envelope (component/addr/metrics),
-        with the recovery-log position counters as extra fields."""
-        log_fields = yield from self._log_fields()
-        return status_envelope("tm", self.addr, self.metrics(), **log_fields)

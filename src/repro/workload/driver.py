@@ -17,7 +17,7 @@ from typing import List, Optional
 from repro.cluster import ClientHandle, SimCluster, TABLE
 from repro.config import WorkloadSettings
 from repro.errors import ReproError, TxnAborted
-from repro.metrics import LatencyHistogram, MetricsRegistry, TimeSeries
+from repro.metrics import LatencyHistogram, TimeSeries
 from repro.sim.events import Interrupt
 from repro.workload.generators import READ, TransactionGenerator
 from repro.workload.ycsb import (
@@ -98,22 +98,10 @@ class WorkloadDriver:
         self.mix = mix
         self.n_client_nodes = n_client_nodes
         self.handles: List[ClientHandle] = []
-        #: Registry behind the driver's own statistics: the measured-window
-        #: commit latency histogram and outcome counters.  The
-        #: :class:`WorkloadResult` fields remain as a convenience view.
-        self.registry = MetricsRegistry("workload", "driver")
-        for name in ("committed", "aborted", "failed"):
-            self.registry.counter(name)
-        self._latency_hist = self.registry.histogram("txn_latency")
         self._txn_counter = 0
         self._stop_at = 0.0
         self._gen_rng = cluster.kernel.rng.substream("workload")
         self._key_space = KeySpace(initial=self.settings.n_rows)
-
-    def metrics(self) -> dict:
-        """Uniform registry snapshot for the driver (commit latency
-        histogram under ``histograms["txn_latency"]``)."""
-        return self.registry.snapshot()
 
     # ------------------------------------------------------------------
     # setup
@@ -230,7 +218,6 @@ class WorkloadDriver:
             yield from handle.txn.commit(ctx)
         except TxnAborted:
             result.aborted += 1
-            self.registry.counter("aborted").inc()
             if self.ledger is not None and ctx is not None:
                 self.ledger.record_outcome(ctx)
             return
@@ -238,7 +225,6 @@ class WorkloadDriver:
             raise
         except ReproError:
             result.failed += 1
-            self.registry.counter("failed").inc()
             return
         if self.ledger is not None:
             self.ledger.record(ctx, TABLE)
@@ -249,8 +235,6 @@ class WorkloadDriver:
         if now >= result.measured_from and now <= self._stop_at:
             result.committed += 1
             result.latency.record(elapsed)
-            self.registry.counter("committed").inc()
-            self._latency_hist.record(elapsed)
 
     def _run_ycsb_ops(self, handle: ClientHandle, ctx, ops):
         """Execute one YCSB transaction's operation list."""

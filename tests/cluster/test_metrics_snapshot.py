@@ -1,9 +1,13 @@
-"""Integration tests for the unified metrics snapshot and status RPCs."""
+"""Integration tests for the unified metrics snapshot."""
 
 import json
 
+import pytest
+
 from repro import ClusterConfig, SimCluster, TABLE
+from repro.errors import TxnConflict
 from repro.kvstore.keys import row_key
+from repro.metrics import tracer_for
 from repro.workload import WorkloadDriver
 
 
@@ -66,18 +70,46 @@ def test_commit_breakdown_stages_reconcile_within_5_percent():
 
 
 def test_per_txn_stage_sum_matches_commit_latency_exactly():
-    from repro.metrics import tracer_for
-
     cluster = make()
-    handle = run_some_txns(cluster, n=5)
+    run_some_txns(cluster, n=5)
     tracer = tracer_for(cluster.kernel)
     rpcs = tracer.spans(stage="commit.rpc")
     assert len(rpcs) == 5
     for span in rpcs:
-        parts = tracer.sum_durations(
-            span.txn, ("commit.certify", "commit.log_append", "commit.reply")
+        parts = sum(
+            s.duration for s in tracer.spans(txn=span.txn)
+            if s.stage in SimCluster.COMMIT_STAGES
         )
         assert abs(parts - span.duration) < 1e-9
+
+
+def test_span_tracer_forgets_finished_commits():
+    """The per-transaction totals behind ``commit.reply`` are dropped once
+    read, for a commit and for a certification refusal alike."""
+    cluster = make()
+    handle = cluster.add_client("app")
+
+    def one(i):
+        ctx = yield from handle.txn.begin()
+        handle.txn.write(ctx, TABLE, row_key(i), f"v{i}")
+        yield from handle.txn.commit(ctx, wait_flush=True)
+
+    for i in range(200):
+        cluster.run(one(i))
+
+    def conflict():
+        first = yield from handle.txn.begin()
+        second = yield from handle.txn.begin()
+        for ctx in (first, second):
+            handle.txn.write(ctx, TABLE, row_key(0), "race")
+        yield from handle.txn.commit(first, wait_flush=True)
+        with pytest.raises(TxnConflict):
+            yield from handle.txn.commit(second)
+
+    cluster.run(conflict())
+    tracer = tracer_for(cluster.kernel)
+    assert len(tracer.spans(stage="commit.reply")) == 201
+    assert tracer._txn_stage_sums == {}
 
 
 def test_same_seed_snapshots_are_byte_identical():
@@ -90,43 +122,25 @@ def test_same_seed_snapshots_are_byte_identical():
     assert snapshot_bytes() == snapshot_bytes()
 
 
-def test_periodic_scraper_accumulates_history():
+def test_reading_the_cluster_never_moves_it():
+    """Observing is a direct read: nothing runs on the observer node
+    after start(), and a snapshot costs no simulated time and no event."""
     cluster = make()
-    assert cluster.metrics_history == []
+    assert not cluster.observer._procs
     run_some_txns(cluster, n=3)
-    cluster.run_until(cluster.kernel.now + 5.0)
-    assert len(cluster.metrics_history) >= 5
-    assert all("components" in s for s in cluster.metrics_history)
-    # history is bounded
-    cluster.max_metrics_history = 4
-    cluster.run_until(cluster.kernel.now + 10.0)
-    assert len(cluster.metrics_history) == 4
-
-
-def test_status_rpcs_share_the_envelope_shape():
-    cluster = make()
-    run_some_txns(cluster, n=2)
-    for addr, component in (
-        ("tm", "tm"),
-        ("rm", "rm"),
-        ("master", "master"),
-        ("rs0", "regionserver"),
-    ):
-        env = cluster.status(addr)
-        assert env["component"] == component
-        assert env["addr"] == addr
-        assert "counters" in env["metrics"]
-    assert cluster.status("tm")["metrics"]["counters"]["commits"] == 2
+    before = (cluster.kernel.now, cluster.kernel.event_count)
+    cluster.metrics_snapshot()
+    cluster.storage_stats()
+    assert (cluster.kernel.now, cluster.kernel.event_count) == before
 
 
 def test_flat_stats_surfaces_still_work():
     cluster = make()
     run_some_txns(cluster, n=2)
-    tm = cluster.status("tm")
-    assert tm["metrics"]["counters"]["commits"] == 2
-    assert "log_length" in tm
-    net = cluster.net_stats()
-    assert net["messages_sent"] > 0
+    tm = cluster.tm.metrics()
+    assert tm["counters"]["commits"] == 2
+    assert "log_length" in tm["gauges"]
+    assert cluster.net.metrics()["counters"]["messages_sent"] > 0
     rm = cluster.rm_status()
     assert "global_tf" in rm
     status = cluster.cluster_status()
@@ -136,8 +150,6 @@ def test_flat_stats_surfaces_still_work():
 
 
 def test_crashed_flush_shows_up_as_truncated_spans():
-    from repro.metrics import tracer_for
-
     cluster = make()
     tracer = tracer_for(cluster.kernel)
     handle = cluster.add_client("doomed")

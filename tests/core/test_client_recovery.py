@@ -105,12 +105,12 @@ def test_log_truncation_bounded_by_global_tp():
     for batch in range(10):
         commit_rows(cluster, handle, [batch * 7, batch * 7 + 1], f"b{batch}")
     cluster.run_until(cluster.kernel.now + 4.0)  # thresholds catch up
-    status = cluster.status("tm")
+    log = cluster.tm.log
     rm = cluster.rm_status()
     assert rm["global_tp"] > 0
-    assert status["log_truncated_below"] == rm["global_tp"]
+    assert log.truncated_below == rm["global_tp"]
     # All ten commits persisted; almost everything should be truncated.
-    assert status["log_length"] <= 2
+    assert log.length <= 2
 
 
 def test_truncation_never_drops_records_recovery_needs():

@@ -6,15 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.metrics import (
-    MetricsRegistry,
-    SpanTracer,
-    merge_counters,
-    spans_table,
-    status_envelope,
-    status_table,
-    tracer_for,
-)
+from repro.metrics import MetricsRegistry, SpanTracer, spans_table, tracer_for
 from repro.metrics import spans as spans_module
 from repro.sim import Kernel
 from tests.core.conftest import commit_rows, recovery_cluster
@@ -47,24 +39,11 @@ def test_labeled_series_are_distinct_and_flattened():
 def test_gauge_moves_both_ways():
     reg = MetricsRegistry("x")
     g = reg.gauge("depth")
-    g.inc(3)
-    g.dec()
+    g.set(3)
+    g.set(2)
     assert g.value == 2
     g.set(10.5)
     assert reg.snapshot()["gauges"]["depth"] == 10.5
-
-
-def test_histogram_percentiles_land_in_snapshot():
-    reg = MetricsRegistry("tm", "tm0")
-    h = reg.histogram("commit_latency")
-    for v in range(1, 101):
-        h.record(v / 1000.0)
-    summary = reg.snapshot()["histograms"]["commit_latency"]
-    assert summary["count"] == 100
-    assert summary["p50"] == pytest.approx(0.050, abs=0.002)
-    assert summary["p95"] == pytest.approx(0.095, abs=0.002)
-    assert summary["p99"] == pytest.approx(0.099, abs=0.002)
-    assert summary["max"] == pytest.approx(0.100)
 
 
 def test_snapshot_keys_are_sorted_and_json_stable():
@@ -97,26 +76,6 @@ def test_legacy_counter_view_is_gone():
     assert not hasattr(reg, "counter" + "_view")
     import repro.metrics as metrics
     assert not hasattr(metrics, "Counter" + "View")
-
-
-def test_merge_counters_sums_across_snapshots():
-    a = MetricsRegistry("rs", "rs0")
-    b = MetricsRegistry("rs", "rs1")
-    a.counter("gets").inc(2)
-    b.counter("gets").inc(3)
-    b.counter("flushes").inc()
-    totals = merge_counters(a.snapshot(), b.snapshot())
-    assert totals == {"flushes": 1, "gets": 5}
-
-
-def test_status_envelope_shape():
-    reg = MetricsRegistry("rm", "rm")
-    env = status_envelope("rm", "rm", reg.snapshot(), global_tf=3)
-    assert env["component"] == "rm"
-    assert env["addr"] == "rm"
-    assert env["metrics"]["component"] == "rm"
-    assert env["global_tf"] == 3
-    assert "rm" in status_table(env)
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +132,8 @@ def test_sum_durations_and_derived_record():
     s2 = tracer.begin("commit.log_append", txn="c0:1")
     clock.now = 0.5
     s2.end()
-    assert tracer.sum_durations(
-        "c0:1", ("commit.certify", "commit.log_append")
-    ) == pytest.approx(0.5)
+    assert tracer.sum_durations("c0:1") == pytest.approx(0.5)
+    assert tracer.sum_durations("c0:1") == 0.0  # read once, then dropped
     derived = tracer.record("commit.reply", 0.05, txn="c0:1")
     assert derived.duration == pytest.approx(0.05)
     assert tracer.stage_summary()["commit.reply"]["count"] == 1

@@ -92,14 +92,6 @@ def test_duplicate_batch_delivery_deduplicated(shard_env):
     assert shards[0].store.length == 1
 
 
-def test_stats_aggregate(shard_env):
-    k, _shards, _tm, log = shard_env
-    append_all(k, log, [record(ts) for ts in range(1, 13)])
-    stats = run(k, log.stats_gen())
-    assert stats["length"] == 12
-    assert len(stats["members"]) == 3
-
-
 def test_range_ends_follow_appends_and_truncation(shard_env):
     k, _shards, _tm, log = shard_env
     assert (log.truncated_below, log.last_ts) == (0, 0)
@@ -168,8 +160,8 @@ class TestOneZeroHopMember:
 
 
 def test_zero_hop_recovery_reads_cost_no_time_and_no_events():
-    """A lone zero-hop member answers fetch, truncate and stats inside
-    the caller's step: the generators finish without yielding."""
+    """A lone zero-hop member answers fetch and truncate inside the
+    caller's step: the generators finish without yielding."""
     k = Kernel(seed=95)
     tm = Node(k, Network(k), "tm")
     log = RecoveryLog(tm)
@@ -183,7 +175,6 @@ def test_zero_hop_recovery_reads_cost_no_time_and_no_events():
 
     assert [r.commit_ts for r in finish(log.fetch_gen(2))] == [3, 4, 5]
     assert finish(log.truncate_gen(3)) == 2
-    assert finish(log.stats_gen())["length"] == 3
     assert (k.now, k.event_count) == before
 
 
@@ -210,8 +201,7 @@ class TestClusterWithShardedLog:
 
         ctx = cluster.run(txn())
         assert ctx.commit_ts is not None
-        status = cluster.status("tm")
-        assert status["log_appended"] >= 1
+        assert cluster.tm.metrics()["counters"]["log_appended"] >= 1
 
         def read():
             c2 = yield from handle.txn.begin()
@@ -241,3 +231,36 @@ class TestClusterWithShardedLog:
 
         for i in rows:
             assert cluster.run(read(i)) == f"sh-{i}"
+
+
+@pytest.mark.parametrize("log_shards", [0, 2])
+def test_tm_metrics_report_the_log_position(log_shards):
+    """The TM's ``metrics()`` carries its log's position -- records
+    retained, appended, truncation floor -- as its stores hold it, on a
+    zero-hop log and on one striped over two logger shards."""
+    config = ClusterConfig(seed=97)
+    config.workload.n_rows = 500
+    config.txn.log_shards = log_shards
+    config.recovery.enabled = False  # no threshold-driven truncation
+    cluster = SimCluster(config).start()
+    handle = cluster.add_client()
+
+    def commit(i):
+        ctx = yield from handle.txn.begin()
+        handle.txn.write(ctx, TABLE, row_key(i), f"v{i}")
+        yield from handle.txn.commit(ctx)
+        return ctx.commit_ts
+
+    stamps = [cluster.run(commit(i)) for i in range(6)]
+    cluster.run(cluster.rpc("tm", "truncate_log", up_to_ts=stamps[3]))
+    stores = [shard.store for shard in cluster.logger_shards] or [cluster.tm.log.store]
+    assert len(stores) == max(log_shards, 1)
+    metrics = cluster.tm.metrics()
+    assert metrics["counters"]["log_appended"] == 6
+    assert metrics["counters"]["log_appended"] == sum(s.stats.appended for s in stores)
+    assert metrics["gauges"]["log_length"] == 3
+    assert metrics["gauges"]["log_length"] == sum(s.length for s in stores)
+    assert metrics["gauges"]["log_truncated_below"] == stamps[3]
+    assert metrics["gauges"]["log_truncated_below"] == max(
+        s.truncated_below for s in stores
+    )
