@@ -94,16 +94,20 @@ class KvClient:
 
     def locate(self, table: str, row: str):
         """(region_id, server) for ``row``.  (Generator API.)"""
-        region_map = self._region_maps.get(table)
-        if region_map is None:
-            region_map = yield from self._load_region_map(table)
+        if table not in self._region_maps:
+            yield from self._load_region_map(table)
+        _start, _end, region_id, server = self._map_entry(table, row)
+        return region_id, server
+
+    def _map_entry(self, table: str, row: str) -> MapEntry:
+        """The entry of ``table``'s loaded region map that holds ``row``."""
         idx = bisect.bisect_right(self._region_starts[table], row) - 1
         if idx < 0:
             raise KvError(f"row {row!r} precedes the first region of {table!r}")
-        start, end, region_id, server = region_map[idx]
-        if end is not None and row >= end:
+        entry = self._region_maps[table][idx]
+        if entry[1] is not None and row >= entry[1]:
             raise KvError(f"region map hole for {row!r} in {table!r}")
-        return region_id, server
+        return entry
 
     def invalidate(self, table: str) -> None:
         """Drop the cached region map (after a routing error)."""
@@ -160,31 +164,34 @@ class KvClient:
         max_version: int,
         limit: int = 1000,
         max_retries: Optional[int] = None,
+        column: Optional[str] = None,
     ):
         """Range scan across regions.  (Generator API.)
 
         Returns up to ``limit`` rows' worth of (row, column, version,
         value) tuples, rows ascending, newest version <= max_version.
-        Retries per region like :meth:`get`.
+        With ``column`` set, only that column's cells are returned and only
+        rows live in it count toward ``limit``.  Retries per region like
+        :meth:`get`.
         """
-        out: List[tuple] = []
-        rows_seen: set = set()
+        out: List[WireCell] = []
+        n_rows = 0
+        last_row = None
         cursor = start_row
         while True:
             if end_row is not None and cursor >= end_row:
                 break
-            if len(rows_seen) >= limit:
+            if n_rows >= limit:
                 break
             attempt = 0
             while True:
                 attempt += 1
                 try:
-                    region_map = self._region_maps.get(table)
-                    if region_map is None:
-                        region_map = yield from self._load_region_map(table)
-                    region_id, server = yield from self.locate(table, cursor)
-                    entry = next(e for e in region_map if e[2] == region_id)
-                    region_end = entry[1]
+                    if table not in self._region_maps:
+                        yield from self._load_region_map(table)
+                    _start, region_end, region_id, server = self._map_entry(
+                        table, cursor
+                    )
                     if server is None:
                         raise KvError(f"region {region_id!r} unassigned")
                     scan_end = region_end
@@ -198,7 +205,8 @@ class KvClient:
                         start_row=cursor,
                         end_row=scan_end,
                         max_version=max_version,
-                        limit=limit - len(rows_seen),
+                        limit=limit - n_rows,
+                        column=column,
                     )
                     break
                 except (RpcError, KvError) as exc:
@@ -206,12 +214,15 @@ class KvClient:
                         raise KvError(f"scan failed after {attempt} tries: {exc!r}")
                     self.invalidate(table)
                     yield self._backoff(attempt)
-            cells = [tuple(c) for c in reply["cells"]]
+            cells = reply["cells"]
             out.extend(cells)
-            for row, *_rest in cells:
-                rows_seen.add(row)
+            # Rows arrive ascending, so a new row is a change of row.
+            for cell in cells:
+                if cell[0] != last_row:
+                    last_row = cell[0]
+                    n_rows += 1
             if reply["more"] and cells:
-                cursor = cells[-1][0] + "\x00"  # resume just past the last row
+                cursor = last_row + "\x00"  # resume just past the last row
             elif region_end is None:
                 break
             else:

@@ -114,10 +114,10 @@ class _FileCursor:
         if block_map is None:
             self.row = None
             return
-        self.items = iter(block_map.items())
-        for (row, self.column), self.versions in self.items:
+        self.items = items = iter(block_map.items())
+        for (row, column), versions in items:
             if row >= start_row:
-                self.row = row
+                self.row, self.column, self.versions = row, column, versions
                 return
         self._leave_block()
 
@@ -128,6 +128,52 @@ class _FileCursor:
             self._leave_block()
         else:
             (self.row, self.column), self.versions = entry
+
+    def take_run(
+        self,
+        bound: Optional[str],
+        max_version: int,
+        column: Optional[str],
+        out: List[WireCell],
+        room: int,
+    ) -> int:
+        """Take this file's rows below ``bound`` (None: no bound) from the
+        loaded block in one pass: the newest live version <= max_version
+        of each entry (of ``column`` only, unless None) goes to ``out``.
+
+        The caller guarantees no other source holds a row below ``bound``,
+        so no version merge is needed.  Returns the rows taken; ``room + 1``
+        means a live row past the ``room``-th was met and not taken (the
+        scan is over, and the cursor is left as it stands).  Otherwise the
+        cursor is parked on the entry at ``bound``, or, at the block's end,
+        on the next block's index key.
+        """
+        taken = 0
+        last = None  # the row of the last live cell taken
+        entries = itertools.chain(
+            (((self.row, self.column), self.versions),), self.items
+        )
+        for (row, col), versions in entries:
+            if bound is not None and row >= bound:
+                self.row, self.column, self.versions = row, col, versions
+                return taken
+            if column is not None and col != column:
+                continue
+            best = None
+            for entry in versions:
+                if entry[0] > max_version:
+                    break
+                best = entry
+            if best is None or best[1] is None:
+                continue
+            if row != last:
+                if taken == room:
+                    return room + 1
+                taken += 1
+                last = row
+            out.append((row, col, best[0], best[1]))
+        self._leave_block()
+        return taken
 
     def _leave_block(self) -> None:
         # The next block's first key comes from the index; the block itself
@@ -614,6 +660,7 @@ class RegionServer(ZkWatcherMixin, Node):
         end_row: Optional[str],
         max_version: int,
         limit: int = 1000,
+        column: Optional[str] = None,
     ):
         """Range scan within one region: newest version <= max_version per
         (row, column), rows ascending, at most ``limit`` rows.
@@ -621,13 +668,17 @@ class RegionServer(ZkWatcherMixin, Node):
         Returns ``{"cells": [(row, col, version, value)], "more": bool}``.
         Only a row with a live cell counts: ``more`` says that a live row
         past the ``limit``-th exists, and the caller continues from the
-        last row returned.
+        last row returned.  With ``column`` set, only that column's cells
+        ship and only a row live in it counts; None means every column.
 
         An ascending merge of the memstore and one cursor per store file,
         stopped at the limit, so the work -- and on a cold cache the blocks
         read -- follows the rows examined, not the size of the region.  Rows
         with nothing live (deleted, or newer than the snapshot) are examined
         without counting toward the limit, so a run of them is read through.
+        A run of rows that one loaded block alone holds, up to the next row
+        of any other source, is taken in one pass (``_FileCursor.take_run``);
+        a row that two or more sources hold is merged newest-wins.
         """
         region = self.regions.get(region_id)
         if region is None:
@@ -648,18 +699,48 @@ class RegionServer(ZkWatcherMixin, Node):
         n_rows = 0
         more = False
         while True:
-            row = None if mem_next is None else mem_next[0]
+            # The smallest next row; ``solo``, the cursor that alone holds
+            # it, if one does; ``bound``, then the smallest next row of
+            # every other source.
+            row = bound = None if mem_next is None else mem_next[0]
+            solo = None
             for cursor in cursors:
-                if cursor.row is not None and (row is None or cursor.row < row):
-                    row = cursor.row
+                next_row = cursor.row
+                if next_row is None:
+                    continue
+                if row is None or next_row < row:
+                    bound, row, solo = row, next_row, cursor
+                elif next_row == row:
+                    solo = None
+                elif bound is None or next_row < bound:
+                    bound = next_row
             if row is None or (end_row is not None and row >= end_row):
                 break
+            if solo is not None:
+                if solo.items is None:
+                    # The full merge would read this block now too, and
+                    # nothing else: no other source holds ``row``.
+                    block_map = yield from self._cached_block(
+                        region, solo.sstable, solo.block_idx
+                    )
+                    solo.enter_block(block_map, start_row)
+                    continue
+                if end_row is not None and (bound is None or end_row < bound):
+                    bound = end_row
+                room = limit - n_rows
+                taken = solo.take_run(bound, max_version, column, out, room)
+                if taken > room:
+                    more = True
+                    break
+                n_rows += taken
+                continue
             # Newest version wins: memstore first, then the store files in
             # region order, a later source only with a strictly newer one.
             columns: Dict[str, Tuple[int, Any]] = {}
             if mem_next is not None and mem_next[0] == row:
-                for column, (version, value, tombstone) in mem_next[1].items():
-                    columns[column] = (version, None if tombstone else value)
+                for col, (version, value, tombstone) in mem_next[1].items():
+                    if column is None or col == column:
+                        columns[col] = (version, None if tombstone else value)
                 mem_next = next(mem, None)
             for cursor in cursors:
                 while cursor.row == row:
@@ -672,17 +753,18 @@ class RegionServer(ZkWatcherMixin, Node):
                         )
                         cursor.enter_block(block_map, start_row)
                         continue
-                    column = cursor.column
-                    candidate = self._best_version(cursor.versions, max_version)
-                    if candidate is not None and (
-                        column not in columns or candidate[0] > columns[column][0]
-                    ):
-                        columns[column] = candidate
+                    col = cursor.column
+                    if column is None or col == column:
+                        candidate = self._best_version(cursor.versions, max_version)
+                        if candidate is not None and (
+                            col not in columns or candidate[0] > columns[col][0]
+                        ):
+                            columns[col] = candidate
                     cursor.advance()
 
             live = [
-                (row, column, version, value)
-                for column, (version, value) in sorted(columns.items())
+                (row, col, version, value)
+                for col, (version, value) in sorted(columns.items())
                 if value is not None
             ]
             if live:

@@ -161,44 +161,53 @@ class TxnClient:
     ):
         """Filtered range scan of one column at the transaction's snapshot.
 
-        Returns ``[(row, value)]``, rows ascending.  Buffered writes of
-        this transaction *to the scanned column* overlay the scan
-        (read-your-own-writes), and its buffered deletes of that column
-        hide rows; writes to other columns are invisible here.
+        Returns ``[(row, value)]``, rows ascending: the first ``limit``
+        rows live in ``column``.  Buffered writes of this transaction *to
+        the scanned column* overlay the scan (read-your-own-writes), and
+        its buffered deletes of that column hide rows; writes to other
+        columns are invisible here.
         """
         ctx.require_active()
         issued_at = self.host.kernel.now
-        cells = yield from self.kv.scan(
-            table, start_row, end_row, max_version=ctx.start_ts, limit=limit
-        )
-        merged = {
-            row: (version, value, False)
-            for row, col, version, value in cells
-            if col == column
+        own = {
+            row: value
+            for (t, row, col), value in ctx.write_set.writes.items()
+            if t == table and col == column and row >= start_row
+            and (end_row is None or row < end_row)
         }
-        for (t, row, col), value in ctx.write_set.writes.items():
-            if t != table or col != column or row < start_row:
-                continue
-            if end_row is not None and row >= end_row:
-                continue
-            if value is None:
-                merged.pop(row, None)
-            else:
-                merged[row] = (None, value, True)
-        result = sorted(merged.items())[:limit]
+        # Each buffered delete in range can hide one store row: ask for
+        # that many more, so the overlay still leaves ``limit``.
+        hidden = sum(value is None for value in own.values())
+        cells = yield from self.kv.scan(
+            table, start_row, end_row, max_version=ctx.start_ts,
+            limit=limit + hidden, column=column,
+        )
+        # [(row, version, value, own)], rows ascending.
+        if own:
+            merged = {
+                row: (row, version, value, False) for row, _col, version, value in cells
+            }
+            for row, value in own.items():
+                if value is None:
+                    merged.pop(row, None)
+                else:
+                    merged[row] = (row, None, value, True)
+            rows = sorted(merged.values())[:limit]
+        else:
+            rows = [(row, version, value, False) for row, _col, version, value in cells]
         if self.isolation == "ssi":
             # Returned store rows only: the scanned range's *absent* rows
             # (predicate reads / phantoms) are out of SSI's scope here,
             # as documented in docs/CHECKING.md.
-            for row, (v, _value, own) in result:
-                if not own:
-                    ctx.read_set.add((table, row, column, v))
+            for row, version, _value, is_own in rows:
+                if not is_own:
+                    ctx.read_set.add((table, row, column, version))
         if self.recorder is not None:
             self.recorder.note_scan(
                 ctx, table, start_row, end_row, column, issued_at,
-                rows=[[row, v, value, own] for row, (v, value, own) in result],
+                rows=[list(entry) for entry in rows],
             )
-        return [(row, value) for row, (_v, value, _own) in result]
+        return [(row, value) for row, _version, value, _own in rows]
 
     def write(self, ctx: TxnContext, table: str, row: str, value: Any, column: str = "f") -> None:
         """Buffer an insert/update (nothing reaches the store until commit)."""

@@ -228,6 +228,100 @@ class TestScanIsBounded:
         assert "a0005" not in got and "a0105" not in got
 
 
+def cold_scan_region():
+    """A region of three overlapping store files (8 rows to the block) and
+    a memstore -- a flushing snapshot and an active map -- whose rows
+    interleave with theirs: new rows, newer versions, deletes, a second
+    column, and versions above the snapshot (5) the scans read at."""
+    mini = MiniCluster(
+        kv_settings=KvSettings(memstore_flush_entries=100_000, rows_per_block=8)
+    )
+    rs = next(rs for rs in mini.servers if "t," in rs.regions)
+    region = rs.regions["t,"]
+    memstore = region.memstore
+
+    def cell(row, column, version, live=True):
+        value = f"v-{row}-{version}" if live else None
+        return Cell(row, column, version, value, tombstone=not live)
+
+    files = [
+        [cell(f"a{i:03d}", "f", 1) for i in range(200)],
+        [cell(f"a{i:03d}", "f", 2) for i in range(0, 200, 3)]
+        + [cell(f"a{i:03d}", "g", 2) for i in range(0, 200, 12)]
+        + [cell("a013", "f", 9)],
+        [cell(f"a{i:03d}", "f", 3) for i in range(0, 120, 5)]
+        + [cell(f"a{i:03d}5", "f", 3) for i in range(0, 120, 7)]
+        + [cell(f"a{i:03d}", "f", 3, live=False) for i in range(0, 200, 11) if i % 5],
+    ]
+    for cells in files:
+        for c in cells:
+            memstore.put(c)
+        mini.run(rs._flush_region(region))
+    assert len(region.sstables) == 3
+    for i in (4, 20, 33):
+        memstore.put(cell(f"a{i:03d}m", "f", 4))
+    memstore.put(cell("a010", "f", 4))
+    memstore.put(cell("a022", "f", 4, live=False))
+    memstore.snapshot_for_flush()
+    for i in (47, 52):
+        memstore.put(cell(f"a{i:03d}m", "g", 5))
+    memstore.put(cell("a041", "f", 5))
+    memstore.put(cell("a044", "f", 5, live=False))
+    memstore.put(cell("a026", "f", 7))
+    return mini, rs, region
+
+
+# (limit, more, the (file index, block index) keys a cold scan probes the
+# block cache with, in order, and the reply's cells as row/column/version).
+COLD_SCAN_PINS = [
+    (1, True,
+     [(0, 0), (1, 0), (2, 0)],
+     "a000/f/3 a000/g/2"),
+    (10, True,
+     [(0, 0), (1, 0), (2, 0)],
+     "a000/f/3 a000/g/2 a0005/f/3 a001/f/1 a002/f/1 a003/f/2 a004/f/1 "
+     "a004m/f/4 a005/f/3 a006/f/2 a007/f/1"),
+    (60, True,
+     [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (2, 1), (1, 1), (0, 3), (0, 4),
+      (2, 2), (0, 5), (1, 2), (0, 6)],
+     "a000/f/3 a000/g/2 a0005/f/3 a001/f/1 a002/f/1 a003/f/2 a004/f/1 "
+     "a004m/f/4 a005/f/3 a006/f/2 a007/f/1 a0075/f/3 a008/f/1 a009/f/2 "
+     "a010/f/4 a012/f/2 a012/g/2 a013/f/1 a014/f/1 a0145/f/3 a015/f/3 "
+     "a016/f/1 a017/f/1 a018/f/2 a019/f/1 a020/f/3 a020m/f/4 a021/f/2 "
+     "a0215/f/3 a023/f/1 a024/f/2 a024/g/2 a025/f/3 a026/f/1 a027/f/2 "
+     "a028/f/1 a0285/f/3 a029/f/1 a030/f/3 a031/f/1 a032/f/1 a033m/f/4 "
+     "a034/f/1 a035/f/3 a0355/f/3 a036/f/2 a036/g/2 a037/f/1 a038/f/1 "
+     "a039/f/2 a040/f/3 a041/f/5 a042/f/2 a0425/f/3 a043/f/1 a045/f/3 "
+     "a046/f/1 a047/f/1 a047m/g/5 a048/f/2 a048/g/2 a049/f/1 a0495/f/3 "
+     "a050/f/3 a051/f/2"),
+]
+
+
+def test_cold_scan_probes_blocks_in_a_pinned_order():
+    """The order of a cold scan's block reads fixes its simulated schedule,
+    so it is pinned exactly, with the reply, for three limits."""
+    mini, rs, region = cold_scan_region()
+    files = {sst.path: n for n, sst in enumerate(region.sstables)}
+    probes = []
+    get = rs.cache.get
+
+    def recording_get(key):
+        probes.append((files[key[0]], key[1]))
+        return get(key)
+
+    rs.cache.get = recording_get
+    for limit, more, pinned_probes, pinned_cells in COLD_SCAN_PINS:
+        rs.cache.clear()
+        probes.clear()
+        reply = mini.run(rs.rpc_scan("app", "t,", "a000", None, 5, limit))
+        assert probes == pinned_probes
+        assert reply["more"] == more
+        assert [tuple(c) for c in reply["cells"]] == [
+            (row, col, int(version), f"v-{row}-{version}")
+            for row, col, version in (c.split("/") for c in pinned_cells.split())
+        ]
+
+
 class TestCompaction:
     def test_many_flushes_trigger_compaction(self):
         mini = MiniCluster(

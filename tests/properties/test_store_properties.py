@@ -167,6 +167,49 @@ def test_rpc_scan_matches_brute_force(
 
 
 @given(
+    files=st.lists(scan_cells.filter(bool), min_size=1, max_size=3),
+    active=scan_cells,
+    start=scan_rows,
+    snapshot=st.integers(0, 13),
+    limit=st.integers(1, 14),
+    column=st.sampled_from("fg"),
+)
+@settings(max_examples=100, deadline=None)
+def test_rpc_scan_of_one_column_matches_brute_force(
+    scan_region, files, active, start, snapshot, limit, column
+):
+    """With a column named, only its cells ship and only a row live in it
+    counts toward the limit."""
+    mini, server, region = scan_region
+    region.memstore.clear()
+    region.sstables.clear()
+    for keys in files:
+        for key in keys:
+            region.memstore.put(scan_cell(*key))
+        mini.run(server._flush_region(region))
+    for key in active:
+        region.memstore.put(scan_cell(*key))
+
+    reply = mini.run(
+        server.rpc_scan("app", "t,", start, None, snapshot, limit, column)
+    )
+
+    newest = {}
+    for row, col, version in {k for keys in files + [active] for k in keys}:
+        if col == column and row >= start and version <= snapshot:
+            newest[row] = max(version, newest.get(row, 0))
+    live_rows = sorted(
+        row for row, version in newest.items()
+        if scan_cell(row, column, version).value is not None
+    )
+    assert [tuple(c) for c in reply["cells"]] == [
+        (row, column, newest[row], scan_cell(row, column, newest[row]).value)
+        for row in live_rows[:limit]
+    ]
+    assert reply["more"] == (len(live_rows) > limit)
+
+
+@given(
     st.lists(st.tuples(rows, versions), min_size=1, max_size=80, unique=True),
     st.integers(min_value=1, max_value=10),
 )

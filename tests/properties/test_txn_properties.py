@@ -1,8 +1,11 @@
 """Property-based tests for transaction-manager components."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import ClusterConfig, SimCluster, TABLE
+from repro.kvstore.keys import row_key
 from repro.sim.rng import SeededRng, zipfian_sampler
 from repro.txn import SICertifier, WriteSet
 from repro.txn.log import LogRecord
@@ -226,3 +229,88 @@ def test_log_fetch_truncate_model(host, ops):
         assert store.last_ts == (
             model.entries[-1][0] if model.entries else model.truncated_below
         )
+
+
+# -- TxnClient.scan against its specification -------------------------------
+# Forty preloaded rows over two regions; writes reach five rows past them.
+SCAN_ROWS = 40
+scan_writes = st.lists(
+    st.tuples(
+        st.integers(0, SCAN_ROWS + 5),
+        st.sampled_from("fg"),
+        st.none() | st.integers(0, 99),  # None: a delete
+    ),
+    max_size=12,
+)
+
+
+@pytest.fixture(scope="module")
+def scan_store():
+    """(cluster, client handle, committed (row, column) -> value model)."""
+    config = ClusterConfig(seed=62)
+    config.workload.n_rows = SCAN_ROWS
+    config.kv.n_regions = 2
+    cluster = SimCluster(config).start()
+    cluster.preload()
+    model = {(row_key(i), "f"): f"init-{i}" for i in range(SCAN_ROWS)}
+    return cluster, cluster.add_client("scanner"), model
+
+
+@given(
+    committed=scan_writes,
+    buffered=scan_writes,
+    start=st.integers(0, SCAN_ROWS + 5),
+    width=st.none() | st.integers(1, 20),
+    limit=st.integers(1, 8),
+    column=st.sampled_from("fg"),
+)
+@settings(max_examples=60, deadline=None)
+def test_txn_scan_matches_brute_force(
+    scan_store, committed, buffered, start, width, limit, column
+):
+    """A scan returns the first ``limit`` rows live in ``column`` of the
+    committed store overlaid by the transaction's own buffered writes and
+    deletes of that column, rows ascending."""
+    cluster, handle, model = scan_store
+    txn = handle.txn
+
+    def write(ctx, writes):
+        for index, col, value in writes:
+            row = row_key(index)
+            if value is None:
+                txn.delete(ctx, TABLE, row, column=col)
+            else:
+                txn.write(ctx, TABLE, row, f"v{value}", column=col)
+
+    def commit():
+        ctx = yield from txn.begin()
+        write(ctx, committed)
+        yield from txn.commit(ctx, wait_flush=True)
+
+    if committed:
+        cluster.run(commit())
+        for index, col, value in committed:
+            model[(row_key(index), col)] = None if value is None else f"v{value}"
+
+    start_row = row_key(start)
+    end_row = None if width is None else row_key(start + width)
+
+    def scan():
+        ctx = yield from txn.begin()
+        write(ctx, buffered)
+        rows = yield from txn.scan(ctx, TABLE, start_row, end_row, limit, column)
+        yield from txn.abort(ctx)
+        return rows
+
+    got = cluster.run(scan())
+
+    view = dict(model)
+    for index, col, value in buffered:
+        view[(row_key(index), col)] = None if value is None else f"v{value}"
+    expected = sorted(
+        (row, value)
+        for (row, col), value in view.items()
+        if col == column and value is not None and row >= start_row
+        and (end_row is None or row < end_row)
+    )
+    assert got == expected[:limit]

@@ -189,3 +189,42 @@ def test_scan_of_nondefault_column_sees_only_that_column():
 
     rows = cluster.run(scenario())
     assert rows == {row: "gee"}  # preloaded "f" values are invisible here
+
+
+def test_buffered_delete_does_not_shorten_a_limited_scan():
+    # The store is asked for one row more per buffered delete in range,
+    # since the overlay hides the deleted row after the store counted it.
+    cluster = make()
+    handle = cluster.add_client()
+
+    def scenario():
+        ctx = yield from handle.txn.begin()
+        handle.txn.delete(ctx, TABLE, row_key(20))
+        rows = yield from handle.txn.scan(ctx, TABLE, row_key(19), limit=3)
+        yield from handle.txn.abort(ctx)
+        return rows
+
+    rows = cluster.run(scenario())
+    assert [row for row, _v in rows] == [row_key(19), row_key(21), row_key(22)]
+
+
+def test_rows_live_only_in_another_column_do_not_count_toward_the_limit():
+    cluster = make()
+    handle = cluster.add_client()
+
+    def commit_g():
+        ctx = yield from handle.txn.begin()
+        handle.txn.write(ctx, TABLE, row_key(40), "g-40", column="g")
+        handle.txn.write(ctx, TABLE, row_key(45), "g-45", column="g")
+        yield from handle.txn.commit(ctx, wait_flush=True)
+
+    cluster.run(commit_g())
+
+    def scan():
+        ctx = yield from handle.txn.begin()
+        rows = yield from handle.txn.scan(ctx, TABLE, row_key(39), limit=2, column="g")
+        yield from handle.txn.abort(ctx)
+        return rows
+
+    # Rows 39 and 40 are live in "f"; only rows live in "g" may count.
+    assert cluster.run(scan()) == [(row_key(40), "g-40"), (row_key(45), "g-45")]
