@@ -25,7 +25,7 @@ def run_mix(name: str) -> dict:
     cluster = SimCluster(config).start()
     cluster.preload()
     cluster.warm_caches()
-    driver = WorkloadDriver(cluster, mix=None if name == "paper" else name)
+    driver = WorkloadDriver(cluster, mix=name)
     # Workload E's scans are far heavier per op; let it run closed-loop.
     target = None if name == "E" else TARGET_TPS
     result = driver.run(duration=DURATION, target_tps=target, warmup=2.0)

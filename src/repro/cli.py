@@ -145,7 +145,7 @@ def cmd_workload(args: argparse.Namespace) -> int:
     recorder = None
     if args.check or args.history_json:
         recorder = cluster.attach_history_recorder()
-    driver = WorkloadDriver(cluster, mix=None if args.mix == "paper" else args.mix)
+    driver = WorkloadDriver(cluster, mix=args.mix)
     print(
         f"running workload {args.mix!r} for {args.duration:.0f}s "
         f"({'closed loop' if not args.tps else f'{args.tps:.0f} tps offered'})"
@@ -172,28 +172,26 @@ def cmd_workload(args: argparse.Namespace) -> int:
             recorder.write(args.history_json, **meta)
             print(f"wrote {len(recorder)} history events to {args.history_json}")
         if args.check:
-            from repro.check import SerializabilityChecker, SIChecker
-
-            report = SIChecker(recorder.events).check()
-            print(f"oracle: {report.summary()}")
-            for anomaly in report.anomalies:
-                print(f"  anomaly: {anomaly}")
-            if not report.ok:
-                rc = 1
-            from repro.check.serializability import graph_summary
-
-            ser = SerializabilityChecker(
-                recorder.events, mode=args.isolation
-            ).check()
-            print(
-                f"serializability ({args.isolation} audit): "
-                f"{graph_summary(ser)}"
-            )
-            for anomaly in ser.anomalies:
-                print(f"  anomaly: {anomaly}")
-            if not ser.ok:
-                rc = 1
+            rc = _audit(recorder.events, args.isolation)
     return rc
+
+
+def _audit(events, mode: str) -> int:
+    """Run the SI checker and the serializability checker (audit ``mode``)
+    over a history, print each verdict and its anomalies, and return the
+    exit code: 1 if either found one."""
+    from repro.check import SerializabilityChecker, SIChecker
+    from repro.check.serializability import graph_summary
+
+    report = SIChecker(events).check()
+    print(report.summary())
+    for anomaly in report.anomalies:
+        print(f"  anomaly: {anomaly}")
+    ser = SerializabilityChecker(events, mode=mode).check()
+    print(f"serializability: {graph_summary(ser)}")
+    for anomaly in ser.anomalies:
+        print(f"  anomaly: {anomaly}")
+    return 0 if report.ok and ser.ok else 1
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -204,8 +202,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     metadata (SI histories get the lenient rw-cycle-only audit, SSI
     histories must be fully acyclic), overridable with ``--mode``.
     """
-    from repro.check import SerializabilityChecker, SIChecker, load_history_doc
-    from repro.check.serializability import graph_summary
+    from repro.check import load_history_doc
 
     doc = load_history_doc(args.history)
     events = doc["events"]
@@ -214,20 +211,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         f"loaded {len(events)} events from {args.history} "
         f"(serializability audit mode: {mode})"
     )
-    rc = 0
-    report = SIChecker(events).check()
-    print(report.summary())
-    for anomaly in report.anomalies:
-        print(f"  anomaly: {anomaly}")
-    if not report.ok:
-        rc = 1
-    ser = SerializabilityChecker(events, mode=mode).check()
-    print(f"serializability: {graph_summary(ser)}")
-    for anomaly in ser.anomalies:
-        print(f"  anomaly: {anomaly}")
-    if not ser.ok:
-        rc = 1
-    return rc
+    return _audit(events, mode)
 
 
 def cmd_failover(args: argparse.Namespace) -> int:

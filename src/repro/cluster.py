@@ -83,7 +83,7 @@ class SimCluster:
         self.zk = ZkService(self.kernel, self.net, settings=cfg.zk)
         self.namenode = NameNode(self.kernel, self.net)
 
-        cache_blocks = cfg.kv.blockcache_blocks or self._default_cache_blocks()
+        cache_blocks = self._default_cache_blocks()
         self.datanodes: List[DataNode] = []
         self.servers: List[RegionServer] = []
         self.server_agents: List[Optional[ServerRecoveryAgent]] = []

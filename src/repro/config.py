@@ -107,10 +107,6 @@ class KvSettings:
     compaction_threshold: int = 4
     #: Rows per data block (the block cache granularity).
     rows_per_block: int = 128
-    #: Block-cache capacity, in blocks, per region server.  The paper sized
-    #: the dataset to fit in a single server's cache; the cluster builder
-    #: applies the same rule when this is None.
-    blockcache_blocks: Optional[int] = None
     #: Extra service time for a block-cache miss beyond the DFS read itself.
     cache_miss_penalty: float = 0.0004
     #: Master liveness-check / reassignment reaction period.
@@ -141,13 +137,6 @@ class TxnSettings:
     #: commits across that many shards ("the logging sub-component ... can
     #: be distributed across several nodes", Section 4.1).
     log_shards: int = 0
-    #: Snapshot visibility for new transactions.  "latest" (the paper's
-    #: implicit behaviour) hands out the newest commit timestamp -- under
-    #: deferred update a snapshot may briefly miss a committed-but-
-    #: unflushed write-set.  "flushed" hands out the newest *fully flushed*
-    #: prefix (clients report flush completions), so snapshots never read
-    #: around an in-flight flush, at the cost of slightly older snapshots.
-    snapshot_visibility: str = "latest"
     #: How long committed writes stay in the certification window.  Only
     #: relevant for conflict checking, not recovery.
     certification_horizon: int = 10_000
@@ -209,8 +198,7 @@ class WorkloadSettings:
     n_rows: int = 100_000
     n_clients: int = 50
     ops_per_txn: int = 10
-    read_fraction: float = 0.5
-    distribution: str = "uniform"  # or "zipfian"
+    #: Skew of the zipfian and latest request distributions (YCSB mixes).
     zipf_theta: float = 0.99
     #: Offered load in transactions/second across all client threads; None
     #: means closed-loop (each thread fires as fast as it can).

@@ -51,8 +51,8 @@ class RecoveryClient:
         result = yield from self.kv.flush_write_set(
             table, commit_ts, cells, from_recovery=True
         )
-        # The dead client can no longer report its flush; we inherit that
-        # duty so flushed-prefix snapshot visibility keeps advancing.
+        # Report the flush in the dead client's stead; the TM ignores it
+        # (see ``TransactionManager.rpc_flushed`` for why the cast stays).
         self.kv.host.cast(self.tm_addr, "flushed", commit_ts=commit_ts)
         return result
 

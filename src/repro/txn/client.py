@@ -439,8 +439,8 @@ class TxnClient:
             raise  # client crashed mid-flush: the recovery manager's case
         ctx.transition(FLUSHED)
         self._n_flushed.inc()
-        # Report flush completion to the TM (drives the flushed-prefix
-        # snapshot in "flushed" visibility mode; a no-op otherwise).
+        # Report flush completion to the TM, which ignores it (see
+        # ``TransactionManager.rpc_flushed`` for why the cast stays).
         self.host.cast(self.tm_addr, "flushed", commit_ts=ctx.commit_ts)
         if self.tracker is not None:
             yield from self.tracker.note_flushed(ctx.commit_ts)

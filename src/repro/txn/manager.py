@@ -13,7 +13,6 @@ and stamps.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -107,10 +106,6 @@ class TransactionManager(Node):
                 # Prepares and decisions force the zero-hop member's
                 # device, which a log on logger shards does not have.
                 raise ValueError("tm_shards > 1 is incompatible with log_shards")
-            if self.settings.snapshot_visibility == "flushed":
-                raise ValueError(
-                    "tm_shards > 1 requires snapshot_visibility='latest'"
-                )
         self.log = RecoveryLog(
             self, self.settings, ordered=self.n_shards == 1, logger_shards=logger_shards
         )
@@ -149,11 +144,6 @@ class TransactionManager(Node):
         self._decisions: "OrderedDict[Tuple[str, int], dict]" = OrderedDict()
         self._deciding: Dict[Tuple[str, int], "object"] = {}
         self._aborted_seen: "OrderedDict[Tuple[str, int], None]" = OrderedDict()
-        # Flushed-prefix visibility tracking ("flushed" snapshot mode): a
-        # global analogue of the client-side FQ/FQ' queues.
-        self._visible_ts = 0
-        self._unflushed: List[int] = []  # committed update txns, min-heap
-        self._flushed_set: set = set()
         # Client fencing (recovery-manager hardening of Algorithm 2): a
         # suspected-dead client may still have one last commit racing the
         # recovery manager's log fetch.  Once fenced, a client's further
@@ -199,18 +189,14 @@ class TransactionManager(Node):
     def rpc_begin(self, sender: str, client_id: str):
         """Open a transaction: allocate an id and a snapshot timestamp.
 
-        The snapshot is the newest commit timestamp, or -- in "flushed"
-        visibility mode -- the newest timestamp whose write-set (and all
-        earlier ones) is fully in the store, so reads cannot slip past an
-        in-flight deferred flush.
+        The snapshot is the newest commit timestamp.  Under deferred
+        update it may miss a committed write-set still being flushed (the
+        window the paper's model admits); SSI's fractured-snapshot abort is
+        the mode that closes it.
         """
         yield from self.cpu.use(self.settings.op_service_time)
         self._n_begins.inc()
-        if self.settings.snapshot_visibility == "flushed":
-            start_ts = self._visible_ts
-        else:
-            start_ts = self.oracle.current()
-        return {"txn_id": next(self._txn_ids), "start_ts": start_ts}
+        return {"txn_id": next(self._txn_ids), "start_ts": self.oracle.current()}
 
     def rpc_commit(
         self,
@@ -457,8 +443,6 @@ class TransactionManager(Node):
         self.certifier.record(commit_ts, keys)
         self._n_commits.inc()
         certify_span.end(outcome="committed")
-        if self.settings.snapshot_visibility == "flushed":
-            heapq.heappush(self._unflushed, commit_ts)
         if log_commit:
             # Queue wait + disk sync, all in one stage: the client is
             # unblocked exactly when this ends.
@@ -892,15 +876,11 @@ class TransactionManager(Node):
         yield from self._resolve_indoubt(min_age=0.0)
 
     def rpc_flushed(self, sender: str, commit_ts: int) -> None:
-        """Flush-completion report (cast by clients and the recovery
-        client).  Advances the flushed-prefix snapshot in "flushed"
-        visibility mode; ignored otherwise."""
-        if self.settings.snapshot_visibility != "flushed":
-            return
-        self._flushed_set.add(commit_ts)
-        while self._unflushed and self._unflushed[0] in self._flushed_set:
-            self._visible_ts = heapq.heappop(self._unflushed)
-            self._flushed_set.discard(self._visible_ts)
+        """Flush-completion report, cast by clients and the recovery
+        client; nothing reads it.  The casts stay because every message
+        draws from the network's shared jitter stream: dropping them
+        re-draws the later delays and lands a chaos seed on a known lost
+        commit (docs/RECOVERY.md, "How it was found")."""
 
     def rpc_abort(self, sender: str, client_id: str, txn_id: int) -> bool:
         """Abort notification.  The write-set was buffered client-side and

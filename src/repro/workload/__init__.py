@@ -1,17 +1,17 @@
 """Extended-YCSB transactional workload (Section 4.1): generators for the
-paper's 10-operation 50/50 read/update transactions and a multi-threaded
-closed/throttled-loop driver with time-series metrics."""
+paper's 10-operation 50/50 read/update transactions and the YCSB core mixes,
+and a multi-threaded closed/throttled-loop driver with time-series metrics."""
 
 from repro.workload.driver import WorkloadDriver, WorkloadResult
-from repro.workload.generators import (
+from repro.workload.verify import AcknowledgedCommit, CommitLedger, Violation
+from repro.workload.ycsb import (
     READ,
     UPDATE,
-    TransactionGenerator,
-    TxnTemplate,
-    make_key_chooser,
+    WORKLOADS,
+    KeySpace,
+    YcsbGenerator,
+    YcsbMix,
 )
-from repro.workload.verify import AcknowledgedCommit, CommitLedger, Violation
-from repro.workload.ycsb import WORKLOADS, KeySpace, YcsbGenerator, YcsbMix
 
 __all__ = [
     "AcknowledgedCommit",
@@ -22,10 +22,7 @@ __all__ = [
     "WORKLOADS",
     "YcsbGenerator",
     "YcsbMix",
-    "TransactionGenerator",
-    "TxnTemplate",
     "UPDATE",
     "WorkloadDriver",
     "WorkloadResult",
-    "make_key_chooser",
 ]

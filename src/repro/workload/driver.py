@@ -1,12 +1,13 @@
 """Closed-loop workload driver (the extended-YCSB harness).
 
 Runs N client threads spread over one or more client machines.  Each
-thread executes the paper's transaction type end to end -- begin, 10
-random row operations at 50/50 read/update, commit -- and records response
-time *at commit return* (the paper's commit point: write-sets flush to the
-store afterwards).  An optional target rate throttles the offered load; at
-saturation the loop degrades to closed-loop behaviour, which is what bends
-the fig2a response-time curves upward.
+thread executes one workload mix end to end -- by default the paper's:
+begin, 10 random row operations at 50/50 read/update, commit -- and
+records response time *at commit return* (the paper's commit point:
+write-sets flush to the store afterwards).  An optional target rate
+throttles the offered load; at saturation the loop degrades to
+closed-loop behaviour, which is what bends the fig2a response-time curves
+upward.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from repro.config import WorkloadSettings
 from repro.errors import ReproError, TxnAborted
 from repro.metrics import LatencyHistogram, TimeSeries
 from repro.sim.events import Interrupt
-from repro.workload.generators import READ, TransactionGenerator
 from repro.workload.ycsb import (
     INSERT,
+    READ,
     RMW,
     SCAN,
     UPDATE,
@@ -78,11 +79,12 @@ class WorkloadDriver:
         cluster: SimCluster,
         settings: Optional[WorkloadSettings] = None,
         n_client_nodes: int = 1,
-        mix: Optional[str] = None,
+        mix: str = "paper",
         ledger=None,
     ) -> None:
-        """``mix`` selects a YCSB core workload (``"A"``..``"F"``); None
-        runs the paper's custom transaction type.  ``ledger`` (an optional
+        """``mix`` names a workload of :data:`~repro.workload.ycsb.WORKLOADS`:
+        the paper's transaction type or a YCSB core workload (``"A"``..
+        ``"F"``).  ``ledger`` (an optional
         :class:`~repro.workload.verify.CommitLedger`) records every
         transaction outcome -- committed, aborted, read-only -- so driver
         runs feed the same audit surface the chaos harness uses."""
@@ -91,7 +93,7 @@ class WorkloadDriver:
         self.settings = settings or cluster.config.workload
         if n_client_nodes < 1:
             raise ReproError("need at least one client machine")
-        if mix is not None and mix not in WORKLOADS:
+        if mix not in WORKLOADS:
             raise ReproError(
                 f"unknown workload mix {mix!r}; choose from {sorted(WORKLOADS)}"
             )
@@ -150,13 +152,10 @@ class WorkloadDriver:
         for i in range(n_threads):
             handle = self.handles[i % len(self.handles)]
             thread_rng = self._gen_rng.substream(f"thread{i}")
-            if self.mix is not None:
-                gen = YcsbGenerator(
-                    WORKLOADS[self.mix], self.settings, thread_rng,
-                    key_space=self._key_space,
-                )
-            else:
-                gen = TransactionGenerator(self.settings, thread_rng)
+            gen = YcsbGenerator(
+                WORKLOADS[self.mix], self.settings, thread_rng,
+                key_space=self._key_space,
+            )
             # Stagger thread start so throttled arrivals interleave rather
             # than firing in lockstep.
             offset = (i / n_threads) * (1.0 / per_thread_rate) if per_thread_rate else 0.0
@@ -174,7 +173,7 @@ class WorkloadDriver:
     def _thread_loop(
         self,
         handle: ClientHandle,
-        gen: TransactionGenerator,
+        gen: YcsbGenerator,
         result: WorkloadResult,
         per_thread_rate: Optional[float],
         start_offset: float,
@@ -205,16 +204,7 @@ class WorkloadDriver:
         ctx = None
         try:
             ctx = yield from handle.txn.begin()
-            if self.mix is not None:
-                yield from self._run_ycsb_ops(handle, ctx, gen.next_txn())
-            else:
-                for kind, row in gen.next_txn().ops:
-                    if kind == READ:
-                        yield from handle.txn.read(ctx, TABLE, row)
-                    else:
-                        handle.txn.write(
-                            ctx, TABLE, row, gen.value_for(row, self._txn_counter)
-                        )
+            yield from self._run_ycsb_ops(handle, ctx, gen.next_txn())
             yield from handle.txn.commit(ctx)
         except TxnAborted:
             result.aborted += 1

@@ -1,9 +1,9 @@
 """The standard YCSB core workload mixes, transactionalised.
 
-The paper extends YCSB with transactional semantics and evaluates one
-custom mix (10 operations, 50/50 read/update -- ``paper`` here).  For a
-usable library we also ship the six core YCSB workloads, wrapped in the
-same transaction envelope:
+The paper extends YCSB with "a simple type of update transaction that
+executes 10 random row operations, with a 50/50 ratio of reads/updates"
+(``paper`` here, the default everywhere).  For a usable library we also
+ship the six core YCSB workloads, wrapped in the same transaction envelope:
 
 ========  ===========================================  ==================
 workload  operation mix                                request distribution
@@ -51,10 +51,13 @@ class YcsbMix:
     max_scan_length: int = 100
 
     def validate(self) -> None:
-        """Reject mixes whose proportions do not sum to one."""
+        """Reject mixes whose proportions do not sum to one or whose
+        request distribution is unknown."""
         total = self.read + self.update + self.insert + self.scan + self.rmw
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"workload {self.name!r} proportions sum to {total}")
+        if self.distribution not in ("zipfian", "uniform", "latest"):
+            raise ValueError(f"unknown distribution {self.distribution!r}")
 
 
 WORKLOADS: Dict[str, YcsbMix] = {
@@ -102,11 +105,14 @@ class YcsbGenerator:
         key_space: Optional[KeySpace] = None,
     ) -> None:
         mix.validate()
+        if settings.ops_per_txn > settings.n_rows:
+            raise ValueError(f"ops_per_txn {settings.ops_per_txn} > n_rows")
         self.mix = mix
         self.settings = settings
         self.rng = rng
         self.key_space = key_space or KeySpace(initial=settings.n_rows)
-        self._zipf = zipfian_sampler(settings.n_rows, settings.zipf_theta, rng)
+        if mix.distribution != "uniform":  # setup sums zeta over the table
+            self._zipf = zipfian_sampler(settings.n_rows, settings.zipf_theta, rng)
         self._op_cdf = self._build_cdf()
 
     def _build_cdf(self) -> List[Tuple[float, str]]:
@@ -130,7 +136,7 @@ class YcsbGenerator:
     def _choose_kind(self) -> str:
         u = self.rng.random()
         for bound, kind in self._op_cdf:
-            if u <= bound:
+            if u < bound:
                 return kind
         return self._op_cdf[-1][1]
 
@@ -148,15 +154,22 @@ class YcsbGenerator:
         return row_key((self._zipf() * 2654435761) % n)
 
     def next_txn(self) -> List[YcsbOp]:
-        """One transaction's operations (ops_per_txn of them)."""
+        """One transaction's ops_per_txn operations, on distinct rows: each
+        draws its row (again if an earlier op has it), then its kind; an
+        insert takes a fresh key instead, and a scan then draws its length.
+        Every mix can reach at least n_rows rows, so the draw ends."""
         ops: List[YcsbOp] = []
-        for _ in range(self.settings.ops_per_txn):
+        seen = set()
+        while len(ops) < self.settings.ops_per_txn:
+            row = self._choose_key()
+            if row in seen:
+                continue
             kind = self._choose_kind()
             if kind == INSERT:
-                ops.append((INSERT, self.key_space.next_insert(), 0))
-            elif kind == SCAN:
+                row = self.key_space.next_insert()
+            seen.add(row)
+            length = 0
+            if kind == SCAN:
                 length = 1 + self.rng.randrange(self.mix.max_scan_length)
-                ops.append((SCAN, self._choose_key(), length))
-            else:
-                ops.append((kind, self._choose_key(), 0))
+            ops.append((kind, row, length))
         return ops

@@ -56,7 +56,7 @@ def run_scenario(seed):
             cluster.kernel.process(bring_up(), name="bring-up").defuse()
         cluster.after(5.0, bring_back)
 
-    driver = WorkloadDriver(cluster, mix="A" if seed % 2 else None)
+    driver = WorkloadDriver(cluster, mix="A" if seed % 2 else "paper")
     driver.run(duration=8.0, target_tps=150.0)
     # Let recovery, replay, and post-commit flushes settle before judging.
     cluster.run_until(cluster.kernel.now + 12.0)

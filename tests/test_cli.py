@@ -56,6 +56,16 @@ class TestCommands:
         assert "workload summary" in out
         assert "committed" in out
 
+    def test_workload_check_prints_the_same_audit_as_check(self, tmp_path, capsys):
+        history = str(tmp_path / "history.json")
+        rc = main([
+            "workload", "--rows", "2000", "--clients", "5", "--duration", "2",
+            "--tps", "40", "--warmup", "0", "--check", "--history-json", history,
+        ])
+        audit = capsys.readouterr().out.splitlines()[-2:]
+        assert rc == 0 and main(["check", history]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == audit
+
     def test_failover_prints_charts(self, capsys):
         rc = main([
             "failover", "--rows", "3000", "--regions", "4", "--clients", "8",

@@ -16,6 +16,7 @@ from repro.errors import (
     TxnConflict,
     WrongRegionServer,
 )
+from repro.workload import WORKLOADS
 from repro.zk.znode import is_direct_child, parent_path
 
 
@@ -25,7 +26,7 @@ class TestConfig:
         assert config.kv.n_region_servers == 2
         assert config.dfs.replication == 2
         assert config.workload.ops_per_txn == 10
-        assert config.workload.read_fraction == 0.5
+        assert WORKLOADS["paper"].read == 0.5
         assert config.kv.wal_sync_mode == "async"
         assert config.recovery.enabled
 

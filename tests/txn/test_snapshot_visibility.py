@@ -1,23 +1,19 @@
-"""Snapshot-visibility modes under the deferred-update model.
+"""Snapshot visibility under the deferred-update model.
 
 Under deferred update a write-set reaches the store only after commit, so
-"latest" snapshots (the paper's implicit behaviour) can briefly miss a
-committed-but-unflushed transaction.  The opt-in "flushed" mode hands out
-the newest *fully flushed* prefix instead, trading snapshot freshness for
-never reading around an in-flight flush.
+a snapshot at the newest commit timestamp (the paper's implicit behaviour)
+can briefly miss a committed-but-unflushed transaction.  Under SSI the
+fractured-snapshot abort closes that window.
 """
-
-import pytest
 
 from repro import ClusterConfig, SimCluster, TABLE
 from repro.kvstore.keys import row_key
 
 
-def build(visibility, seed):
+def build(seed):
     config = ClusterConfig(seed=seed)
     config.workload.n_rows = 2000
     config.kv.n_regions = 4
-    config.txn.snapshot_visibility = visibility
     config.recovery.client_heartbeat_interval = 0.5
     cluster = SimCluster(config).start()
     cluster.preload()
@@ -28,7 +24,7 @@ def build(visibility, seed):
 def test_latest_mode_can_miss_unflushed_commit():
     """Documents the anomaly the paper's model admits: a snapshot taken
     after commit but before the flush lands reads the older version."""
-    cluster = build("latest", seed=111)
+    cluster = build(seed=111)
     writer = cluster.add_client("writer")
     reader = cluster.add_client("reader")
     observed = {}
@@ -50,89 +46,3 @@ def test_latest_mode_can_miss_unflushed_commit():
     # ...but the data had not arrived: the read missed the new value.
     assert observed["value"] == "init-9"
     cluster.net.heal()
-
-
-def test_flushed_mode_never_reads_around_inflight_flush():
-    cluster = build("flushed", seed=112)
-    writer = cluster.add_client("writer")
-    reader = cluster.add_client("reader")
-    observed = {}
-
-    def scenario():
-        ctx = yield from writer.txn.begin()
-        writer.txn.write(ctx, TABLE, row_key(9), "new-value")
-        yield from writer.txn.commit(ctx)
-        r = yield from reader.txn.begin()
-        observed["snapshot"] = r.start_ts
-        observed["commit"] = ctx.commit_ts
-        observed["value"] = yield from reader.txn.read(r, TABLE, row_key(9))
-
-    cluster.run(scenario())
-    # The snapshot excludes the unflushed commit -- so the old value is the
-    # *correct* answer for it, not an anomaly.
-    assert observed["snapshot"] < observed["commit"]
-    assert observed["value"] == "init-9"
-
-
-def test_flushed_mode_advances_after_flush():
-    cluster = build("flushed", seed=113)
-    writer = cluster.add_client("writer")
-    reader = cluster.add_client("reader")
-
-    def write_and_wait():
-        ctx = yield from writer.txn.begin()
-        writer.txn.write(ctx, TABLE, row_key(10), "v2")
-        yield from writer.txn.commit(ctx, wait_flush=True)
-        return ctx
-
-    ctx = cluster.run(write_and_wait())
-    cluster.run_until(cluster.kernel.now + 0.1)  # the flushed cast lands
-
-    def read():
-        r = yield from reader.txn.begin()
-        assert r.start_ts >= ctx.commit_ts
-        return (yield from reader.txn.read(r, TABLE, row_key(10)))
-
-    assert cluster.run(read()) == "v2"
-
-
-def test_flushed_mode_unblocked_by_client_failure_recovery():
-    """A client that dies before flushing would freeze the flushed prefix;
-    the recovery client reports the replayed flushes instead."""
-    cluster = build("flushed", seed=114)
-    victim = cluster.add_client("victim")
-    reader = cluster.add_client("reader")
-
-    def commit_and_die():
-        ctx = yield from victim.txn.begin()
-        victim.txn.write(ctx, TABLE, row_key(11), "orphan")
-        yield from victim.txn.commit(ctx)
-        victim.node.crash()
-        return ctx
-
-    proc = cluster.kernel.process(commit_and_die())
-    proc.defuse()
-    cluster.run_until(cluster.kernel.now + 8.0)  # detection + replay
-
-    def read():
-        r = yield from reader.txn.begin()
-        return (yield from reader.txn.read(r, TABLE, row_key(11)))
-
-    assert cluster.run(read()) == "orphan"
-    # And the visible snapshot moved past the orphaned commit.
-    assert cluster.tm._visible_ts >= 1
-
-
-def test_out_of_order_flush_completions_advance_in_order():
-    cluster = build("flushed", seed=115)
-    tm = cluster.tm
-    import heapq
-
-    for ts in (1, 2, 3):
-        heapq.heappush(tm._unflushed, ts)
-    tm.rpc_flushed("x", 2)
-    assert tm._visible_ts == 0  # held back by 1
-    tm.rpc_flushed("x", 1)
-    assert tm._visible_ts == 2  # 1 and 2 retire together
-    tm.rpc_flushed("x", 3)
-    assert tm._visible_ts == 3
