@@ -319,8 +319,8 @@ class DataNode(Node):
     def bulk_store(self, path: str, records: List[Tuple[object, int]]) -> None:
         """Install a pre-built, already-durable replica (dataset preload).
 
-        Preloaded records are unframed (``crc is None``): they model data
-        written before checksumming existed, and verify trivially.
+        Preloaded records land intact, like every record the disk does
+        not damage: no fault is drawn for them.
         """
         stored = StoredFile(
             path=path,

@@ -2,9 +2,17 @@
 
 Durable state in the simulation is a list of records rather than a byte
 stream, so framing works at record granularity: every :class:`Record`
-carries its payload length (the length prefix) and a CRC32 over a
-canonical encoding of the payload.  A reader that finds a checksum
+carries its payload length (the length prefix) and, conceptually, a CRC32
+over a canonical encoding of the payload.  A reader that finds a checksum
 mismatch knows the record is torn or rotted and must not replay it.
+
+A payload never changes once framed, so a checksum recomputed at read
+time can only disagree with the write-time one where the medium damaged
+the frame.  The simulation therefore models the verdict, not the
+arithmetic: a record carries a rot mark (:meth:`Record.damage`) and a
+tear mark (:meth:`Record.tear`), and its :attr:`~Record.state` reads the
+two.  No write computes a checksum; :attr:`Record.crc` derives one on
+demand for inspection.
 
 A :class:`StoredFile` is one host's copy of one record stream (a
 datanode's replica, the TM's commit log, a logger shard's slice of it)
@@ -28,7 +36,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 #: Marker heading every segment-header payload (first tuple element).
 HEADER_KIND = "__segment_header__"
@@ -44,40 +52,45 @@ def checksum(payload: Any) -> int:
     return zlib.crc32(repr(payload).encode("utf-8", "replace"))
 
 
+#: What :meth:`Record.damage` does to a frame's stored CRC.
+_ROT_MASK = 0x5A5A5A5A
+
+
 @dataclass
 class Record:
     """One opaque record on a storage medium.
 
-    Records written through an append path are *framed*: they carry a
-    CRC32 over their payload, so readers can detect bit rot and torn
-    writes instead of silently replaying garbage.  ``crc is None`` marks
-    an unframed record (bulk-preloaded datasets, pre-framing files);
-    those verify trivially, like data covered by device-level checksums.
+    Readers detect bit rot and torn writes on a record instead of
+    silently replaying garbage; an intact record verifies.
     """
 
     payload: Any
     nbytes: int = 128
-    crc: Optional[int] = None
     torn: bool = False
+    #: The medium rotted this record after it was written.
+    rotted: bool = False
 
     @staticmethod
     def framed(payload: Any, nbytes: int) -> "Record":
-        """A record checksummed at write time."""
-        return Record(payload=payload, nbytes=nbytes, crc=checksum(payload))
+        """A record as an append path writes it (framed, checksummed)."""
+        return Record(payload, nbytes)
+
+    @property
+    def crc(self) -> int:
+        """The frame's CRC32, derived on demand; a rotted one mismatches."""
+        crc = checksum(self.payload)
+        return crc ^ _ROT_MASK if self.rotted else crc
 
     @property
     def state(self) -> str:
         """Medium state: ``"ok"``, ``"torn"`` or ``"corrupt"``."""
         if self.torn:
             return "torn"
-        if self.crc is not None and self.crc != checksum(self.payload):
-            return "corrupt"
-        return "ok"
+        return "corrupt" if self.rotted else "ok"
 
     def damage(self) -> None:
         """Latent corruption: the stored frame no longer matches the payload."""
-        base = self.crc if self.crc is not None else checksum(self.payload)
-        self.crc = base ^ 0x5A5A5A5A
+        self.rotted = True
 
     def tear(self) -> None:
         """Mark this record as a half-written (torn) final record."""
