@@ -47,12 +47,14 @@ class Message:
     ``_refs`` counts outstanding users -- one per scheduled delivery, plus
     one while a generator RPC handler still holds the request -- and the
     object is recycled when the count hits zero.  Payload dicts are never
-    pooled; the reference is dropped at release time.
+    pooled; the reference is dropped at release time.  ``duplicated``
+    marks a message the chaos layer delivers twice (both deliveries share
+    this object): only such a request needs duplicate suppression.
     """
 
     __slots__ = (
         "src", "dst", "kind", "req_id", "method", "payload",
-        "ok", "error", "size", "_refs",
+        "ok", "error", "size", "_refs", "duplicated",
     )
 
     def __init__(
@@ -77,6 +79,7 @@ class Message:
         self.error = error
         self.size = size
         self._refs = 0
+        self.duplicated = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -254,6 +257,7 @@ class Network:
             msg.error = error
             msg.size = size
             msg._refs = 0
+            msg.duplicated = False
             return msg
         return Message(src, dst, kind, req_id, method, payload, ok, error, size)
 
@@ -311,6 +315,7 @@ class Network:
             and chaos.random() < self.duplicate_probability
         ):
             self.messages_duplicated += 1
+            message.duplicated = True
             copies = 2
         degradation = 1.0
         if self._degraded:

@@ -24,7 +24,8 @@ from repro.sim.network import Message, Network
 from repro.sim.process import OwnedProcess, ProcGen, Process
 from repro.sim.retry import DEFAULT_RPC_RETRY, RetryPolicy
 
-#: Recently-seen request ids kept per node for duplicate suppression.
+#: Duplicated requests whose first copy landed, kept per node until the
+#: twin does; the cap bounds the twins that never land (dropped in flight).
 _SEEN_REQUESTS_CAP = 4096
 
 _NEVER = float("inf")
@@ -56,7 +57,9 @@ class Node:
         self._timer_at = _NEVER
         # Transport-level at-most-once delivery: the fabric may duplicate
         # a message (chaos layer), but each request id executes a handler
-        # at most once -- like TCP retransmission dedup.  Application
+        # at most once -- like TCP retransmission dedup.  Only a request
+        # the fabric marked ``duplicated`` is looked up: its first copy to
+        # land is recorded here and its twin suppressed.  Application
         # *retries* use fresh request ids and do reach handlers again,
         # which is why non-idempotent handlers (the TM's commit) keep
         # their own decision caches.
@@ -356,18 +359,21 @@ class Node:
                 event._complete(ok, value)
             return
 
-        if message.req_id:
-            # Fabric-level duplicate of a request we already accepted:
-            # suppress it (at-most-once per request id).  The first copy's
-            # reply answers the caller; if that reply is lost the caller
-            # retries with a fresh id, reaching the handler again.
+        if message.duplicated and message.req_id:
+            # A request the fabric delivers twice: the first copy to land
+            # runs the handler, its twin is suppressed (at-most-once per
+            # request id).  The first copy's reply answers the caller; if
+            # that reply is lost the caller retries with a fresh id,
+            # reaching the handler again.
             dedup_key = (message.src, message.req_id)
-            if dedup_key in self._seen_requests:
+            seen = self._seen_requests
+            if dedup_key in seen:
+                del seen[dedup_key]  # no third copy will come
                 self.net.duplicates_suppressed += 1
                 return
-            self._seen_requests[dedup_key] = None
-            while len(self._seen_requests) > _SEEN_REQUESTS_CAP:
-                self._seen_requests.popitem(last=False)
+            seen[dedup_key] = None
+            while len(seen) > _SEEN_REQUESTS_CAP:
+                seen.popitem(last=False)  # a twin dropped in flight
 
         method = message.method
         handlers = self._rpc_handlers

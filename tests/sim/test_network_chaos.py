@@ -113,6 +113,51 @@ def test_duplicates_execute_handlers_at_most_once():
     assert net.duplicates_suppressed > 0
 
 
+class KeyedNode(Node):
+    """Counts handler executions per request key."""
+
+    def __init__(self, kernel, net, addr):
+        super().__init__(kernel, net, addr)
+        self.runs = {}
+
+    def rpc_mark(self, sender, key):
+        self.runs[key] = self.runs.get(key, 0) + 1
+        return key
+
+
+def test_every_duplicated_request_runs_its_handler_once():
+    # Both deliveries of a duplicated message share one Message, which
+    # the fabric marks; only marked requests are looked up, and a twin's
+    # arrival clears its first copy's entry.
+    k = Kernel(seed=0)
+    net = Network(k)
+    net.duplicate_probability = 1.0  # past configure_chaos's [0, 1) check
+    a, b = KeyedNode(k, net, "a"), KeyedNode(k, net, "b")
+    replies = []
+
+    def caller():
+        for i in range(20):
+            replies.append((yield a.call("b", "mark", timeout=1.0, key=f"c{i}")))
+            batch = a.call_batch(
+                "b", "mark", [{"key": f"b{i}.0"}, {"key": f"b{i}.1"}], timeout=1.0
+            )
+            for event in batch:
+                replies.append((yield event))
+        a.cast("b", "mark", key="cast")  # no request id: nothing to look up
+
+    k.run_until_complete(k.process(caller()))
+    k.run()
+    keys = [f"c{i}" for i in range(20)] + [
+        f"b{i}.{j}" for i in range(20) for j in (0, 1)
+    ]
+    assert sorted(replies) == sorted(keys)
+    assert all(b.runs[key] == 1 for key in keys)
+    assert b.runs["cast"] == 2  # a cast is not deduplicated
+    # 40 requests (20 calls, 20 batches), each delivered twice.
+    assert net.messages_duplicated == net.messages_sent
+    assert net.duplicates_suppressed == 40
+    assert not b._seen_requests
+
 def test_delay_spikes_stretch_delivery():
     k, net, a, _b = make_pair(seed=3)
     net.configure_chaos(delay_spike_probability=0.9, delay_spike_factor=1000.0)

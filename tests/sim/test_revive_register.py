@@ -106,21 +106,21 @@ def test_reregistration_conflicts_only_with_a_live_incumbent():
 
 
 def test_crash_clears_duplicate_suppression_state():
-    # Volatile transport state does not survive a crash: a request id seen
-    # before the crash executes again afterwards (fresh incarnation).
+    # Volatile transport state does not survive a crash: a request whose
+    # fabric duplicate lands after the node crashed and came back executes
+    # again (fresh incarnation) instead of being suppressed.
     k, net, a, b = make_pair()
+    net.duplicate_probability = 1.0  # every message is delivered twice
     hits = []
 
     def rpc_mark(sender):
-        hits.append(sender)
+        hits.append(k.now)
+        if len(hits) == 1:  # between the two copies' landings
+            k.call_later(0.0, lambda _arg: (b.crash(), b.revive()))
         return "ok"
 
     b.rpc_mark = rpc_mark
-    run_call(k, a, "b", "mark", timeout=1.0)
-    assert b._seen_requests
-    b.crash()
-    assert not b._seen_requests
-    b.revive()
-    run_call(k, a, "b", "mark", timeout=1.0)
-    assert hits == ["a", "a"]
+    assert run_call(k, a, "b", "mark", timeout=1.0) == {"value": "ok"}
+    assert len(hits) == 2 and hits[0] < hits[1]  # once per incarnation
+    assert net.messages_duplicated >= 1
     assert net.duplicates_suppressed == 0
