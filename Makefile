@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-verbose chaos chaos-disk chaos-kill chaos-tm-shard chaos-ssi chaos-all check-sweep bench bench-compare host-pairs bench-figs bench-paper examples demo clean apidoc loc
+.PHONY: install test test-fast test-verbose chaos chaos-disk chaos-kill chaos-tm-shard chaos-ssi chaos-all check-sweep bench bench-compare host-pairs host-profile bench-figs bench-paper examples demo clean apidoc loc
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -82,6 +82,13 @@ host-pairs:
 	$(if $(BASE),,$(error BASE=<git ref> is required))
 	$(PYTHON) tools/host_pairs.py $(BASE) $(if $(W),--workload $(W)) \
 		$(if $(N),--pairs $(N)) $(if $(SEED),--seed $(SEED)) $(if $(AA),--aa)
+
+# Where workload W's host time goes: a SIGPROF sample of the stack over
+# its untraced measured windows (tools/host_profile.py), as self and
+# inclusive shares by file and by function.  W is required.
+host-profile:
+	$(if $(W),,$(error W=<workload> is required))
+	$(PYTHON) tools/host_profile.py $(W) $(if $(SEED),--seed $(SEED))
 
 bench-figs:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
