@@ -14,8 +14,9 @@ as :class:`~repro.errors.RemoteError`.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Type
+from collections import OrderedDict
+from heapq import heappop, heappush
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.errors import NodeDown, RemoteError, RpcTimeout
 from repro.sim.events import Event, Interrupt
@@ -45,15 +46,11 @@ class Node:
         self._pending_calls: Dict[int, Event] = {}
         # req_id -> per-item reply events of an outstanding call_batch().
         self._pending_batches: Dict[int, List[Event]] = {}
-        # RPC deadlines, one FIFO per timeout value: (when, req_id, dst,
-        # method, timeout).  A queue's deadlines are ``now + timeout`` with
-        # ``now`` non-decreasing, so an append keeps it in (when, req_id)
-        # order and the earliest deadline is one of the queue heads.  One
-        # kernel timer is armed for the earliest (it fires at
-        # ``_timer_at``); an answered call's entry is dropped lazily when
-        # it surfaces, so a call that is answered costs no event, and a
-        # queue that drains is dropped with it.
-        self._deadlines: Dict[float, Deque[Tuple[float, int, str, str, float]]] = {}
+        # RPC deadlines, earliest first: (when, req_id, dst, method,
+        # timeout).  One kernel timer is armed for the earliest (it fires
+        # at ``_timer_at``); an answered call's entry is dropped lazily
+        # when it surfaces, so a call that is answered costs no event.
+        self._deadlines: List[Tuple[float, int, str, str, float]] = []
         self._timer_at = _NEVER
         # Transport-level at-most-once delivery: the fabric may duplicate
         # a message (chaos layer), but each request id executes a handler
@@ -287,10 +284,7 @@ class Node:
 
     def _set_deadline(self, req_id: int, dst: str, method: str, timeout: float) -> None:
         when = self.kernel.now + timeout
-        queue = self._deadlines.get(timeout)
-        if queue is None:
-            queue = self._deadlines[timeout] = deque()
-        queue.append((when, req_id, dst, method, timeout))
+        heappush(self._deadlines, (when, req_id, dst, method, timeout))
         if when < self._timer_at:
             self._timer_at = when
             self.kernel.call_at(when, self._on_deadline, when)
@@ -301,31 +295,24 @@ class Node:
             return  # superseded by an earlier deadline's timer, or a crash
         deadlines = self._deadlines
         calls, batches = self._pending_calls, self._pending_batches
-        expired = []
-        next_at = _NEVER
-        for timeout, queue in list(deadlines.items()):
-            while queue:
-                entry = queue[0]
-                owed = entry[1] in calls or entry[1] in batches
-                if entry[0] > when and owed:
-                    next_at = min(next_at, entry[0])  # this queue's earliest owed
-                    break
-                queue.popleft()  # expired, or answered since it was set
-                if owed:
-                    expired.append(entry)
-            if not queue:
-                del deadlines[timeout]
-        # Deadlines of different timeouts may coincide: fail in the order
-        # one queue over every deadline would.
-        expired.sort()
-        for _due, req_id, dst, method, timeout in expired:
+        while deadlines:
+            due, req_id, dst, method, timeout = deadlines[0]
+            if due > when:
+                if req_id in calls or req_id in batches:
+                    break  # the earliest deadline still owed
+                heappop(deadlines)  # answered since it was set
+                continue
+            heappop(deadlines)
             event = calls.pop(req_id, None)
-            for event in batches.pop(req_id, ()) if event is None else (event,):
+            expired = batches.pop(req_id, ()) if event is None else (event,)
+            for event in expired:
                 if not event.triggered:
                     event.fail(RpcTimeout(dst, method, timeout))
-        self._timer_at = next_at
-        if next_at != _NEVER:
-            self.kernel.call_at(next_at, self._on_deadline, next_at)
+        if deadlines:
+            self._timer_at = due = deadlines[0][0]
+            self.kernel.call_at(due, self._on_deadline, due)
+        else:
+            self._timer_at = _NEVER
 
     # ------------------------------------------------------------------
     # RPC server side

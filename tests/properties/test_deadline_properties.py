@@ -1,16 +1,15 @@
-"""RPC deadlines against a brute-force heap model.
+"""RPC deadlines against a brute-force model.
 
-:class:`~repro.sim.node.Node` keeps one FIFO of deadlines per timeout
-value and arms one kernel timer for the earliest call still owed.  The
-model is the plain way to do the same: every deadline in one heap, the
-answered ones dropped as they surface.  Random call schedules -- issue
-times, timeouts from a small set (so deadlines of different timeouts
-coincide), answered, late or never answered, single calls and batches,
-and an optional crash of the caller -- must fail the same calls at the
-same instants in the same order, with the same number of kernel events.
+:class:`~repro.sim.node.Node` keeps its deadlines in a heap, drops an
+answered call's entry lazily when it surfaces, and arms one kernel timer
+for the earliest call still owed.  The model does the same the plain way:
+an unordered list, scanned in full at every firing.  Random call
+schedules -- issue times, timeouts from a small set (so deadlines of
+different timeouts coincide), answered, late or never answered, single
+calls and batches, and an optional crash of the caller -- must fail the
+same calls at the same instants in the same order, with the same number
+of kernel events.
 """
-
-from heapq import heappop, heappush
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,16 +36,12 @@ calls = st.lists(
 )
 
 
-class HeapDeadlineNode(Node):
-    """The model: one heap of ``(when, req_id, dst, method, timeout)``."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._deadlines = []
+class ScanDeadlineNode(Node):
+    """The model: a list of ``(when, req_id, dst, method, timeout)``."""
 
     def _set_deadline(self, req_id, dst, method, timeout):
         when = self.kernel.now + timeout
-        heappush(self._deadlines, (when, req_id, dst, method, timeout))
+        self._deadlines.append((when, req_id, dst, method, timeout))
         if when < self._timer_at:
             self._timer_at = when
             self.kernel.call_at(when, self._on_deadline, when)
@@ -54,22 +49,17 @@ class HeapDeadlineNode(Node):
     def _on_deadline(self, when):
         if when != self._timer_at:
             return
-        deadlines = self._deadlines
         calls, batches = self._pending_calls, self._pending_batches
-        while deadlines:
-            due, req_id, dst, method, timeout = deadlines[0]
-            if due > when:
-                if req_id in calls or req_id in batches:
-                    break
-                heappop(deadlines)
-                continue
-            heappop(deadlines)
+        owed = [d for d in self._deadlines if d[1] in calls or d[1] in batches]
+        expired = sorted(d for d in owed if d[0] <= when)
+        for _due, req_id, dst, method, timeout in expired:
             event = calls.pop(req_id, None)
             for event in batches.pop(req_id, ()) if event is None else (event,):
                 if not event.triggered:
                     event.fail(RpcTimeout(dst, method, timeout))
-        self._timer_at = deadlines[0][0] if deadlines else _NEVER
-        if deadlines:
+        self._deadlines = [d for d in owed if d[0] > when]
+        self._timer_at = min((d[0] for d in self._deadlines), default=_NEVER)
+        if self._deadlines:
             self.kernel.call_at(self._timer_at, self._on_deadline, self._timer_at)
 
 
@@ -115,10 +105,10 @@ def play(client_type, schedule, crash_at):
 
 @given(calls, st.none() | instants)
 @settings(max_examples=300, deadline=None)
-def test_deadlines_fail_like_one_heap(schedule, crash_at):
+def test_deadlines_fail_like_a_full_scan(schedule, crash_at):
     client, events, issued, outcomes = play(Node, schedule, crash_at)
     model, model_events, _issued, model_outcomes = play(
-        HeapDeadlineNode, schedule, crash_at
+        ScanDeadlineNode, schedule, crash_at
     )
     assert outcomes == model_outcomes
     assert events == model_events
