@@ -47,14 +47,17 @@ class Message:
     ``_refs`` counts outstanding users -- one per scheduled delivery, plus
     one while a generator RPC handler still holds the request -- and the
     object is recycled when the count hits zero.  Payload dicts are never
-    pooled; the reference is dropped at release time.  ``duplicated``
-    marks a message the chaos layer delivers twice (both deliveries share
-    this object): only such a request needs duplicate suppression.
+    pooled; the reference is dropped at release time.
+
+    ``twin`` is ``None`` unless the chaos layer delivers the message twice
+    (both deliveries share this object).  It is then ``True`` until a copy
+    runs, and from then on the receiver's incarnation that ran it, so the
+    other copy knows whether to be suppressed.
     """
 
     __slots__ = (
         "src", "dst", "kind", "req_id", "method", "payload",
-        "ok", "error", "size", "_refs", "duplicated",
+        "ok", "error", "size", "_refs", "twin",
     )
 
     def __init__(
@@ -79,7 +82,7 @@ class Message:
         self.error = error
         self.size = size
         self._refs = 0
-        self.duplicated = False
+        self.twin = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -257,7 +260,7 @@ class Network:
             msg.error = error
             msg.size = size
             msg._refs = 0
-            msg.duplicated = False
+            msg.twin = None
             return msg
         return Message(src, dst, kind, req_id, method, payload, ok, error, size)
 
@@ -315,7 +318,7 @@ class Network:
             and chaos.random() < self.duplicate_probability
         ):
             self.messages_duplicated += 1
-            message.duplicated = True
+            message.twin = True
             copies = 2
         degradation = 1.0
         if self._degraded:

@@ -14,7 +14,6 @@ as :class:`~repro.errors.RemoteError`.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
@@ -24,10 +23,6 @@ from repro.sim.kernel import Kernel
 from repro.sim.network import Message, Network
 from repro.sim.process import OwnedProcess, ProcGen, Process
 from repro.sim.retry import DEFAULT_RPC_RETRY, RetryPolicy
-
-#: Duplicated requests whose first copy landed, kept per node until the
-#: twin does; the cap bounds the twins that never land (dropped in flight).
-_SEEN_REQUESTS_CAP = 4096
 
 _NEVER = float("inf")
 
@@ -54,13 +49,14 @@ class Node:
         self._timer_at = _NEVER
         # Transport-level at-most-once delivery: the fabric may duplicate
         # a message (chaos layer), but each request id executes a handler
-        # at most once -- like TCP retransmission dedup.  Only a request
-        # the fabric marked ``duplicated`` is looked up: its first copy to
-        # land is recorded here and its twin suppressed.  Application
-        # *retries* use fresh request ids and do reach handlers again,
-        # which is why non-idempotent handlers (the TM's commit) keep
-        # their own decision caches.
-        self._seen_requests: "OrderedDict[Tuple[str, int], None]" = OrderedDict()
+        # at most once -- like TCP retransmission dedup.  Both copies of
+        # a duplicated request share one Message: the first to run stamps
+        # its ``twin`` with this incarnation, and the other is suppressed
+        # if it lands in the same one.  crash() starts a new incarnation.
+        # Application *retries* use fresh request ids and do reach handlers
+        # again, which is why non-idempotent handlers (the TM's commit)
+        # keep their own decision caches.
+        self._incarnation = object()
         # method name -> bound rpc_* handler (or None), filled lazily so
         # the dispatch path skips the per-request getattr/format.
         self._rpc_handlers: Dict[str, Optional[Callable]] = {}
@@ -131,7 +127,7 @@ class Node:
         self._pending_batches.clear()
         self._deadlines.clear()
         self._timer_at = _NEVER  # disowns a timer still in the kernel queue
-        self._seen_requests.clear()
+        self._incarnation = object()  # a twin still in flight runs again
         for hook in list(self.crash_hooks):
             hook()
         self.on_crash()
@@ -346,21 +342,16 @@ class Node:
                 event._complete(ok, value)
             return
 
-        if message.duplicated and message.req_id:
+        if message.twin is not None and message.req_id:
             # A request the fabric delivers twice: the first copy to land
             # runs the handler, its twin is suppressed (at-most-once per
-            # request id).  The first copy's reply answers the caller; if
-            # that reply is lost the caller retries with a fresh id,
-            # reaching the handler again.
-            dedup_key = (message.src, message.req_id)
-            seen = self._seen_requests
-            if dedup_key in seen:
-                del seen[dedup_key]  # no third copy will come
+            # request id and incarnation).  The first copy's reply answers
+            # the caller; if that reply is lost the caller retries with a
+            # fresh id, reaching the handler again.
+            if message.twin is self._incarnation:
                 self.net.duplicates_suppressed += 1
                 return
-            seen[dedup_key] = None
-            while len(seen) > _SEEN_REQUESTS_CAP:
-                seen.popitem(last=False)  # a twin dropped in flight
+            message.twin = self._incarnation
 
         method = message.method
         handlers = self._rpc_handlers
