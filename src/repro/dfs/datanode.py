@@ -6,7 +6,8 @@ That pipeline cost is the whole reason synchronous WAL persistence is slow
 in fig2a, so it is modelled faithfully; block layout below the record level
 is not.
 
-Every record is framed with a CRC32 at write time, and each replica draws
+Every record is framed (:class:`~repro.storage.Record`: a checksum's
+verdict, modelled by rot and tear marks), and each replica draws
 its media faults independently (corruption, lost fsyncs, transient write
 errors from :class:`~repro.sim.disk.Disk`), so bit rot on one replica is
 survivable through the others.  Reads return each record's verification

@@ -11,8 +11,7 @@ time can only disagree with the write-time one where the medium damaged
 the frame.  The simulation therefore models the verdict, not the
 arithmetic: a record carries a rot mark (:meth:`Record.damage`) and a
 tear mark (:meth:`Record.tear`), and its :attr:`~Record.state` reads the
-two.  No write computes a checksum; :attr:`Record.crc` derives one on
-demand for inspection.
+two.  No write computes a checksum.
 
 A :class:`StoredFile` is one host's copy of one record stream (a
 datanode's replica, the TM's commit log, a logger shard's slice of it)
@@ -52,10 +51,6 @@ def checksum(payload: Any) -> int:
     return zlib.crc32(repr(payload).encode("utf-8", "replace"))
 
 
-#: What :meth:`Record.damage` does to a frame's stored CRC.
-_ROT_MASK = 0x5A5A5A5A
-
-
 @dataclass
 class Record:
     """One opaque record on a storage medium.
@@ -72,14 +67,12 @@ class Record:
 
     @staticmethod
     def framed(payload: Any, nbytes: int) -> "Record":
-        """A record as an append path writes it (framed, checksummed)."""
-        return Record(payload, nbytes)
+        """A record as a log's append path writes it: intact on the medium.
 
-    @property
-    def crc(self) -> int:
-        """The frame's CRC32, derived on demand; a rotted one mismatches."""
-        crc = checksum(self.payload)
-        return crc ^ _ROT_MASK if self.rotted else crc
+        The one constructor the append paths share, so a test can watch
+        every record they frame.
+        """
+        return Record(payload, nbytes)
 
     @property
     def state(self) -> str:

@@ -41,7 +41,7 @@ class TestVerifiedReads:
         k, _net, _nn, dns, _host, client = cluster
         write_file(k, client, "/t/f")
         stored = replica_holders(dns, "/t/f")[0].replica("/t/f")
-        assert all(r.crc is not None for r in stored.records)
+        assert all(not r.rotted and not r.torn for r in stored.records)
         assert all(r.state == "ok" for r in stored.records)
 
     def test_read_skips_damaged_replica(self, cluster):

@@ -49,11 +49,10 @@ def test_records_read_as_their_write_time_checksum_says(framed_log):
             continue
         intact += 1
         assert checksum(record.payload) == crc, record
-        assert record.crc == crc and record.state == "ok"
+        assert record.state == "ok"
     assert intact > 10 * (len(rotted) + len(torn))
     for record in rotted:
         assert record.state == "corrupt"
-        assert record.crc != checksum(record.payload)
     assert all(record.state == "torn" for record in torn)
 
 
