@@ -41,6 +41,8 @@ from repro.workload.verify import CommitLedger  # noqa: E402
 
 #: CPU seconds between two samples.
 INTERVAL_S = 0.0005
+#: Rows printed per table.
+TOP = 25
 
 
 def _file_label(filename: str) -> str:
@@ -93,14 +95,14 @@ def _func_label(code) -> str:
     return f"{_file_label(code.co_filename)}:{code.co_firstlineno} {code.co_name}"
 
 
-def _print_table(title: str, own, incl, samples: int, by_incl: bool, top: int) -> None:
+def _print_table(title: str, own, incl, samples: int, by_incl: bool) -> None:
     print(f"\n{title}\n{'self %':>7s} {'incl %':>7s}  where")
     first = incl if by_incl else own
-    for key in sorted(incl, key=lambda k: (-first[k], k))[:top]:
+    for key in sorted(incl, key=lambda k: (-first[k], k))[:TOP]:
         print(f"{100 * own[key] / samples:7.1f} {100 * incl[key] / samples:7.1f}  {key}")
 
 
-def report(sampler: Sampler, top: int) -> None:
+def report(sampler: Sampler) -> None:
     """Self and inclusive shares by file, then by function (two orders)."""
     samples = sum(sampler.stacks.values())
     file_own, file_incl = collections.Counter(), collections.Counter()
@@ -112,9 +114,9 @@ def report(sampler: Sampler, top: int) -> None:
             file_incl[label] += hits
         for label in {_func_label(code) for code in stack}:
             func_incl[label] += hits
-    _print_table("by file", file_own, file_incl, samples, False, top)
-    _print_table("by function, self order", func_own, func_incl, samples, False, top)
-    _print_table("by function, inclusive order", func_own, func_incl, samples, True, top)
+    _print_table("by file", file_own, file_incl, samples, False)
+    _print_table("by function, self order", func_own, func_incl, samples, False)
+    _print_table("by function, inclusive order", func_own, func_incl, samples, True)
 
 
 def main(argv=None) -> int:
@@ -123,7 +125,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--repeats", type=int, default=3,
                         help="fresh repeats whose measured windows are sampled")
-    parser.add_argument("--top", type=int, default=25, help="rows per table")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
@@ -132,7 +133,7 @@ def main(argv=None) -> int:
     print(f"host profile: {args.workload} seed {args.seed}, {args.repeats} measured "
           f"windows, {samples} samples every {INTERVAL_S * 1000:g} ms of CPU")
     if samples:
-        report(sampler, args.top)
+        report(sampler)
     return 0
 
 
