@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-verbose chaos chaos-disk chaos-kill chaos-tm-shard chaos-ssi chaos-all check-sweep bench bench-compare host-pairs host-profile bench-figs bench-paper examples demo clean apidoc loc
+.PHONY: install test test-fast test-verbose chaos chaos-disk chaos-kill chaos-tm-shard chaos-ssi chaos-all chaos-disk-kill chaos-tm3-kill chaos-diff check-sweep bench bench-compare host-pairs host-profile bench-figs bench-paper examples demo clean apidoc loc
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -40,7 +40,14 @@ chaos-ssi:      CHAOS_FLAGS = --isolation ssi
 
 CHAOS_SWEEPS = chaos chaos-disk chaos-kill chaos-tm-shard chaos-ssi
 
-$(CHAOS_SWEEPS):
+# Two sweeps that still lose acknowledged commits (ROADMAP item 2), kept
+# out of chaos-all and the CI matrix until that is mended; both fail:
+#   chaos-disk-kill  storage faults + a second crash in recovery (seed 12)
+#   chaos-tm3-kill   a 3-shard TM + a second crash in recovery (seed 8)
+chaos-disk-kill: CHAOS_FLAGS = --disk-faults --kill-during-recovery
+chaos-tm3-kill:  CHAOS_FLAGS = --tm-shards 3 --kill-during-recovery
+
+$(CHAOS_SWEEPS) chaos-disk-kill chaos-tm3-kill:
 	$(PYTHON) -m repro chaos --seeds 20 $(CHAOS_FLAGS) \
 		--json artifacts/$@-report.json --history-dir artifacts/histories-$@
 
@@ -62,6 +69,13 @@ chaos-all:
 		$(MAKE) --no-print-directory -s $$sweep > artifacts/$$sweep.out || status=1; \
 		$(MAKE) --no-print-directory -s recheck-$$sweep || status=1; \
 	done; exit $$status
+
+# chaos-all in a temporary clone of the git ref BASE (required) and in the
+# working tree, then every artifacts/ file that differs between the two;
+# exit 1 on any difference or failed sweep (tools/chaos_diff.py).
+chaos-diff:
+	$(if $(BASE),,$(error BASE=<git ref> is required))
+	$(PYTHON) tools/chaos_diff.py $(BASE)
 
 check-sweep: chaos chaos-disk
 

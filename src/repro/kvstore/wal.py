@@ -14,13 +14,13 @@ transaction manager's log owns their durability.
 from __future__ import annotations
 
 import typing
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.dfs.client import DfsClient
 from repro.errors import DfsError
 from repro.kvstore.keys import WireCell
 from repro.metrics.spans import tracer_for
-from repro.sim.events import Event, Interrupt
+from repro.sim.events import Interrupt
 from repro.sim.resource import Resource
 from repro.storage import SegmentHeader, is_segment_header
 
@@ -78,7 +78,6 @@ class WriteAheadLog:
         self.synced_seq = 0
         self._buffer: List[Tuple[WalRecord, int]] = []
         self._sync_lock: Optional[Resource] = None
-        self._sync_waiters: Dict[int, List[Event]] = {}
         self.sync_count = 0
         self.rolls = 0
 
@@ -200,7 +199,6 @@ class WriteAheadLog:
                 self.sync_count += 1
                 self._file_records += len(records)
             self.synced_seq = batch_top
-            self._wake_waiters()
             if self._file_records >= self.roll_records:
                 yield from self._roll()
         finally:
@@ -244,22 +242,6 @@ class WriteAheadLog:
             yield from self.sync()
         return self.synced_seq
 
-    def wait_synced(self, seq: int) -> Event:
-        """Event that fires once record ``seq`` is durable."""
-        event = Event(self.host.kernel)
-        if self.synced_seq >= seq:
-            event.succeed(self.synced_seq)
-        else:
-            self._sync_waiters.setdefault(seq, []).append(event)
-        return event
-
-    def _wake_waiters(self) -> None:
-        ready = [seq for seq in self._sync_waiters if seq <= self.synced_seq]
-        for seq in ready:
-            for event in self._sync_waiters.pop(seq):
-                if not event.triggered:
-                    event.succeed(self.synced_seq)
-
     # ------------------------------------------------------------------
     # crash / recovery support
     # ------------------------------------------------------------------
@@ -271,7 +253,6 @@ class WriteAheadLog:
     def lose_buffer(self) -> None:
         """Crash: buffered (unsynced) records are gone."""
         self._buffer.clear()
-        self._sync_waiters.clear()
 
 
 def fetch_region_records(dfs: DfsClient, path: str, regions: List[str]):

@@ -50,7 +50,7 @@ def _series_name(name: str, labels: LabelKey) -> str:
 
 
 class Counter:
-    """Monotonic counter (with an escape hatch for legacy ``stats[k] = v``)."""
+    """Monotonic counter; :meth:`set` mirrors a count kept elsewhere."""
 
     __slots__ = ("name", "labels", "_value")
 
@@ -64,7 +64,11 @@ class Counter:
         self._value += amount
 
     def set(self, value: int) -> None:
-        """Set an absolute value (legacy-shim support only)."""
+        """Set an absolute value, mirroring a count kept elsewhere.
+
+        The network fabric, the TM logs and the logger shards keep their
+        hot-path counts as plain ints and copy them in at every snapshot.
+        """
         self._value = value
 
     @property

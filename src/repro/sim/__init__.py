@@ -8,7 +8,7 @@ resources for CPU/disk contention, and a stable-storage model.
 """
 
 from repro.sim.disk import Disk
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
+from repro.sim.events import AllOf, Event, Interrupt, Timeout
 from repro.sim.kernel import Kernel
 from repro.sim.network import LatencyModel, Message, Network
 from repro.sim.node import Node
@@ -19,7 +19,6 @@ from repro.sim.rng import SeededRng, zipfian_sampler
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "DEFAULT_RPC_RETRY",
     "Disk",
     "Event",

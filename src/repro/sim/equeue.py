@@ -1,14 +1,12 @@
-"""Event-queue implementations for the simulation kernel.
+"""Event-queue implementations.
 
-The kernel orders work by ``(time, priority, seq)`` tuples; any queue
-implementation must pop entries in exactly that order so a seeded run is
-bit-for-bit reproducible regardless of which queue backs it.
+The kernel orders work by ``(time, priority, seq)`` tuples; a queue must
+pop entries in exactly that order so a seeded run is bit-for-bit
+reproducible.
 
-Two implementations live here:
-
-* :class:`HeapEventQueue` -- one global binary heap.  Simple, and the
-  reference the property tests compare against.
-* :class:`CalendarEventQueue` -- the default.  A two-level calendar:
+* :class:`HeapEventQueue` -- one global binary heap, the queue every
+  :class:`~repro.sim.kernel.Kernel` runs on.
+* :class:`CalendarEventQueue` -- a two-level calendar (Brown, CACM 1988):
   entries beyond the current window are scattered into fixed-width time
   buckets (plain unsorted lists; push is a C-level ``append``), while a
   small *near* heap holds only the entries of the window being drained.
@@ -17,9 +15,13 @@ Two implementations live here:
   ``int(time / width)`` is a monotone function of time, every near entry
   precedes every future-bucket entry, and ties (same time) meet in the
   same heap where the full tuple comparison breaks them -- pop order is
-  identical to the single heap.  The win: the ``log n`` heap sift over
-  the whole schedule (thousands of standing timers) collapses to a sift
-  over the few dozen entries of the active window.
+  identical to the single heap.
+
+The calendar only pays off with thousands of entries waiting; the
+simulator keeps a few dozen, where the heap is faster.  No kernel uses
+it: it, :func:`make_queue` and :data:`DEFAULT_BUCKET_WIDTH` remain only
+for the heap-against-calendar micro-bench in ``bench/micro.py`` and the
+pop-order tests in ``tests/sim/test_equeue.py``, and go with them.
 
 Both expose the same tiny interface: ``push(entry)``, ``pop()``,
 ``peek()`` (``None`` when empty), an O(1) ``__bool__`` and an exact
@@ -36,7 +38,7 @@ Entry = Tuple[float, int, int, object]
 
 
 class HeapEventQueue:
-    """The classic single binary heap (reference implementation)."""
+    """The classic single binary heap: the kernel's event queue."""
 
     __slots__ = ("_heap",)
 

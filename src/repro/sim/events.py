@@ -188,8 +188,11 @@ class Timeout(Event):
             self._value = self._delayed_value
 
 
-class Condition(Event):
-    """Base for composite events over a fixed set of child events."""
+class AllOf(Event):
+    """Triggers when *all* children have triggered; value is their values.
+
+    The first child to fail fails it with that child's exception.
+    """
 
     __slots__ = ("events", "_n_triggered")
 
@@ -198,19 +201,13 @@ class Condition(Event):
         self.events: List[Event] = list(events)
         self._n_triggered = 0
         if not self.events:
-            self.succeed(self._collect())
+            self.succeed([])
             return
         for event in self.events:
             if event.triggered:
                 self._on_child(event)
             else:
                 event.callbacks.append(self._on_child)
-
-    def _collect(self) -> Any:
-        raise NotImplementedError
-
-    def _check(self) -> bool:
-        raise NotImplementedError
 
     def _on_child(self, event: Event) -> None:
         if self.triggered:
@@ -220,32 +217,5 @@ class Condition(Event):
             self.fail(event.value)
             return
         self._n_triggered += 1
-        if self._check():
-            self.succeed(self._collect())
-
-
-class AllOf(Condition):
-    """Triggers when *all* children have triggered; value is their values."""
-
-    __slots__ = ()
-
-    def _check(self) -> bool:
-        return self._n_triggered >= len(self.events)
-
-    def _collect(self) -> List[Any]:
-        return [event.value for event in self.events]
-
-
-class AnyOf(Condition):
-    """Triggers when *any* child triggers; value is the first child event."""
-
-    __slots__ = ()
-
-    def _check(self) -> bool:
-        return self._n_triggered >= 1
-
-    def _collect(self) -> Event:
-        for event in self.events:
-            if event.triggered:
-                return event
-        raise ScheduleError("AnyOf collected with no triggered child")
+        if self._n_triggered >= len(self.events):
+            self.succeed([child.value for child in self.events])

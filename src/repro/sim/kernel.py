@@ -5,10 +5,8 @@ seeded random-number generator.  Because event processing order is fully
 determined by ``(time, priority, sequence)``, a run with a given seed is
 bit-for-bit reproducible -- the property all tests and benchmarks rely on.
 
-The queue itself is pluggable (see :mod:`repro.sim.equeue`): the default is
-a bucketed calendar queue, with the classic single binary heap selectable
-for the side-by-side determinism tests.  Both pop in exactly the same
-order, so the choice never changes a trace -- only how fast it replays.
+The queue is one binary heap (:class:`~repro.sim.equeue.HeapEventQueue`);
+see :mod:`repro.sim.equeue` for why it is not a calendar queue.
 """
 
 from __future__ import annotations
@@ -18,10 +16,8 @@ import itertools
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import ScheduleError, SimulationError
-from repro.sim.equeue import DEFAULT_BUCKET_WIDTH, make_queue
-from repro.sim.events import (
-    AllOf, AnyOf, Event, Interrupt, NORMAL, Timeout, _Callback,
-)
+from repro.sim.equeue import HeapEventQueue
+from repro.sim.events import AllOf, Event, Interrupt, NORMAL, Timeout, _Callback
 from repro.sim.process import ProcGen, Process
 from repro.sim.rng import SeededRng
 
@@ -38,30 +34,15 @@ class Kernel:
         than :class:`Interrupt` while nothing is waiting on it escalates the
         exception out of :meth:`run` -- silent failures hide bugs.  Waited-on
         process failures are delivered to the waiter instead.
-    queue_impl:
-        Event-queue implementation: ``"calendar"`` (default) or ``"heap"``.
-        Pop order is identical; see :mod:`repro.sim.equeue`.
-    bucket_width:
-        Calendar-queue bucket width in simulated seconds (ignored for the
-        heap implementation).
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        strict: bool = True,
-        queue_impl: str = "calendar",
-        bucket_width: float = DEFAULT_BUCKET_WIDTH,
-    ) -> None:
+    def __init__(self, seed: int = 0, strict: bool = True) -> None:
         self.now: float = 0.0
         self.rng = SeededRng(seed)
         self.strict = strict
-        self.queue_impl = queue_impl
-        self._queue = make_queue(queue_impl, bucket_width)
+        self._queue = HeapEventQueue()
         self._seq = 0
         self._event_count = 0
-        # Free list of _Callback shells recycled by the run loop.
-        self._cb_pool: List[_Callback] = []
         # RPC request-id source, per kernel so that back-to-back
         # simulations in one process are bit-for-bit identical (a
         # module-level counter would leak ids across clusters).
@@ -96,10 +77,6 @@ class Kernel:
         """Composite event that fires when every child has fired."""
         return AllOf(self, events)
 
-    def any_of(self, events) -> AnyOf:
-        """Composite event that fires when the first child fires."""
-        return AnyOf(self, events)
-
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
@@ -127,14 +104,7 @@ class Kernel:
         if when < self.now:
             raise ScheduleError(f"call_at({when}) is in the past (now={self.now})")
         self._seq = seq = self._seq + 1
-        pool = self._cb_pool
-        if pool:
-            cb = pool.pop()
-            cb.fn = fn
-            cb.arg = arg
-        else:
-            cb = _Callback(fn, arg)
-        self._queue.push((when, NORMAL, seq, cb))
+        self._queue.push((when, NORMAL, seq, _Callback(fn, arg)))
 
     def _note_process_failure(self, process: Process, exc: BaseException) -> None:
         if not isinstance(exc, Interrupt):
@@ -209,7 +179,6 @@ class Kernel:
         queue = self._queue
         pop = queue.pop
         strict = self.strict
-        cb_pool = self._cb_pool
         horizon = float("inf") if until is None else until
         count = 0
         collecting = gc.isenabled()
@@ -231,9 +200,6 @@ class Kernel:
                 count += 1
                 if type(event) is _Callback:
                     event.fn(event.arg)
-                    if len(cb_pool) < 64:
-                        event.fn = event.arg = None
-                        cb_pool.append(event)
                     continue
                 if isinstance(event, Timeout):
                     event._materialize()

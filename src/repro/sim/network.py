@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import typing
-from typing import Any, Dict, FrozenSet, List, Optional, Set
+from typing import Any, Dict, FrozenSet, Optional, Set
 
 from repro.errors import SimulationError
 from repro.metrics.registry import MetricsRegistry
@@ -43,12 +43,6 @@ _FABRIC_COUNTERS = (
 class Message:
     """One network message (RPC request or response).
 
-    Instances are pooled by the fabric (see :meth:`Network.message`):
-    ``_refs`` counts outstanding users -- one per scheduled delivery, plus
-    one while a generator RPC handler still holds the request -- and the
-    object is recycled when the count hits zero.  Payload dicts are never
-    pooled; the reference is dropped at release time.
-
     ``twin`` is ``None`` unless the chaos layer delivers the message twice
     (both deliveries share this object).  It is then ``True`` until a copy
     runs, and from then on the receiver's incarnation that ran it, so the
@@ -57,7 +51,7 @@ class Message:
 
     __slots__ = (
         "src", "dst", "kind", "req_id", "method", "payload",
-        "ok", "error", "size", "_refs", "twin",
+        "ok", "error", "size", "twin",
     )
 
     def __init__(
@@ -81,7 +75,6 @@ class Message:
         self.ok = ok
         self.error = error
         self.size = size
-        self._refs = 0
         self.twin = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -122,8 +115,6 @@ class Network:
         for name in _FABRIC_COUNTERS:
             self.registry.counter(name)
             setattr(self, name, 0)
-        # Free list of recycled Message shells (see ``message()``).
-        self._pool: List[Message] = []
         # ----- chaos layer (all off by default) ------------------------
         #: Probability that a message vanishes in flight.
         self.loss_probability = 0.0
@@ -232,46 +223,6 @@ class Network:
         return node is not None and node.alive
 
     # ------------------------------------------------------------------
-    # message pool
-    # ------------------------------------------------------------------
-    def message(
-        self,
-        src: str,
-        dst: str,
-        kind: str,
-        req_id: int,
-        method: str,
-        payload: Dict[str, Any],
-        ok: bool = True,
-        error: Optional[str] = None,
-        size: int = 256,
-    ) -> Message:
-        """A :class:`Message`, recycled from the pool when one is free."""
-        pool = self._pool
-        if pool:
-            msg = pool.pop()
-            msg.src = src
-            msg.dst = dst
-            msg.kind = kind
-            msg.req_id = req_id
-            msg.method = method
-            msg.payload = payload
-            msg.ok = ok
-            msg.error = error
-            msg.size = size
-            msg._refs = 0
-            msg.twin = None
-            return msg
-        return Message(src, dst, kind, req_id, method, payload, ok, error, size)
-
-    def _release(self, message: Message) -> None:
-        """Drop one reference; recycle the shell when nobody holds it."""
-        message._refs -= 1
-        if message._refs == 0 and len(self._pool) < 256:
-            message.payload = None  # never pool payload dicts
-            self._pool.append(message)
-
-    # ------------------------------------------------------------------
     # delivery
     # ------------------------------------------------------------------
     def send(self, message: Message) -> None:
@@ -303,14 +254,10 @@ class Network:
             )
         ):
             self.messages_dropped += 1
-            message._refs = 1
-            self._release(message)
             return
         chaos = self._chaos_rng
         if self.loss_probability > 0.0 and chaos.random() < self.loss_probability:
             self.messages_lost += 1
-            message._refs = 1
-            self._release(message)
             return
         copies = 1
         if (
@@ -325,9 +272,6 @@ class Network:
             degradation = self._degraded.get(message.src, 1.0) * self._degraded.get(
                 message.dst, 1.0
             )
-        # Both chaos copies share one Message object; each scheduled
-        # delivery holds one reference until it lands (or is dropped).
-        message._refs = copies
         call_later = self.kernel.call_later
         deliver = self._deliver
         # One-way delay: propagation with bounded uniform jitter (as
@@ -360,7 +304,5 @@ class Network:
             )
         ):
             self.messages_dropped += 1
-            self._release(message)
             return
         node._on_message(message)
-        self._release(message)

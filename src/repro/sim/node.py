@@ -176,9 +176,7 @@ class Node:
         req_id = self.kernel.next_req_id()
         self._pending_calls[req_id] = result
         self.net.send(
-            self.net.message(
-                self.addr, dst, "request", req_id, method, payload, size=size
-            )
+            Message(self.addr, dst, "request", req_id, method, payload, size=size)
         )
         if timeout is not None:
             self._set_deadline(req_id, dst, method, timeout)
@@ -259,7 +257,7 @@ class Node:
         req_id = self.kernel.next_req_id()
         self._pending_batches[req_id] = events
         self.net.send(
-            self.net.message(
+            Message(
                 self.addr, dst, "batch_request", req_id, method,
                 {"items": items}, size=size if size is not None else 256 * len(items),
             )
@@ -272,11 +270,7 @@ class Node:
         """Fire-and-forget request (no reply correlation)."""
         if not self.alive:
             return
-        self.net.send(
-            self.net.message(
-                self.addr, dst, "request", 0, method, payload, size=size
-            )
-        )
+        self.net.send(Message(self.addr, dst, "request", 0, method, payload, size=size))
 
     def _set_deadline(self, req_id: int, dst: str, method: str, timeout: float) -> None:
         when = self.kernel.now + timeout
@@ -411,23 +405,17 @@ class Node:
         delivery of its request; nobody waits on a handler (its reply is
         a message), so its end is no kernel event either.
         """
-        # The handler keeps the request until it replies; hold a pool
-        # reference so the shell is not recycled under it.
-        message._refs += 1
         self.fork(generator, (prefix, message.method))
 
     def _run_handler(self, message: Message, generator: ProcGen) -> ProcGen:
         try:
-            try:
-                result = yield from generator
-            except Interrupt:
-                return  # node crashed mid-handler: no reply, caller times out
-            except Exception as exc:
-                self._reply_error(message, repr(exc))
-                return
-            self._reply(message, result)
-        finally:
-            self.net._release(message)
+            result = yield from generator
+        except Interrupt:
+            return  # node crashed mid-handler: no reply, caller times out
+        except Exception as exc:
+            self._reply_error(message, repr(exc))
+            return
+        self._reply(message, result)
 
     def _run_batch_handler(
         self,
@@ -435,40 +423,37 @@ class Node:
         batch_handler: Optional[Callable],
         item_handler: Optional[Callable],
     ) -> ProcGen:
+        items = message.payload["items"]
+        results: List[Tuple[bool, Any]] = []
         try:
-            items = message.payload["items"]
-            results: List[Tuple[bool, Any]] = []
-            try:
-                if batch_handler is not None:
-                    outcome = batch_handler(message.src, items)
-                    if hasattr(outcome, "send") and hasattr(outcome, "throw"):
-                        outcome = yield from outcome
-                    results = list(outcome)
-                else:
-                    for item in items:
-                        try:
-                            outcome = item_handler(message.src, **item)
-                            if hasattr(outcome, "send") and hasattr(outcome, "throw"):
-                                outcome = yield from outcome
-                            results.append((True, outcome))
-                        except Interrupt:
-                            raise
-                        except Exception as exc:
-                            results.append((False, repr(exc)))
-            except Interrupt:
-                return  # node crashed mid-batch: no reply, caller times out
-            except Exception as exc:
-                # The batch handler itself blew up: every item fails alike.
-                results = [(False, repr(exc))] * len(items)
-            self._reply_batch(message, results)
-        finally:
-            self.net._release(message)
+            if batch_handler is not None:
+                outcome = batch_handler(message.src, items)
+                if hasattr(outcome, "send") and hasattr(outcome, "throw"):
+                    outcome = yield from outcome
+                results = list(outcome)
+            else:
+                for item in items:
+                    try:
+                        outcome = item_handler(message.src, **item)
+                        if hasattr(outcome, "send") and hasattr(outcome, "throw"):
+                            outcome = yield from outcome
+                        results.append((True, outcome))
+                    except Interrupt:
+                        raise
+                    except Exception as exc:
+                        results.append((False, repr(exc)))
+        except Interrupt:
+            return  # node crashed mid-batch: no reply, caller times out
+        except Exception as exc:
+            # The batch handler itself blew up: every item fails alike.
+            results = [(False, repr(exc))] * len(items)
+        self._reply_batch(message, results)
 
     def _reply_batch(self, message: Message, results: List[Tuple[bool, Any]]) -> None:
         if message.req_id == 0 or not self.alive:
             return
         self.net.send(
-            self.net.message(
+            Message(
                 self.addr, message.src, "batch_response", message.req_id,
                 message.method, {"results": results},
                 size=max(64 * len(results), 256),
@@ -479,7 +464,7 @@ class Node:
         if message.req_id == 0 or not self.alive:
             return  # cast, or we died while computing
         self.net.send(
-            self.net.message(
+            Message(
                 self.addr, message.src, "response", message.req_id,
                 message.method, {"result": result}, size=size,
             )
@@ -489,7 +474,7 @@ class Node:
         if message.req_id == 0 or not self.alive:
             return
         self.net.send(
-            self.net.message(
+            Message(
                 self.addr, message.src, "response", message.req_id,
                 message.method, {}, ok=False, error=description,
             )

@@ -59,15 +59,6 @@ def test_sync_through_waits_for_specific_record():
     assert wal.pending == 0
 
 
-def test_wait_synced_event():
-    k, _host, _dfs, wal, _dns = make_wal(sync_interval=0.05)
-    seq = wal.append("r1", 10, [("a", "f", 10, "v")])
-    event = wal.wait_synced(seq)
-    assert not event.triggered
-    k.run(until=k.now + 0.5)
-    assert event.triggered
-
-
 def test_lose_buffer_drops_unsynced_only():
     k, _host, dfs, wal, _dns = make_wal(sync_interval=10.0)
     wal.append("r1", 10, [("a", "f", 10, "v")])

@@ -5,10 +5,10 @@ The contract: :class:`CalendarEventQueue` pops entries in exactly the same
 schedule -- including the kernel's real access pattern of interleaved
 pushes and pops, horizon pushbacks (``run(until)`` pops an entry past the
 horizon and pushes the identical tuple back), and zero-delay triggers at
-the current time.
+the current time.  No kernel runs the calendar queue; it stays, with
+these tests, as long as ``bench/micro.py`` measures it against the heap.
 """
 
-import functools
 import random
 
 import pytest
@@ -19,7 +19,6 @@ from repro.sim.equeue import (
     HeapEventQueue,
     make_queue,
 )
-from repro.sim.kernel import Kernel
 
 
 def _random_entries(rng, n, time_scale):
@@ -141,57 +140,3 @@ def test_make_queue_dispatch():
     assert make_queue("calendar", 0.25).bucket_width == 0.25
     with pytest.raises(ValueError):
         make_queue("btree")
-
-
-def _run_scenario(queue_impl):
-    """A small simulation with timers, priorities, and nested processes;
-    returns the observable trace."""
-    kernel = Kernel(seed=7, queue_impl=queue_impl)
-    trace = []
-
-    def worker(name, delays):
-        for d in delays:
-            yield kernel.timeout(d)
-            trace.append((round(kernel.now, 9), name))
-
-    def spawner():
-        kernel.process(worker("a", [0.013, 0.001, 0.021]))
-        kernel.process(worker("b", [0.0, 0.013, 0.05]))
-        yield kernel.timeout(0.04)
-        kernel.process(worker("c", [0.0, 0.002]))
-
-    kernel.process(spawner())
-    kernel.run(until=0.2)
-    trace.append(("events", kernel.event_count))
-    return trace
-
-
-def test_kernel_trace_identical_across_queue_impls():
-    assert _run_scenario("calendar") == _run_scenario("heap")
-
-def _export_workload(tmp_path, tag):
-    """Run the CLI workload; return the export bytes."""
-    from repro.cli import main
-
-    metrics = tmp_path / f"metrics-{tag}.json"
-    history = tmp_path / f"history-{tag}.json"
-    rc = main([
-        "workload", "--seed", "3", "--duration", "6", "--tps", "120",
-        "--metrics-json", str(metrics),
-        "--history-json", str(history),
-    ])
-    assert rc == 0
-    return metrics.read_bytes(), history.read_bytes()
-
-
-def test_same_seed_exports_byte_identical_across_queue_impls(tmp_path, monkeypatch):
-    """The queue swap is invisible: same seed, same wire-level history and
-    metrics down to the byte.  The heap queue is the test-side reference,
-    so it is injected here rather than selected by a setting."""
-    cal_metrics, cal_history = _export_workload(tmp_path, "calendar")
-    monkeypatch.setattr(
-        "repro.cluster.Kernel", functools.partial(Kernel, queue_impl="heap")
-    )
-    heap_metrics, heap_history = _export_workload(tmp_path, "heap")
-    assert cal_metrics == heap_metrics
-    assert cal_history == heap_history

@@ -191,27 +191,26 @@ def test_reregistering_live_address_requires_replace():
 ])
 def test_finished_handler_leaves_nothing_behind(method, kwargs, outcome):
     """However a generator handler ends, it leaves the node's process
-    table and gives back its hold on the request message."""
-    k, net, a, b = make_pair()
+    table, and the answered call leaves no pending entry or deadline."""
+    k, _net, a, b = make_pair()
     result = run_call(k, a, "b", method, timeout=1.0, **kwargs)
     if isinstance(outcome, str):
         assert result["value"] == outcome
     else:
         assert isinstance(result["error"], outcome)
     assert not b._procs
-    # Request and reply shells are both back in the pool, unreferenced.
-    assert len(net._pool) == 2 and all(m._refs == 0 for m in net._pool)
+    assert not a._pending_calls and a._deadlines == []
 
 
 def test_handler_interrupted_by_crash_leaves_nothing_behind():
-    k, net, a, b = make_pair()
+    k, _net, a, b = make_pair()
     event = a.call("b", "slow_echo", text="x", delay=0.5)
     k.run(until=0.05)
     assert len(b._procs) == 1  # the handler, mid-wait
     b.crash()
     k.run()
     assert not b._procs and not event.triggered
-    assert len(net._pool) == 1 and net._pool[0]._refs == 0
+    assert not b._pending_calls and b._deadlines == []
 
 
 def test_handler_starts_inside_the_delivery_and_is_crashable_at_once():

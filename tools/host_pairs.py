@@ -19,6 +19,7 @@ that claims host time only must leave them equal.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import statistics
@@ -33,6 +34,24 @@ from spec import END_TO_END  # noqa: E402
 
 METRIC = "host_txn_per_s"
 HOST_CLOCKED = {m.name for m in END_TO_END if m.clock == "host"}
+
+
+@contextlib.contextmanager
+def checkout(ref: str, prefix: str):
+    """``ref`` checked out in a temporary local clone of this repository.
+
+    Yields ``(commit, path)``; the clone is deleted on exit.  The ref is
+    resolved here, so it names the same commit in the clone as in ROOT.
+    """
+    commit = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify",
+                             ref + "^{commit}"], check=True,
+                            stdout=subprocess.PIPE, text=True).stdout.strip()
+    with tempfile.TemporaryDirectory(prefix=prefix) as scratch:
+        tree = os.path.join(scratch, "base")
+        subprocess.run(["git", "clone", "--quiet", "--no-checkout", ROOT, tree], check=True)
+        subprocess.run(["git", "-C", tree, "checkout", "--quiet", "--detach", commit],
+                       check=True)
+        yield commit, tree
 
 
 def run_once(tree: str, args) -> dict:
@@ -106,17 +125,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 for quartiles")
-    # Resolved here, so a ref names the same commit in the clone as in ROOT.
-    commit = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify",
-                             args.base + "^{commit}"], check=True,
-                            stdout=subprocess.PIPE, text=True).stdout.strip()
-    print(f"{METRIC}, {args.workload} seed {args.seed}: "
-          f"a = {args.base} ({commit[:12]}), b = the working tree {ROOT}")
-    with tempfile.TemporaryDirectory(prefix="host-pairs-") as scratch:
-        base = os.path.join(scratch, "base")
-        subprocess.run(["git", "clone", "--quiet", "--no-checkout", ROOT, base], check=True)
-        subprocess.run(["git", "-C", base, "checkout", "--quiet", "--detach", commit],
-                       check=True)
+    with checkout(args.base, "host-pairs-") as (commit, base):
+        print(f"{METRIC}, {args.workload} seed {args.seed}: "
+              f"a = {args.base} ({commit[:12]}), b = the working tree {ROOT}")
         summarize(*run_pairs(f"a = {args.base}, b = working tree", base, ROOT, args))
         if args.aa:
             summarize(*run_pairs(f"A/A: a = b = {args.base}", base, base, args))
