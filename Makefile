@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-verbose chaos chaos-disk chaos-kill chaos-tm-shard chaos-ssi chaos-all chaos-disk-kill chaos-tm3-kill chaos-diff check-sweep bench bench-compare host-pairs host-profile bench-figs bench-paper examples demo clean apidoc loc
+.PHONY: install test test-fast test-verbose chaos chaos-disk chaos-kill chaos-tm-shard chaos-ssi chaos-all chaos-disk-kill chaos-tm3-kill chaos-diff check-sweep bench bench-compare host-pairs host-profile host-calls bench-figs bench-paper examples demo clean apidoc loc
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -103,6 +103,14 @@ host-pairs:
 host-profile:
 	$(if $(W),,$(error W=<workload> is required))
 	$(PYTHON) tools/host_profile.py $(W) $(if $(SEED),--seed $(SEED))
+
+# Python calls per committed transaction of workload W, by function and
+# by file, from one untraced measured window under cProfile
+# (tools/host_calls.py); the window runs twice and the target exits 1 if
+# the two counts differ.  W is required.
+host-calls:
+	$(if $(W),,$(error W=<workload> is required))
+	$(PYTHON) tools/host_calls.py $(W) $(if $(SEED),--seed $(SEED))
 
 bench-figs:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q

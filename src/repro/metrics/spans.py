@@ -41,6 +41,7 @@ bit-identical summaries.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.metrics.histogram import LatencyHistogram
@@ -285,6 +286,7 @@ def tracer_for(kernel) -> SpanTracer:
     """
     tracer = getattr(kernel, "_span_tracer", None)
     if tracer is None:
-        tracer = SpanTracer(clock=lambda: kernel.now)
+        # A C-level callable: reading the clock adds no Python frame.
+        tracer = SpanTracer(clock=partial(getattr, kernel, "now"))
         kernel._span_tracer = tracer
     return tracer

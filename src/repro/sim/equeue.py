@@ -1,11 +1,12 @@
-"""Event-queue implementations.
+"""Two event-queue classes that no kernel uses.
 
-The kernel orders work by ``(time, priority, seq)`` tuples; a queue must
-pop entries in exactly that order so a seeded run is bit-for-bit
-reproducible.
+The :class:`~repro.sim.kernel.Kernel` keeps its queue as a plain list
+driven by :mod:`heapq` directly.  These two classes remain only for the
+heap-against-calendar micro-bench in the frozen ``bench/micro.py`` (via
+:func:`make_queue`) and the pop-order tests in ``tests/sim/test_equeue.py``,
+and go with them.  Both pop in exactly ``(time, priority, seq)`` order.
 
-* :class:`HeapEventQueue` -- one global binary heap, the queue every
-  :class:`~repro.sim.kernel.Kernel` runs on.
+* :class:`HeapEventQueue` -- one binary heap behind a method interface.
 * :class:`CalendarEventQueue` -- a two-level calendar (Brown, CACM 1988):
   entries beyond the current window are scattered into fixed-width time
   buckets (plain unsorted lists; push is a C-level ``append``), while a
@@ -14,18 +15,11 @@ reproducible.
   wholesale and becomes the new near heap.  Because the bucket index
   ``int(time / width)`` is a monotone function of time, every near entry
   precedes every future-bucket entry, and ties (same time) meet in the
-  same heap where the full tuple comparison breaks them -- pop order is
-  identical to the single heap.
+  same heap where the full tuple comparison breaks them.  It only pays
+  off with thousands of entries waiting; the simulator keeps a few dozen.
 
-The calendar only pays off with thousands of entries waiting; the
-simulator keeps a few dozen, where the heap is faster.  No kernel uses
-it: it, :func:`make_queue` and :data:`DEFAULT_BUCKET_WIDTH` remain only
-for the heap-against-calendar micro-bench in ``bench/micro.py`` and the
-pop-order tests in ``tests/sim/test_equeue.py``, and go with them.
-
-Both expose the same tiny interface: ``push(entry)``, ``pop()``,
-``peek()`` (``None`` when empty), an O(1) ``__bool__`` and an exact
-``__len__``.
+Both expose ``push(entry)``, ``pop()``, ``peek()`` (``None`` when empty),
+an O(1) ``__bool__`` and an exact ``__len__``.
 """
 
 from __future__ import annotations
@@ -33,12 +27,12 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
-#: A scheduled entry: ``(time, priority, seq, event)``.
+#: A scheduled entry: ``(time, priority, seq, ...)``.
 Entry = Tuple[float, int, int, object]
 
 
 class HeapEventQueue:
-    """The classic single binary heap: the kernel's event queue."""
+    """The classic single binary heap."""
 
     __slots__ = ("_heap",)
 

@@ -9,6 +9,7 @@ to it run when the kernel processes it.  Generator-based processes
 from __future__ import annotations
 
 import typing
+from heapq import heappush
 from typing import Any, Callable, Iterable, List, Optional
 
 from repro.errors import ScheduleError
@@ -23,25 +24,6 @@ PENDING = object()
 URGENT = 0
 #: Default scheduling priority.
 NORMAL = 1
-
-
-class _Callback:
-    """A pre-bound function call scheduled directly on the kernel queue.
-
-    The hot paths (network delivery, RPC deadlines, process kick-off)
-    schedule tens of thousands of one-shot timers whose only job is to
-    invoke one function with one argument.  Routing those through
-    :class:`Timeout`/:class:`Event` allocates two objects and walks the
-    callbacks machinery per timer; a ``_Callback`` record is popped and
-    invoked directly.  It consumes a sequence number exactly like the
-    event it replaces, so schedules stay bit-for-bit identical.
-    """
-
-    __slots__ = ("fn", "arg")
-
-    def __init__(self, fn: Callable[[Any], None], arg: Any) -> None:
-        self.fn = fn
-        self.arg = arg
 
 
 class Interrupt(BaseException):
@@ -114,11 +96,9 @@ class Event:
             raise ScheduleError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        # kernel._enqueue(self, priority), inlined: this is the single
-        # hottest trigger path in the simulator.
         kernel = self.kernel
         kernel._seq = seq = kernel._seq + 1
-        kernel._queue.push((kernel.now, priority, seq, self))
+        heappush(kernel._queue, (kernel.now, priority, seq, None, self))
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
@@ -131,7 +111,7 @@ class Event:
         self._value = exception
         kernel = self.kernel
         kernel._seq = seq = kernel._seq + 1
-        kernel._queue.push((kernel.now, priority, seq, self))
+        heappush(kernel._queue, (kernel.now, priority, seq, None, self))
         return self
 
     def _complete(self, ok: bool, value: Any) -> None:
@@ -164,28 +144,38 @@ class Event:
 class Timeout(Event):
     """An event that triggers ``delay`` simulated seconds after creation.
 
-    The value stays pending until the kernel pops the event at its fire
-    time -- ``triggered`` must not become true before the delay elapses,
-    or composite conditions would see the future.
+    Its value is stored at creation but reads as pending until the kernel
+    processes the timeout at its fire time, or composite conditions would
+    see the future: it is triggered exactly when processed, so its queue
+    entry is an ordinary event entry.  ``succeed`` and ``fail`` refuse it.
     """
 
-    __slots__ = ("delay", "_delayed_value")
+    __slots__ = ("delay",)
 
     def __init__(self, kernel: "Kernel", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ScheduleError(f"negative timeout delay {delay}")
-        super().__init__(kernel)
+        # Event.__init__ inlined: a timeout is built in this one frame.
+        self.kernel = kernel
+        self.callbacks = []
+        self._value = value
+        self._ok = True
+        self._defused = False
         self.delay = delay
-        self._delayed_value = value
-        # kernel._enqueue(self, NORMAL, delay=delay), inlined (hot path).
         kernel._seq = seq = kernel._seq + 1
-        kernel._queue.push((kernel.now + delay, NORMAL, seq, self))
+        heappush(kernel._queue, (kernel.now + delay, NORMAL, seq, None, self))
 
-    def _materialize(self) -> None:
-        """Called by the kernel when the delay elapses."""
-        if self._value is PENDING:
-            self._ok = True
-            self._value = self._delayed_value
+    @property
+    def triggered(self) -> bool:
+        """True once the delay has elapsed and the kernel fired the timeout."""
+        return self.callbacks is None
+
+    @property
+    def value(self) -> Any:
+        """The timeout's value, once it has fired."""
+        if self.callbacks is not None:
+            raise ScheduleError(f"{self!r} has not been triggered yet")
+        return self._value
 
 
 class AllOf(Event):

@@ -5,19 +5,22 @@ seeded random-number generator.  Because event processing order is fully
 determined by ``(time, priority, sequence)``, a run with a given seed is
 bit-for-bit reproducible -- the property all tests and benchmarks rely on.
 
-The queue is one binary heap (:class:`~repro.sim.equeue.HeapEventQueue`);
-see :mod:`repro.sim.equeue` for why it is not a calendar queue.
+The queue is a plain list kept as a binary heap by :mod:`heapq`.  Each
+entry is ``(when, priority, seq, fn, arg)``: ``fn(arg)`` is a scheduled
+call, and ``fn is None`` marks an event (``arg``), whose callbacks run
+when it pops.  Whoever schedules pushes the entry itself, so a scheduled
+thing costs one C heap operation each way and no wrapper object.
 """
 
 from __future__ import annotations
 
 import gc
 import itertools
+from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import ScheduleError, SimulationError
-from repro.sim.equeue import HeapEventQueue
-from repro.sim.events import AllOf, Event, Interrupt, NORMAL, Timeout, _Callback
+from repro.sim.events import AllOf, Event, Interrupt, NORMAL, Timeout
 from repro.sim.process import ProcGen, Process
 from repro.sim.rng import SeededRng
 
@@ -40,7 +43,8 @@ class Kernel:
         self.now: float = 0.0
         self.rng = SeededRng(seed)
         self.strict = strict
-        self._queue = HeapEventQueue()
+        #: The event queue: a heap of ``(when, priority, seq, fn, arg)``.
+        self._queue: List[Tuple[float, int, int, Any, Any]] = []
         self._seq = 0
         self._event_count = 0
         # RPC request-id source, per kernel so that back-to-back
@@ -80,10 +84,6 @@ class Kernel:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def _enqueue(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
-        self._seq += 1
-        self._queue.push((self.now + delay, priority, self._seq, event))
-
     def call_later(self, delay: float, fn: Callable[[Any], None], arg: Any = None) -> None:
         """Schedule ``fn(arg)`` after ``delay`` seconds, NORMAL priority.
 
@@ -104,7 +104,7 @@ class Kernel:
         if when < self.now:
             raise ScheduleError(f"call_at({when}) is in the past (now={self.now})")
         self._seq = seq = self._seq + 1
-        self._queue.push((when, NORMAL, seq, _Callback(fn, arg)))
+        heappush(self._queue, (when, NORMAL, seq, fn, arg))
 
     def _note_process_failure(self, process: Process, exc: BaseException) -> None:
         if not isinstance(exc, Interrupt):
@@ -118,11 +118,6 @@ class Kernel:
         """Number of events processed so far (a cheap progress measure)."""
         return self._event_count
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or +inf if none."""
-        entry = self._queue.peek()
-        return entry[0] if entry is not None else float("inf")
-
     def step(self) -> None:
         """Process exactly one event.
 
@@ -131,16 +126,14 @@ class Kernel:
         """
         if not self._queue:
             raise ScheduleError("step() on an empty event queue")
-        when, _priority, _seq, event = self._queue.pop()
+        when, _priority, _seq, fn, event = heappop(self._queue)
         if when < self.now:
             raise SimulationError(f"time went backwards: {when} < {self.now}")
         self.now = when
-        if type(event) is _Callback:
-            event.fn(event.arg)
+        if fn is not None:
+            fn(event)
             self._event_count += 1
             return
-        if isinstance(event, Timeout):
-            event._materialize()
         callbacks, event.callbacks = event.callbacks, None
         if callbacks:
             for callback in callbacks:
@@ -177,32 +170,27 @@ class Kernel:
         if until is not None and until < self.now:
             raise ScheduleError(f"run(until={until}) is in the past (now={self.now})")
         queue = self._queue
-        pop = queue.pop
         strict = self.strict
         horizon = float("inf") if until is None else until
         count = 0
         collecting = gc.isenabled()
         gc.disable()
         try:
-            while True:
-                try:
-                    entry = pop()
-                except IndexError:
-                    break
+            while queue:
+                entry = heappop(queue)
                 when = entry[0]
                 if when > horizon:
                     # Past the horizon: put the entry back (identical tuple,
                     # so ordering is untouched) instead of peeking every loop.
-                    queue.push(entry)
+                    heappush(queue, entry)
                     break
-                event = entry[3]
                 self.now = when
                 count += 1
-                if type(event) is _Callback:
-                    event.fn(event.arg)
+                fn = entry[3]
+                if fn is not None:
+                    fn(entry[4])
                     continue
-                if isinstance(event, Timeout):
-                    event._materialize()
+                event = entry[4]
                 callbacks, event.callbacks = event.callbacks, None
                 if callbacks:
                     for callback in callbacks:

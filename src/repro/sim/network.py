@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import itertools
 import typing
+from heapq import heappush
 from typing import Any, Dict, FrozenSet, Optional, Set
 
 from repro.errors import SimulationError
 from repro.metrics.registry import MetricsRegistry
+from repro.sim.events import NORMAL
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Kernel
@@ -87,7 +89,9 @@ class Message:
 class LatencyModel:
     """One-way delivery delay: propagation + size/bandwidth, with jitter.
 
-    Plain parameters; :meth:`Network.send` draws each delay from them.
+    Plain parameters; :meth:`Network.send` draws each delay from them and
+    schedules it unchecked, so a jitter that could draw a negative delay
+    is refused here.
     """
 
     def __init__(
@@ -96,6 +100,8 @@ class LatencyModel:
         jitter_fraction: float = 0.2,
         bandwidth_bytes_per_s: float = 12.5e6,
     ) -> None:
+        if not 0.0 <= jitter_fraction <= 1.0:
+            raise ValueError(f"jitter_fraction {jitter_fraction} outside [0, 1]")
         self.mean_latency = mean_latency
         self.jitter_fraction = jitter_fraction
         self.bandwidth_bytes_per_s = bandwidth_bytes_per_s
@@ -272,7 +278,8 @@ class Network:
             degradation = self._degraded.get(message.src, 1.0) * self._degraded.get(
                 message.dst, 1.0
             )
-        call_later = self.kernel.call_later
+        kernel = self.kernel
+        queue = kernel._queue
         deliver = self._deliver
         # One-way delay: propagation with bounded uniform jitter (as
         # SeededRng.jittered, inlined with the same arithmetic and draw
@@ -290,7 +297,8 @@ class Network:
             if spike_probability > 0.0 and chaos.random() < spike_probability:
                 self.delay_spikes += 1
                 delay *= self.delay_spike_factor
-            call_later(delay * degradation, deliver, message)
+            kernel._seq = seq = kernel._seq + 1
+            heappush(queue, (kernel.now + delay * degradation, NORMAL, seq, deliver, message))
 
     def _deliver(self, message: Message) -> None:
         # Inlined reachable(): this runs once per in-flight message.

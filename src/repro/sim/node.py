@@ -7,18 +7,19 @@ failure model (crash failures; partitions are treated as crashes).
 
 RPC convention: a handler for method ``foo`` is an instance method named
 ``rpc_foo(self, sender, **payload)``.  A handler may return a plain value
-(replied immediately) or a generator (run as a process; the reply carries
-its return value).  Exceptions raised by handlers travel back to the caller
-as :class:`~repro.errors.RemoteError`.
+(replied immediately) or a generator (run as the node's process, whose end
+is the reply: it carries the generator's return value).  Exceptions raised
+by handlers travel back to the caller as :class:`~repro.errors.RemoteError`.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from types import GeneratorType
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
-from repro.errors import NodeDown, RemoteError, RpcTimeout
-from repro.sim.events import Event, Interrupt
+from repro.errors import NodeDown, RemoteError, RpcTimeout, ScheduleError
+from repro.sim.events import NORMAL, PENDING, Event, Interrupt, Timeout
 from repro.sim.kernel import Kernel
 from repro.sim.network import Message, Network
 from repro.sim.process import OwnedProcess, ProcGen, Process
@@ -83,9 +84,7 @@ class Node:
         way the display name is only assembled if someone reads it
         (names exist for error messages and repr).
         """
-        return OwnedProcess(
-            self.kernel, generator, self._proc_name(name), self._procs, False
-        )
+        return OwnedProcess(self, generator, self._proc_name(name), False)
 
     def fork(self, generator: ProcGen, name: Any = None) -> Process:
         """Run ``generator`` as an owned process, first step here in the caller.
@@ -97,9 +96,7 @@ class Node:
         failure is queued like any other, so ``defuse()`` it right after
         the fork if the caller collects the outcome itself.
         """
-        return OwnedProcess(
-            self.kernel, generator, self._proc_name(name), self._procs, True
-        )
+        return OwnedProcess(self, generator, self._proc_name(name), True)
 
     def _proc_name(self, name: Any) -> Tuple[Any, ...]:
         if name is None:
@@ -110,7 +107,7 @@ class Node:
 
     def sleep(self, delay: float) -> Event:
         """Timeout event helper for use inside this node's processes."""
-        return self.kernel.timeout(delay)
+        return Timeout(self.kernel, delay)
 
     # ------------------------------------------------------------------
     # failure model
@@ -169,17 +166,26 @@ class Node:
         :class:`RemoteError` if the handler raised, :class:`NodeDown` if
         this node is itself dead.
         """
-        result = Event(self.kernel)
+        kernel = self.kernel
+        result = Event(kernel)
         if not self.alive:
             result.fail(NodeDown(f"{self.addr} is down"))
             return result
-        req_id = self.kernel.next_req_id()
+        req_id = next(kernel._req_ids)
         self._pending_calls[req_id] = result
         self.net.send(
             Message(self.addr, dst, "request", req_id, method, payload, size=size)
         )
         if timeout is not None:
-            self._set_deadline(req_id, dst, method, timeout)
+            # _set_deadline, inlined: nearly every call carries a deadline.
+            when = kernel.now + timeout
+            heappush(self._deadlines, (when, req_id, dst, method, timeout))
+            if when < self._timer_at:
+                if when < kernel.now:
+                    raise ScheduleError(f"negative RPC timeout {timeout}")
+                self._timer_at = when
+                kernel._seq = seq = kernel._seq + 1
+                heappush(kernel._queue, (when, NORMAL, seq, self._on_deadline, when))
         return result
 
     def call_with_retry(
@@ -312,7 +318,7 @@ class Node:
             return
         if message.kind == "response":
             event = self._pending_calls.pop(message.req_id, None)
-            if event is None or event.triggered:
+            if event is None or event._value is not PENDING:
                 return  # late reply after timeout; drop
             # The reply's arrival and the caller's resumption are one
             # instant: run the waiter from here, not via the queue.
@@ -373,9 +379,9 @@ class Node:
                         * len(message.payload["items"]),
                     )
                     return
-            self._start_handler(
-                self._run_batch_handler(message, batch_handler, item_handler),
-                message, "rpc-batch:",
+            OwnedProcess(
+                self, self._run_batch_handler(message, batch_handler, item_handler),
+                (self.addr, "/rpc-batch:", method), True,
             )
             return
 
@@ -393,29 +399,12 @@ class Node:
         except Exception as exc:
             self._reply_error(message, repr(exc))
             return
-        if hasattr(outcome, "send") and hasattr(outcome, "throw"):
-            self._start_handler(self._run_handler(message, outcome), message, "rpc:")
+        if type(outcome) is GeneratorType:
+            # This node's process, first step here in the request's delivery;
+            # its end is the reply, and nobody waits on it (no kernel event).
+            OwnedProcess(self, outcome, (self.addr, "/rpc:", method), True, message)
         else:
             self._reply(message, outcome)
-
-    def _start_handler(self, generator: ProcGen, message: Message, prefix: str) -> None:
-        """Run a generator handler as a process of this node, starting now.
-
-        A :meth:`fork`: the handler's first step runs here, inside the
-        delivery of its request; nobody waits on a handler (its reply is
-        a message), so its end is no kernel event either.
-        """
-        self.fork(generator, (prefix, message.method))
-
-    def _run_handler(self, message: Message, generator: ProcGen) -> ProcGen:
-        try:
-            result = yield from generator
-        except Interrupt:
-            return  # node crashed mid-handler: no reply, caller times out
-        except Exception as exc:
-            self._reply_error(message, repr(exc))
-            return
-        self._reply(message, result)
 
     def _run_batch_handler(
         self,

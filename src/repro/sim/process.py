@@ -9,16 +9,19 @@ process object is itself an event that triggers when the generator returns
 
 from __future__ import annotations
 
-import types
 import typing
+from heapq import heappush
 from inspect import GEN_CREATED, getgeneratorstate
-from typing import Any, Dict, Generator, Optional
+from types import GeneratorType
+from typing import Any, Generator, Optional
 
 from repro.errors import ScheduleError
-from repro.sim.events import Event, Interrupt, PENDING, URGENT, _Callback
+from repro.sim.events import Event, Interrupt, PENDING, URGENT
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Kernel
+    from repro.sim.network import Message
+    from repro.sim.node import Node
 
 ProcGen = Generator[Event, Any, Any]
 
@@ -33,11 +36,16 @@ class Process(Event):
     def __init__(
         self, kernel: "Kernel", generator: ProcGen, name: Any = None
     ) -> None:
-        if not isinstance(generator, types.GeneratorType):
+        if not isinstance(generator, GeneratorType):
             raise ScheduleError(
                 f"Process requires a generator, got {type(generator).__name__}"
             )
-        super().__init__(kernel)
+        # Event.__init__ inlined: built and started in this one frame.
+        self.kernel = kernel
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
         self._generator = generator
         self._target: Optional[Event] = None
         # ``name`` may be a tuple of parts (strings, timestamps, ...),
@@ -53,16 +61,12 @@ class Process(Event):
         # process is then freed by reference counting alone, never left
         # for the cyclic collector (docs/SIMULATION.md, "Where host time
         # goes: the collector").
-        self._resume = self._do_resume
-        self._start()
-
-    def _start(self) -> None:
+        self._resume = resume = self._do_resume
         # Kick the generator off from the kernel loop, never synchronously
-        # inside the caller: a scheduled callback with a None outcome
-        # (URGENT priority) without the Event machinery.
-        kernel = self.kernel
+        # inside the caller: a scheduled call of the trampoline with no
+        # event, at URGENT priority.
         kernel._seq = seq = kernel._seq + 1
-        kernel._queue.push((kernel.now, URGENT, seq, _Callback(self._resume, None)))
+        heappush(kernel._queue, (kernel.now, URGENT, seq, resume, None))
 
     def _exit(self, ok: bool, value: Any) -> None:
         """The generator returned or raised: trigger the process's own event."""
@@ -179,41 +183,68 @@ class OwnedProcess(Process):
     """A process a node owns: in its table while it runs, ended in place.
 
     The one class behind :meth:`Node.spawn`, :meth:`Node.fork` and the RPC
-    dispatch.  It joins ``owner`` -- the node's process table -- *before*
-    its first step, so a crash during that step still interrupts it, and
-    leaves the table where its last step runs.  A successful return
-    completes the process there too (:meth:`Event._complete`): whoever
-    waits on it resumes inside the child's last step, the same instant of
-    the same causal chain, so the end costs no kernel event.  A failure
-    is still queued, so that a forker can ``defuse()`` it before the
-    kernel sees it and strict-mode escalation and ``dead_processes`` work
-    as for any :class:`Process`.
+    dispatch.  It joins the node's process table *before* its first step,
+    so a crash during that step still interrupts it, and leaves the table
+    where its last step runs.  A successful return completes the process
+    there too (:meth:`Event._complete`): whoever waits on it resumes
+    inside the child's last step, the same instant of the same causal
+    chain, so the end costs no kernel event.  A failure is still queued,
+    so that a forker can ``defuse()`` it before the kernel sees it and
+    strict-mode escalation and ``dead_processes`` work as for any
+    :class:`Process`.
 
     ``in_caller`` picks the start: True runs the generator up to its
     first wait inside the constructor (a fork or an RPC delivery and the
     child's first step are one instant of one chain); False keeps the
     queued URGENT kick-off of :class:`Process`.
+
+    ``request`` makes it an RPC handler whose end is the reply: a return
+    value is sent back, an :class:`Exception` as its ``repr``, and an
+    :class:`Interrupt` (a crash) sends nothing; all three end it in place.
+    Any other exception sends nothing and fails the process.
     """
 
-    __slots__ = ("_owner", "_in_caller")
+    __slots__ = ("_node", "_request")
 
     def __init__(
-        self, kernel: "Kernel", generator: ProcGen, name: Any,
-        owner: Dict["Process", None], in_caller: bool,
+        self, node: "Node", generator: ProcGen, name: Any, in_caller: bool,
+        request: Optional["Message"] = None,
     ) -> None:
-        self._owner = owner
-        self._in_caller = in_caller
-        super().__init__(kernel, generator, name)
-
-    def _start(self) -> None:
-        self._owner[self] = None
-        if self._in_caller:
-            self._do_resume(None)
+        if not isinstance(generator, GeneratorType):
+            raise ScheduleError(
+                f"Process requires a generator, got {type(generator).__name__}"
+            )
+        # Process.__init__ inlined (see there), for the same one frame.
+        self.kernel = kernel = node.kernel
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
+        self._generator = generator
+        self._target = None
+        self._name = name
+        self._resume = resume = self._do_resume
+        self._node = node
+        self._request = request
+        node._procs[self] = None
+        if in_caller:
+            resume(None)
         else:
-            super()._start()
+            kernel._seq = seq = kernel._seq + 1
+            heappush(kernel._queue, (kernel.now, URGENT, seq, resume, None))
 
     def _exit(self, ok: bool, value: Any) -> None:
-        self._owner.pop(self, None)
+        node = self._node
+        node._procs.pop(self, None)
+        request = self._request
+        if request is not None:
+            if ok:
+                node._reply(request, value)
+            elif isinstance(value, Exception):
+                node._reply_error(request, repr(value))
+                ok, value = True, None
+            elif isinstance(value, Interrupt):
+                ok, value = True, None
         if ok:
             self._complete(True, value)
         else:

@@ -25,7 +25,7 @@ from collections import deque
 from typing import Any, Deque, List
 
 from repro.errors import ScheduleError
-from repro.sim.events import Event
+from repro.sim.events import Event, Timeout
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Kernel
@@ -136,7 +136,7 @@ class Resource:
                 raise
         try:
             if duration > 0:
-                yield self.kernel.timeout(duration)
+                yield Timeout(self.kernel, duration)
         finally:
             self.release()
 

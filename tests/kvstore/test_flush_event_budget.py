@@ -22,11 +22,11 @@ from collections import Counter
 
 from repro import ClusterConfig, SimCluster, TABLE
 from repro.kvstore.keys import row_key
-from repro.sim.events import _Callback
 from repro.sim.process import Process
 from repro.sim.resource import Resource
 from repro.txn.context import FLUSHED, PERSISTED
 from tests.kvstore.conftest import MiniCluster
+from tests.sim.kernel_queue import target, watch
 
 ROWS = ["a", "h", "n", "u"]  # one row in each of the four regions below
 
@@ -39,8 +39,8 @@ def _waiters(callbacks):
 
 
 def tally_zero_delay_entries(monkeypatch, kernel):
-    """Hook the kernel queue's push and pop; return the list that gets one
-    ``(kind, waiter)`` per popped entry that was pushed for the instant
+    """Watch the kernel queue's pushes and pops; return the list that gets
+    one ``(kind, waiter)`` per popped entry that was pushed for the instant
     it was pushed at:
 
     * ``("start", name)`` / ``("end", name)`` / ``("fail", name)``: a
@@ -55,27 +55,22 @@ def tally_zero_delay_entries(monkeypatch, kernel):
     """
     seen = []
     parked_at_push = {}
-    queue_cls = type(kernel._queue)
-    real_push, real_pop = queue_cls.push, queue_cls.pop
 
-    def push(self, entry):
+    def on_push(entry):
         if entry[0] == kernel.now:
-            event = entry[3]
-            parked_at_push[entry[2]] = bool(getattr(event, "callbacks", None))
-        real_push(self, entry)
+            parked_at_push[entry[2]] = entry[3] is None and bool(entry[4].callbacks)
 
-    def pop(self):
-        entry = real_pop(self)
+    def on_pop(entry):
         parked = parked_at_push.pop(entry[2], None)
         if parked is None:
-            return entry
-        event = entry[3]
-        if type(event) is _Callback:
-            owner = getattr(event.fn, "__self__", None)
+            return
+        event = target(entry)
+        if entry[3] is not None:
+            owner = getattr(event, "__self__", None)
             if isinstance(owner, Process):
                 seen.append(("start", owner.name))
             else:
-                seen.append(("callback", event.fn.__qualname__))
+                seen.append(("callback", event.__qualname__))
         elif isinstance(event, Process):
             seen.append(("end" if event.ok else "fail", event.name))
         elif not event.callbacks:
@@ -84,10 +79,8 @@ def tally_zero_delay_entries(monkeypatch, kernel):
             seen.append(("grant", _waiters(event.callbacks)))
         else:
             seen.append(("wake" if parked else "resume", _waiters(event.callbacks)))
-        return entry
 
-    monkeypatch.setattr(queue_cls, "push", push)
-    monkeypatch.setattr(queue_cls, "pop", pop)
+    watch(monkeypatch, kernel, on_push, on_pop)
     return seen
 
 

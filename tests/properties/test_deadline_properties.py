@@ -39,6 +39,14 @@ calls = st.lists(
 class ScanDeadlineNode(Node):
     """The model: a list of ``(when, req_id, dst, method, timeout)``."""
 
+    def call(self, dst, method, timeout=None, size=256, **payload):
+        # Node.call arms its deadline inline; the model arms it here.
+        result = super().call(dst, method, size=size, **payload)
+        if timeout is not None and self.alive:
+            req_id = next(reversed(self._pending_calls))
+            self._set_deadline(req_id, dst, method, timeout)
+        return result
+
     def _set_deadline(self, req_id, dst, method, timeout):
         when = self.kernel.now + timeout
         self._deadlines.append((when, req_id, dst, method, timeout))

@@ -250,21 +250,40 @@ def test_immediate_events_processed_in_fifo_order():
     assert order == ["first", "second", "third"]
 
 
-@pytest.mark.parametrize("queue_impl", ["calendar", "heap"])
+class _Queue(list):
+    """A list to stand in for the kernel's queue and count its length checks."""
+
+
+@pytest.mark.parametrize("queue_impl", ["calendar", "heap", "kernel"])
 def test_run_until_complete_does_not_scale_with_standing_timers(queue_impl, monkeypatch):
     """The per-step emptiness check is O(1): it never measures the queue,
-    however many far-future timers stand in it. The kernel itself runs on
-    the heap; the calendar queue (kept for bench/micro.py) is swapped in to
-    hold both queues' ``__bool__`` to the same contract."""
-    k = Kernel()
-    k._queue = make_queue(queue_impl)
-    for i in range(10_000):
-        k.call_later(1000.0 + i, lambda _arg: None)
+    however many far-future timers stand in it.  The kernel's queue is a
+    plain list, whose length is O(1); ``[kernel]`` counts the checks, at
+    most two per step.  No kernel runs on the two queue classes (kept for
+    bench/micro.py); ``[calendar]`` and ``[heap]`` hold their ``__bool__``
+    to the same contract directly."""
 
     def walked(self):
         raise AssertionError("emptiness check measured the whole queue")
 
-    monkeypatch.setattr(type(k._queue), "__len__", walked)
+    if queue_impl != "kernel":
+        queue = make_queue(queue_impl)
+        for i in range(10_000):
+            queue.push((1000.0 + i, 1, i, None, None))
+        monkeypatch.setattr(type(queue), "__len__", walked)
+        for i in range(200):
+            queue.push((0.01 * i, 1, 10_000 + i, None, None))
+            assert queue
+            assert queue.pop()[0] == 0.01 * i
+        assert queue
+        return
+
+    k = Kernel()
+    k._queue = _Queue()
+    for i in range(10_000):
+        k.call_later(1000.0 + i, lambda _arg: None)
+    checks = []
+    monkeypatch.setattr(_Queue, "__len__", lambda self: checks.append(1) or list.__len__(self))
 
     def ticker(k):
         for _ in range(200):
@@ -273,6 +292,7 @@ def test_run_until_complete_does_not_scale_with_standing_timers(queue_impl, monk
 
     assert k.run_until_complete(k.process(ticker(k))) == pytest.approx(2.0)
     k.step()  # the other caller of the emptiness check
+    assert 0 < len(checks) <= 2 * k.event_count
 
 
 def test_call_at_fires_at_the_exact_instant():

@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.errors import NodeDown, RemoteError, RpcTimeout
-from repro.sim import Kernel, Network, Node
+from repro.errors import NodeDown, RemoteError, RpcTimeout, ScheduleError, SimulationError
+from repro.sim import Interrupt, Kernel, LatencyModel, Network, Node
+
+
+class Fatal(BaseException):
+    """Neither an :class:`Exception` nor an :class:`Interrupt`."""
 
 
 class EchoNode(Node):
@@ -31,9 +35,20 @@ class EchoNode(Node):
         raise ValueError("kapow at once")
         yield
 
+    def rpc_fatal(self, sender):
+        yield self.kernel.timeout(0.1)
+        raise Fatal("beyond repair")
 
-def make_pair():
-    k = Kernel()
+    def rpc_stubborn(self, sender):
+        try:
+            yield self.kernel.timeout(0.5)
+        except Interrupt:
+            self.swallowed = self.kernel.now
+        return "answered after the crash"
+
+
+def make_pair(strict=True):
+    k = Kernel(strict=strict)
     net = Network(k)
     a = EchoNode(k, net, "a")
     b = EchoNode(k, net, "b")
@@ -142,6 +157,48 @@ def test_crash_interrupts_spawned_processes():
     k.process(killer(k, a))
     k.run()
     assert trace == [1.0, 2.0, 3.0]
+
+
+def test_handler_dying_of_a_base_exception_sends_no_reply_and_escalates():
+    """Only an Exception becomes a RemoteError and only an Interrupt ends a
+    handler quietly: anything else kills its process, unanswered."""
+    k, net, a, _b = make_pair()
+    event = a.call("b", "fatal", timeout=1.0)
+    with pytest.raises(SimulationError, match="b/rpc:fatal") as info:
+        k.run()
+    assert isinstance(info.value.__cause__, Fatal)
+    assert net.messages_sent == 1 and not event.triggered  # the request alone
+
+    k, net, a, _b = make_pair(strict=False)
+    result = run_call(k, a, "b", "fatal", timeout=1.0)
+    assert isinstance(result["error"], RpcTimeout)
+    assert net.messages_sent == 1
+    ((process, exc),) = k.dead_processes
+    assert process.name == "b/rpc:fatal" and isinstance(exc, Fatal)
+
+
+def test_handler_that_swallows_the_crash_interrupt_sends_no_reply():
+    k, net, a, b = make_pair()
+
+    def killer(k, b):
+        yield k.timeout(0.05)
+        b.crash()
+
+    k.process(killer(k, b))
+    result = run_call(k, a, "b", "stubborn", timeout=1.0)
+    assert b.swallowed == 0.05  # the handler returned at the crash
+    assert isinstance(result["error"], RpcTimeout)
+    assert net.messages_sent == 1 and not b._procs
+
+
+def test_no_negative_delay_reaches_the_kernel_queue():
+    """Sends and calls push their entries unchecked by the kernel, so what
+    could schedule into the past is refused where it is set."""
+    with pytest.raises(ValueError):
+        LatencyModel(jitter_fraction=1.5)
+    k, _net, a, _b = make_pair()
+    with pytest.raises(ScheduleError):
+        a.call("b", "echo", timeout=-1.0, text="x")
 
 
 def test_cast_is_fire_and_forget():

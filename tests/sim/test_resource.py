@@ -5,13 +5,15 @@ import pytest
 from repro.errors import ScheduleError
 from repro.sim import Interrupt, Kernel, Resource, SimQueue
 from repro.sim.events import Timeout
+from tests.sim.kernel_queue import head, target
 
 
 def run_popping(k):
-    """Run ``k`` until its queue drains; every event popped, in order."""
+    """Run ``k`` until its queue drains; every entry's event or scheduled
+    function, in pop order."""
     popped = []
-    while k._queue:
-        popped.append(k._queue.peek()[3])
+    while (entry := head(k)) is not None:
+        popped.append(target(entry))
         k.step()
     return popped
 
