@@ -30,7 +30,7 @@ from repro.kvstore.keys import row_key, split_points_for
 from repro.kvstore.regionserver import _block_to_map
 from repro.kvstore.sstable import build_blocks_wire, estimate_block_bytes
 from repro.kvstore.wal import SYNC
-from repro.metrics.spans import SUMMED_STAGES, tracer_for
+from repro.metrics.spans import COMMIT_STAGES, tracer_for
 from repro.sim import Kernel, LatencyModel, Network, Node, Resource
 from repro.txn import STORE_SYNC, TM_LOG, TransactionManager, TxnClient
 from repro.txn.loggers import LoggerShard
@@ -474,10 +474,6 @@ class SimCluster:
     # ------------------------------------------------------------------
     # metrics
     # ------------------------------------------------------------------
-    #: Client-side commit stages: their per-transaction durations sum to
-    #: the end-to-end ``commit.rpc`` latency (``commit.reply`` is derived
-    #: as the exact remainder).
-    COMMIT_STAGES = SUMMED_STAGES + ("commit.reply",)
     #: Stages below the commit RPC, reported alongside the breakdown.
     PIPELINE_STAGES = (
         "log.group_sync",
@@ -532,13 +528,14 @@ class SimCluster:
     def _commit_breakdown(self, stages: dict) -> dict:
         """Reconcile per-stage commit latencies with the end-to-end RPC.
 
-        ``stage_p50_sum`` over :data:`COMMIT_STAGES` should land within a
-        few percent of the end-to-end ``commit.rpc`` p50 -- the derived
-        ``commit.reply`` remainder makes per-transaction sums exact, so
-        any residual gap is purely percentile skew.
+        ``stage_p50_sum`` over :data:`~repro.metrics.spans.COMMIT_STAGES`
+        should land within a few percent of the end-to-end ``commit.rpc``
+        p50 -- the derived ``commit.reply`` remainder makes
+        per-transaction sums exact, so any residual gap is purely
+        percentile skew.
         """
         e2e = stages.get("commit.rpc")
-        commit_stages = {s: stages[s] for s in self.COMMIT_STAGES if s in stages}
+        commit_stages = {s: stages[s] for s in COMMIT_STAGES if s in stages}
         pipeline = {s: stages[s] for s in self.PIPELINE_STAGES if s in stages}
         p50_sum = round(sum(s["p50"] for s in commit_stages.values()), 9)
         out = {

@@ -10,7 +10,7 @@ and a transaction manager with its own fast stable storage (Section 4.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 
@@ -218,10 +218,6 @@ class ClusterConfig:
     txn: TxnSettings = field(default_factory=TxnSettings)
     recovery: RecoverySettings = field(default_factory=RecoverySettings)
     workload: WorkloadSettings = field(default_factory=WorkloadSettings)
-
-    def with_(self, **overrides) -> "ClusterConfig":
-        """A copy of this config with top-level fields replaced."""
-        return replace(self, **overrides)
 
 
 def paper_setup(seed: int = 0) -> ClusterConfig:

@@ -285,10 +285,7 @@ class KvClient:
                     # Abandon (rather than close) the span: the caller
                     # re-groups and retries under a fresh span, so timing
                     # this failed attempt would double-count the work.
-                    span.tags["failed"] = True
-                    self._tracer.truncate_open(
-                        lambda s: s.span_id == span.span_id
-                    )
+                    span.abandon()
                     raise KvError(
                         f"flush({region_id!r}, ts={txn_ts}) failed "
                         f"after {attempt} tries: {exc!r}"

@@ -7,11 +7,11 @@ compute exact statistics rather than approximating with buckets.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import List
 
 
 class LatencyHistogram:
-    """Collects samples; answers mean/percentile/min/max queries."""
+    """Collects samples; answers mean/percentile/max queries."""
 
     def __init__(self, name: str = "latency") -> None:
         self.name = name
@@ -37,11 +37,6 @@ class LatencyHistogram:
         return sum(self._samples) / len(self._samples)
 
     @property
-    def minimum(self) -> float:
-        """Smallest sample (0.0 when empty)."""
-        return min(self._samples) if self._samples else 0.0
-
-    @property
     def maximum(self) -> float:
         """Largest sample (0.0 when empty)."""
         return max(self._samples) if self._samples else 0.0
@@ -63,23 +58,10 @@ class LatencyHistogram:
         frac = rank - low
         return self._samples[low] * (1 - frac) + self._samples[high] * frac
 
-    @property
-    def stddev(self) -> float:
-        """Population standard deviation."""
-        n = len(self._samples)
-        if n < 2:
-            return 0.0
-        mu = self.mean
-        return math.sqrt(sum((x - mu) ** 2 for x in self._samples) / n)
-
     def _ensure_sorted(self) -> None:
         if not self._sorted:
             self._samples.sort()
             self._sorted = True
-
-    def samples(self) -> Sequence[float]:
-        """Raw samples in insertion order is not guaranteed after queries."""
-        return tuple(self._samples)
 
     def summary(self) -> dict:
         """All headline statistics in one dict (times in seconds)."""

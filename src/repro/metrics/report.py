@@ -100,7 +100,8 @@ def spans_table(
     """Per-stage latency breakdown from ``SpanTracer.stage_summary()``.
 
     One row per stage: sample count, mean/p50/p95/p99/max in
-    milliseconds, plus the crash-truncated span count when non-zero.
+    milliseconds, plus the abandoned (``truncated``) span count when
+    non-zero.
     """
     rows = []
     for stage, stats in sorted(stage_summary.items()):

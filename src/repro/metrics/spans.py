@@ -5,12 +5,14 @@ A :class:`SpanTracer` is shared by every node on one simulation kernel
 manager, a logger shard, and a region server all land in one place and
 can be linked into a per-transaction tree.
 
-A *span* is one timed stage of work: it opens at ``kernel.now``, closes
-at ``kernel.now``, and may carry a transaction key (``"<client>:<txn>"``)
-and a parent span.  Closing a span records its duration into a per-stage
-histogram; spans that never close (the node crashed mid-stage) stay in
-the open set and are reported as *truncated* rather than polluting the
-latency statistics.
+A *span* is one timed stage of work: it opens at ``kernel.now`` and may
+carry a transaction key (``"<client>:<txn>"``) and a parent span.  It
+then either *ends* -- its duration goes into a per-stage histogram and
+the span into :meth:`SpanTracer.spans` -- or is *abandoned*: counted per
+stage under ``truncated``, never timed.  A span that a crash cuts off
+does neither and is not reported at all.  Spans are output only: no
+product code reads one, and this module derives ``commit.reply`` itself
+when a committed ``commit.rpc`` span ends.
 
 Stage taxonomy (see ``docs/OBSERVABILITY.md`` for the full catalogue)::
 
@@ -46,14 +48,18 @@ from typing import Callable, Deque, Dict, List, Optional
 
 from repro.metrics.histogram import LatencyHistogram
 
-#: The stages whose per-transaction totals :meth:`SpanTracer.sum_durations`
-#: hands back: a commit's TM-side children, which the client subtracts
-#: from the commit RPC to derive ``commit.reply``.
-SUMMED_STAGES = ("commit.certify", "commit.log_append")
+#: A commit's TM-side stages.  Their per-transaction totals are kept
+#: until the transaction's ``commit.rpc`` span ends, which subtracts
+#: them to derive ``commit.reply``.
+_SUMMED_STAGES = ("commit.certify", "commit.log_append")
+
+#: The commit stages whose per-transaction durations sum exactly to the
+#: end-to-end ``commit.rpc`` latency.
+COMMIT_STAGES = _SUMMED_STAGES + ("commit.reply",)
 
 
 class Span:
-    """One timed stage of work; close with :meth:`end`."""
+    """One timed stage of work; close with :meth:`end` or :meth:`abandon`."""
 
     __slots__ = ("span_id", "stage", "txn", "parent_id", "start", "end_time",
                  "tags", "_tracer")
@@ -79,7 +85,7 @@ class Span:
 
     @property
     def open(self) -> bool:
-        """True until :meth:`end` is called."""
+        """True until :meth:`end` is called; an abandoned span never ends."""
         return self.end_time is None
 
     @property
@@ -93,12 +99,28 @@ class Span:
         """Open a child span (same txn key unless overridden via tags)."""
         return self._tracer.begin(stage, txn=self.txn, parent=self, **tags)
 
-    def end(self, **tags: object) -> "Span":
-        """Close the span at the current sim time; idempotent."""
-        if self.end_time is None:
+    def end(self, txn: Optional[str] = None, **tags: object) -> "Span":
+        """Close the span at the current sim time; idempotent.
+
+        ``txn`` names the transaction when it was not known at
+        :meth:`SpanTracer.begin`.  A no-op after :meth:`abandon`.
+        """
+        if self.end_time is None and self._tracer is not None:
+            if txn is not None:
+                self.txn = txn
             self.tags.update(tags)
             self._tracer._finish(self)
         return self
+
+    def abandon(self) -> None:
+        """Give the span up untimed, counted under its stage's ``truncated``.
+
+        It never becomes a latency sample.  A no-op after :meth:`end`; a
+        later :meth:`end` records nothing.
+        """
+        if self.end_time is None and self._tracer is not None:
+            self._tracer._abandon(self)
+            self._tracer = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "open" if self.open else f"{self.duration:.6f}s"
@@ -115,19 +137,15 @@ class SpanTracer:
     ) -> None:
         self._clock = clock
         self._next_id = 1
-        self._open: Dict[int, Span] = {}
         # The newest ``max_records`` finished spans; the per-stage
         # histograms count every span, kept or not.
         self._finished: Deque[Span] = deque(maxlen=max_records)
         self._stage_hist: Dict[str, LatencyHistogram] = {}
-        self._truncated: List[Span] = []
-        # Running duration totals per (txn, stage) of SUMMED_STAGES,
-        # maintained at finish time so sum_durations() never scans the
-        # finished list (it is called on every commit, and a scan is
-        # O(total spans)); it drops what it reads.
+        self._truncated: Dict[str, int] = {}
+        # Running duration totals per (txn, stage) of _SUMMED_STAGES; the
+        # transaction's commit.rpc span pops them as it ends, so they hold
+        # only transactions still in flight.
         self._txn_stage_sums: Dict[tuple, float] = {}
-
-    # -- recording --------------------------------------------------------
 
     def begin(
         self,
@@ -147,22 +165,41 @@ class SpanTracer:
             tags=tags,
         )
         self._next_id += 1
-        self._open[span.span_id] = span
         return span
 
-    # Alias: ``tracer.span("commit.certify", txn=key)`` reads naturally.
-    span = begin
-
     def _finish(self, span: Span) -> None:
-        span.end_time = self._clock()
-        self._open.pop(span.span_id, None)
-        duration = span.end_time - span.start
-        self._record_duration(span.stage, duration)
-        if span.txn is not None and span.stage in SUMMED_STAGES:
-            key = (span.txn, span.stage)
-            sums = self._txn_stage_sums
-            sums[key] = sums.get(key, 0.0) + duration
+        end = span.end_time = self._clock()
+        duration = end - span.start
+        stage = span.stage
+        self._record_duration(stage, duration)
         self._finished.append(span)
+        txn = span.txn
+        if txn is None:
+            return
+        sums = self._txn_stage_sums
+        if stage in _SUMMED_STAGES:
+            key = (txn, stage)
+            sums[key] = sums.get(key, 0.0) + duration
+        elif stage == "commit.rpc":
+            accounted = sum(sums.pop((txn, s), 0.0) for s in _SUMMED_STAGES)
+            if span.tags.get("outcome") == "committed":
+                self._derive_reply(span, max(duration - accounted, 0.0))
+
+    def _derive_reply(self, rpc: Span, remainder: float) -> None:
+        """Append ``commit.reply``: what the client saw of a committed
+        ``commit.rpc`` beyond the TM's certify and log append -- network
+        round trip, TM queueing and client bookkeeping."""
+        end = rpc.end_time
+        reply = Span(self, self._next_id, "commit.reply", rpc.txn,
+                     rpc.span_id, end - remainder, {})
+        self._next_id += 1
+        reply.end_time = end
+        self._record_duration("commit.reply", remainder)
+        self._finished.append(reply)
+
+    def _abandon(self, span: Span) -> None:
+        truncated = self._truncated
+        truncated[span.stage] = truncated.get(span.stage, 0) + 1
 
     def _record_duration(self, stage: str, duration: float) -> None:
         hist = self._stage_hist.get(stage)
@@ -170,49 +207,7 @@ class SpanTracer:
             hist = self._stage_hist[stage] = LatencyHistogram(stage)
         hist.record(duration)
 
-    def record(
-        self,
-        stage: str,
-        duration: float,
-        txn: Optional[str] = None,
-        parent: Optional[Span] = None,
-        **tags: object,
-    ) -> Span:
-        """Record an already-measured duration as a closed span.
-
-        Used for *derived* stages, e.g. ``commit.reply`` = the commit RPC
-        total minus its measured TM-side children.
-        """
-        now = self._clock()
-        span = Span(
-            tracer=self,
-            span_id=self._next_id,
-            stage=stage,
-            txn=txn,
-            parent_id=parent.span_id if parent is not None else None,
-            start=now - duration,
-            tags=tags,
-        )
-        self._next_id += 1
-        span.end_time = now
-        self._record_duration(stage, duration)
-        self._finished.append(span)
-        return span
-
-    def truncate_open(self, predicate: Callable[[Span], bool]) -> List[Span]:
-        """Mark matching open spans as crash-truncated (never timed).
-
-        Returns the truncated spans; they are removed from the open set,
-        excluded from the latency histograms, and counted per-stage in
-        the summary's ``truncated`` field.
-        """
-        victims = [s for s in self._open.values() if predicate(s)]
-        for span in victims:
-            self._open.pop(span.span_id, None)
-            self._truncated.append(span)
-        return victims
-
-    # -- queries ----------------------------------------------------------
+    # -- export -----------------------------------------------------------
 
     def spans(
         self,
@@ -227,43 +222,13 @@ class SpanTracer:
             out = [s for s in out if s.stage == stage]
         return list(out)
 
-    def open_spans(self) -> List[Span]:
-        """Spans begun but never ended, ordered by span id."""
-        return [self._open[k] for k in sorted(self._open)]
-
-    def truncated_spans(self) -> List[Span]:
-        """Spans abandoned by :meth:`truncate_open` (crash-truncated)."""
-        return list(self._truncated)
-
-    def children(self, parent: Span) -> List[Span]:
-        """Finished + open spans whose parent is ``parent``."""
-        out = [s for s in self._finished if s.parent_id == parent.span_id]
-        out.extend(
-            self._open[k]
-            for k in sorted(self._open)
-            if self._open[k].parent_id == parent.span_id
-        )
-        return out
-
-    def sum_durations(self, txn: str) -> float:
-        """Total finished-span time for ``txn`` across
-        :data:`SUMMED_STAGES`, and forget it: read once per transaction,
-        so the running totals hold only transactions still in flight.
-        """
-        sums = self._txn_stage_sums
-        return sum(sums.pop((txn, stage), 0.0) for stage in SUMMED_STAGES)
-
-    # -- export -----------------------------------------------------------
-
     def stage_summary(self) -> dict:
         """Deterministic ``{stage: {count, mean, p50, p95, p99, max}}``.
 
-        Stages with crash-truncated spans additionally report a
-        ``truncated`` count.
+        Stages with abandoned spans additionally report a ``truncated``
+        count.
         """
-        truncated: Dict[str, int] = {}
-        for span in self._truncated:
-            truncated[span.stage] = truncated.get(span.stage, 0) + 1
+        truncated = self._truncated
         summary = {}
         for stage in sorted(set(self._stage_hist) | set(truncated)):
             hist = self._stage_hist.get(stage)

@@ -56,27 +56,3 @@ class TimeSeries:
             mean = self._sums[bucket] / count if count else None
             out.append((bucket * self.bucket_width, mean))
         return out
-
-    def total_count(self) -> int:
-        """Observations across all buckets."""
-        return sum(self._counts.values())
-
-    def count_in(self, t_from: float, t_to: float) -> int:
-        """Observations with bucket start in [t_from, t_to)."""
-        total = 0
-        for bucket, count in self._counts.items():
-            start = bucket * self.bucket_width
-            if t_from <= start < t_to:
-                total += count
-        return total
-
-    def mean_in(self, t_from: float, t_to: float) -> Optional[float]:
-        """Mean value over buckets whose start lies in [t_from, t_to)."""
-        total = 0
-        value_sum = 0.0
-        for bucket, count in self._counts.items():
-            start = bucket * self.bucket_width
-            if t_from <= start < t_to:
-                total += count
-                value_sum += self._sums[bucket]
-        return value_sum / total if total else None

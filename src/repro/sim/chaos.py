@@ -177,8 +177,8 @@ class ChaosReport:
     net: dict = field(default_factory=dict)
     storage: dict = field(default_factory=dict)
     #: Full unified snapshot (:meth:`SimCluster.metrics_snapshot`): every
-    #: component registry plus commit-path span summaries, including
-    #: spans truncated by crashes mid-stage.
+    #: component registry plus commit-path span summaries, with the
+    #: abandoned spans of each stage under ``truncated``.
     metrics: dict = field(default_factory=dict)
     events: int = 0
 

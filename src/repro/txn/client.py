@@ -116,8 +116,7 @@ class TxnClient:
         if self.recorder is not None:
             ctx.recorder = self.recorder
             self.recorder.note_begin(ctx)
-        span.txn = self._txn_key(ctx)
-        span.end()
+        span.end(txn=self._txn_key(ctx))
         return ctx
 
     def read(self, ctx: TxnContext, table: str, row: str, column: str = "f"):
@@ -249,8 +248,7 @@ class TxnClient:
         Raises :class:`TxnConflict` if certification fails.
         """
         ctx.require_active()
-        txn_key = self._txn_key(ctx)
-        span = self._tracer.begin("commit.rpc", txn=txn_key)
+        span = self._tracer.begin("commit.rpc", txn=self._txn_key(ctx))
         writes = [
             (table, row, column, value)
             for (table, row, column), value in sorted(ctx.write_set.writes.items())
@@ -327,7 +325,6 @@ class TxnClient:
             if self.recorder is not None:
                 self.recorder.note_abort(ctx, ctx.abort_reason)
             self._n_aborted.inc()
-            self._tracer.sum_durations(txn_key)  # drop the refused certify
             span.end(outcome="aborted")
             raise TxnConflict(ctx.txn_id, tuple(reply.get("conflict_key") or ()))
 
@@ -337,7 +334,7 @@ class TxnClient:
             if self.recorder is not None:
                 self.recorder.note_commit(ctx, read_only=True)
             self._n_committed.inc()
-            self._end_commit_span(span, txn_key)
+            span.end(outcome="committed")
             return ctx
 
         if self.durability == STORE_SYNC:
@@ -350,7 +347,7 @@ class TxnClient:
             ctx.transition(FLUSHED)
             self.host.cast(self.tm_addr, "flushed", commit_ts=ctx.commit_ts)
             self._n_committed.inc()
-            self._end_commit_span(span, txn_key)
+            span.end(outcome="committed")
             return ctx
 
         # Paper mode: committed now; flush afterwards.
@@ -360,7 +357,7 @@ class TxnClient:
         if self.recorder is not None:
             self.recorder.note_commit(ctx)
         self._n_committed.inc()
-        self._end_commit_span(span, txn_key)
+        span.end(outcome="committed")
         flush_proc = self.host.spawn(
             self._flush_after_commit(ctx, parent=span),
             name=("flush:", ctx.commit_ts),
@@ -369,21 +366,6 @@ class TxnClient:
         if wait_flush:
             yield flush_proc
         return ctx
-
-    def _end_commit_span(self, span, txn_key: str) -> None:
-        """Close the commit span and derive the ``commit.reply`` stage.
-
-        The TM-side children (certification and log append) are measured
-        at the TM under the same txn key; the remainder of the
-        client-observed commit -- request/response network time, TM
-        queueing, and client bookkeeping -- is recorded as the derived
-        ``commit.reply`` stage so the per-stage breakdown sums exactly to
-        the end-to-end commit latency.
-        """
-        span.end(outcome="committed")
-        accounted = self._tracer.sum_durations(txn_key)
-        remainder = max(span.duration - accounted, 0.0)
-        self._tracer.record("commit.reply", remainder, txn=txn_key, parent=span)
 
     def transaction(self, body, retries: int = 0, wait_flush: bool = False):
         """Run ``body`` inside a transaction.  (Generator API.)
@@ -446,14 +428,13 @@ class TxnClient:
             yield from self.tracker.note_flushed(ctx.commit_ts)
 
     def _flush(self, ctx: TxnContext, parent=None):
-        # A span that never closes marks a crash-truncated flush -- the
-        # case the recovery middleware exists for.
-        span = self._tracer.begin(
-            "flush.writeset", txn=self._txn_key(ctx), parent=parent
-        )
+        # A crash mid-flush leaves this span unended and unreported --
+        # the case the recovery middleware exists for.
+        txn_key = self._txn_key(ctx)
+        span = self._tracer.begin("flush.writeset", txn=txn_key, parent=parent)
         for table in ctx.write_set.tables():
             cells = ctx.write_set.stamped_cells(table, ctx.commit_ts)
             yield from self.kv.flush_write_set(
-                table, ctx.commit_ts, cells, txn=span.txn
+                table, ctx.commit_ts, cells, txn=txn_key
             )
         span.end()

@@ -7,7 +7,8 @@ import pytest
 from repro import ClusterConfig, SimCluster, TABLE
 from repro.errors import TxnConflict
 from repro.kvstore.keys import row_key
-from repro.metrics import tracer_for
+from repro.metrics import SpanTracer, tracer_for
+from repro.metrics.spans import COMMIT_STAGES
 from repro.workload import WorkloadDriver
 
 
@@ -78,14 +79,15 @@ def test_per_txn_stage_sum_matches_commit_latency_exactly():
     for span in rpcs:
         parts = sum(
             s.duration for s in tracer.spans(txn=span.txn)
-            if s.stage in SimCluster.COMMIT_STAGES
+            if s.stage in COMMIT_STAGES
         )
         assert abs(parts - span.duration) < 1e-9
 
 
 def test_span_tracer_forgets_finished_commits():
-    """The per-transaction totals behind ``commit.reply`` are dropped once
-    read, for a commit and for a certification refusal alike."""
+    """The per-transaction totals behind ``commit.reply`` are dropped when
+    the commit RPC's span ends, for a commit and for a certification
+    refusal alike."""
     cluster = make()
     handle = cluster.add_client("app")
 
@@ -149,7 +151,16 @@ def test_flat_stats_surfaces_still_work():
     assert "disks" in storage
 
 
-def test_crashed_flush_shows_up_as_truncated_spans():
+def test_crashed_flush_shows_up_as_truncated_spans(monkeypatch):
+    begun = []
+    begin = SpanTracer.begin
+
+    def noting_begin(self, stage, *args, **kwargs):
+        span = begin(self, stage, *args, **kwargs)
+        begun.append(span)
+        return span
+
+    monkeypatch.setattr(SpanTracer, "begin", noting_begin)
     cluster = make()
     tracer = tracer_for(cluster.kernel)
     handle = cluster.add_client("doomed")
@@ -175,15 +186,24 @@ def test_crashed_flush_shows_up_as_truncated_spans():
         yield from handle.txn.commit(ctx)
         return ctx
 
-    cluster.run(commit_only())
-    while not any(s.stage == "flush.writeset" for s in tracer.open_spans()):
+    ctx = cluster.run(commit_only())
+
+    def cut_flush():
+        return [
+            s for s in begun
+            if s.stage == "flush.writeset"
+            and s.txn == f"{ctx.client_id}:{ctx.txn_id}"
+        ]
+
+    while not cut_flush():
         cluster.kernel.step()
     cluster.crash_client(0)
     cluster.run_until(cluster.kernel.now + 10.0)
-    spans = cluster.metrics_snapshot()["spans"]
-    flush = spans.get("flush.writeset", {})
-    # The first txn's flush finished; the second was severed by the crash
-    # (it stays open forever -- never recorded as a latency sample).
-    assert flush["count"] >= 1
-    open_stages = {s.stage for s in tracer.open_spans()}
-    assert "flush.writeset" in open_stages
+    (cut,) = cut_flush()
+    # The first txn's flush finished; the second was severed by the crash:
+    # it never ends, so it is never a latency sample.
+    assert cut.end_time is None
+    finished = tracer.spans(stage="flush.writeset")
+    assert cut not in finished and len(finished) == 1
+    flush = cluster.metrics_snapshot()["spans"]["flush.writeset"]
+    assert flush["count"] == 1

@@ -17,7 +17,6 @@ class TestLatencyHistogram:
         for v in (1.0, 2.0, 3.0, 4.0):
             h.record(v)
         assert h.mean == 2.5
-        assert h.minimum == 1.0
         assert h.maximum == 4.0
 
     def test_percentiles_interpolate(self):
@@ -48,12 +47,6 @@ class TestLatencyHistogram:
         summary = h.summary()
         assert set(summary) == {"count", "mean", "p50", "p95", "p99", "max"}
 
-    def test_stddev(self):
-        h = LatencyHistogram()
-        for v in (2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0):
-            h.record(v)
-        assert abs(h.stddev - 2.0) < 1e-9
-
 
 class TestTimeSeries:
     def test_rate_series_fills_gaps(self):
@@ -79,19 +72,12 @@ class TestTimeSeries:
         ts.record(0.3)
         assert ts.rate_series() == [(0.0, 4.0)]  # 2 events / 0.5 s
 
-    def test_windows(self):
-        ts = TimeSeries(1.0)
-        for t, v in ((0.5, 1.0), (1.5, 2.0), (2.5, 3.0), (3.5, 4.0)):
-            ts.record(t, v)
-        assert ts.count_in(1.0, 3.0) == 2
-        assert ts.mean_in(1.0, 3.0) == 2.5
-        assert ts.mean_in(10.0, 20.0) is None
-
     def test_total_count_and_empty(self):
         ts = TimeSeries(1.0)
         assert ts.empty
         ts.record(1.0)
-        assert ts.total_count() == 1
+        assert not ts.empty
+        assert sum(rate for _t, rate in ts.rate_series()) == 1
 
     def test_invalid_width(self):
         with pytest.raises(ValueError):

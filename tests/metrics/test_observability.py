@@ -117,26 +117,67 @@ def test_child_spans_nest_and_share_txn_key():
     clock.now = 0.3
     child.end()
     parent.end()
-    assert tracer.children(parent) == [child]
     assert {s.stage for s in tracer.spans(txn="c0:7")} == {
         "commit.certify", "commit.log_append",
     }
 
 
-def test_sum_durations_and_derived_record():
+def one_commit(tracer, clock, txn, outcome, certify=0.2, append=0.3,
+               rpc=0.55):
+    """A commit.rpc span around a TM-side certify and log append."""
+    start = clock.now
+    rpc_span = tracer.begin("commit.rpc", txn=txn)
+    certify_span = tracer.begin("commit.certify", txn=txn)
+    clock.now += certify
+    certify_span.end(outcome=outcome)
+    if outcome == "committed":
+        append_span = certify_span.child("commit.log_append")
+        clock.now += append
+        append_span.end()
+    clock.now = start + rpc
+    rpc_span.end(outcome=outcome)
+    return rpc_span
+
+
+def test_derived_reply_is_rpc_minus_certify_and_append():
     clock = FakeClock()
     tracer = SpanTracer(clock)
-    s1 = tracer.begin("commit.certify", txn="c0:1")
-    clock.now = 0.2
-    s1.end()
-    s2 = tracer.begin("commit.log_append", txn="c0:1")
-    clock.now = 0.5
-    s2.end()
-    assert tracer.sum_durations("c0:1") == pytest.approx(0.5)
-    assert tracer.sum_durations("c0:1") == 0.0  # read once, then dropped
-    derived = tracer.record("commit.reply", 0.05, txn="c0:1")
-    assert derived.duration == pytest.approx(0.05)
+    rpc = one_commit(tracer, clock, "c0:1", "committed")
+    (reply,) = tracer.spans(stage="commit.reply")
+    assert reply.txn == "c0:1" and reply.parent_id == rpc.span_id
+    assert reply.end_time == rpc.end_time
+    assert reply.duration == pytest.approx(0.55 - 0.2 - 0.3)
+    parts = sum(s.duration for s in tracer.spans(txn="c0:1")
+                if s.stage in spans_module.COMMIT_STAGES)
+    assert parts == pytest.approx(rpc.duration, abs=1e-12)
     assert tracer.stage_summary()["commit.reply"]["count"] == 1
+    assert tracer._txn_stage_sums == {}
+
+
+def test_aborted_commit_derives_no_reply_and_keeps_no_totals():
+    clock = FakeClock()
+    tracer = SpanTracer(clock)
+    one_commit(tracer, clock, "c0:2", "aborted")
+    assert tracer.spans(stage="commit.reply") == []
+    assert "commit.reply" not in tracer.stage_summary()
+    assert tracer._txn_stage_sums == {}
+
+
+def test_abandon_and_end_exclude_each_other():
+    clock = FakeClock()
+    tracer = SpanTracer(clock)
+    ended = tracer.begin("flush.region", txn="c0:1")
+    clock.now = 0.1
+    ended.end()
+    ended.abandon()  # no-op after end
+    abandoned = tracer.begin("flush.region", txn="c0:2")
+    abandoned.abandon()
+    clock.now = 0.3
+    abandoned.end(outcome="late")  # records nothing
+    assert abandoned.end_time is None and "outcome" not in abandoned.tags
+    assert tracer.spans() == [ended]
+    summary = tracer.stage_summary()["flush.region"]
+    assert summary["count"] == 1 and summary["truncated"] == 1
 
 
 def test_crash_truncated_spans_excluded_from_latency():
@@ -145,22 +186,20 @@ def test_crash_truncated_spans_excluded_from_latency():
     ok = tracer.begin("flush.writeset", txn="c0:1")
     clock.now = 0.1
     ok.end()
-    doomed = tracer.begin("flush.writeset", txn="c0:2")
-    clock.now = 50.0  # crash happens; span never ends
-    victims = tracer.truncate_open(lambda s: s.stage == "flush.writeset")
-    assert victims == [doomed]
+    tracer.begin("flush.writeset", txn="c0:2")  # its node crashes: never ends
+    given_up = tracer.begin("flush.writeset", txn="c0:3")
+    clock.now = 50.0
+    given_up.abandon()
     summary = tracer.stage_summary()["flush.writeset"]
     assert summary["count"] == 1          # only the finished span
-    assert summary["truncated"] == 1      # the crashed one is visible
+    assert summary["truncated"] == 1      # the abandoned one is visible
     assert summary["max"] == pytest.approx(0.1)
-    assert tracer.truncated_spans() == [doomed]
-    assert tracer.open_spans() == []
+    assert tracer.spans() == [ok]
 
 
 def test_stage_with_only_truncated_spans_reports_zero_latency():
     tracer = SpanTracer(FakeClock())
-    tracer.begin("wal.sync")
-    tracer.truncate_open(lambda s: True)
+    tracer.begin("wal.sync").abandon()
     summary = tracer.stage_summary()["wal.sync"]
     assert summary["count"] == 0
     assert summary["truncated"] == 1
@@ -172,12 +211,12 @@ def test_retention_keeps_the_newest_spans_and_counts_them_all():
     for i in range(4):
         tracer.begin("wal.sync", n=i).end()
     for i in range(4, 8):
-        tracer.record("commit.reply", 0.01, n=i)
+        tracer.begin("commit.rpc", n=i).end()
     assert [s.tags["n"] for s in tracer.spans()] == [3, 4, 5, 6, 7]
     assert [s.tags["n"] for s in tracer.spans(stage="wal.sync")] == [3]
     summary = tracer.stage_summary()
     assert summary["wal.sync"]["count"] == 4
-    assert summary["commit.reply"]["count"] == 4
+    assert summary["commit.rpc"]["count"] == 4
 
 
 def test_tracer_for_is_shared_per_kernel():
@@ -193,8 +232,7 @@ def test_spans_table_renders_stage_rows():
     span = tracer.begin("commit.rpc")
     clock.now = 0.01
     span.end()
-    tracer.begin("flush.region")
-    tracer.truncate_open(lambda s: s.stage == "flush.region")
+    tracer.begin("flush.region").abandon()
     table = spans_table(tracer.stage_summary())
     assert "commit.rpc" in table
     assert "flush.region" in table
@@ -210,15 +248,21 @@ def documented_stages():
     return in_table, in_docstring
 
 
-def test_failover_stages_are_in_the_documented_taxonomy():
+def test_failover_stages_are_in_the_documented_taxonomy(monkeypatch):
+    stages = set()
+    begin = SpanTracer.begin
+
+    def noting_begin(self, stage, *args, **kwargs):
+        stages.add(stage)
+        return begin(self, stage, *args, **kwargs)
+
+    monkeypatch.setattr(SpanTracer, "begin", noting_begin)
     cluster = recovery_cluster(seed=31)
     handle = cluster.add_client()
     commit_rows(cluster, handle, list(range(0, 2000, 97)), "pre")
     cluster.crash_server(0)
     cluster.run_until(cluster.kernel.now + 15.0)
-    tracer = tracer_for(cluster.kernel)
-    stages = set(tracer.stage_summary())
-    stages |= {span.stage for span in tracer.open_spans() + tracer.truncated_spans()}
+    stages |= set(tracer_for(cluster.kernel).stage_summary())
     assert {"recovery.failover", "recovery.plan", "recovery.fragment_replay"} <= stages
     in_table, in_docstring = documented_stages()
     assert sorted(stages - in_table) == []

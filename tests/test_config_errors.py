@@ -30,13 +30,6 @@ class TestConfig:
         assert config.kv.wal_sync_mode == "async"
         assert config.recovery.enabled
 
-    def test_with_replaces_top_level(self):
-        config = ClusterConfig(seed=1)
-        other = config.with_(seed=2)
-        assert other.seed == 2
-        assert config.seed == 1  # original untouched
-        assert other.kv is config.kv  # shallow by design
-
     def test_nested_settings_are_per_instance(self):
         a, b = ClusterConfig(), ClusterConfig()
         a.kv.n_region_servers = 9
