@@ -205,15 +205,12 @@ class InvariantMonitor:
         # its published state (start(recover=True)); judging those would
         # manufacture violations, so wait for _running.
         if rm is not None and rm._running:
-            from repro.core.recovery_manager import LIVE
-
+            book = rm.book
             state["rm"] = {
                 "epoch": id(rm),
-                "global_tf": rm.global_tf,
-                "global_tp": rm.global_tp,
-                "live_clients": sorted(
-                    cid for cid, e in rm.clients.items() if e.status == LIVE
-                ),
+                "global_tf": book.global_tf,
+                "global_tp": book.global_tp,
+                "live_clients": book.live_clients(),
             }
         for handle in cluster.clients:
             agent = handle.agent

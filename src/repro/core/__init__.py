@@ -1,14 +1,13 @@
 """The paper's contribution: transactional failure-recovery middleware.
 
-* :class:`FlushTracker` / :class:`PersistTracker` -- the threshold
-  bookkeeping of Algorithms 1 and 3;
+* :class:`FlushTracker` / :class:`PersistTracker` / :class:`ThresholdBook`
+  -- the threshold rules of Algorithms 1-4, free of the simulator;
 * :class:`ClientRecoveryAgent` / :class:`ServerRecoveryAgent` -- the
   minimal client/server extensions that heartbeat those thresholds via the
   coordination service and gate region opening on transactional recovery;
-* :class:`RecoveryManager` -- Algorithms 2 and 4: global thresholds, client
-  failure detection and replay, per-region server recovery, log truncation
-  at the global persisted threshold, and restart from coordination-service
-  state;
+* :class:`RecoveryManager` -- the I/O of Algorithms 2 and 4: heartbeat
+  polls, client and per-region server replay, log truncation, and restart
+  from coordination-service state;
 * :class:`RecoveryClient` -- the replay client c_R.
 """
 
@@ -25,7 +24,7 @@ from repro.core.paths import (
 from repro.core.recovery_client import RecoveryClient
 from repro.core.recovery_manager import RecoveryManager
 from repro.core.server_agent import ServerRecoveryAgent
-from repro.core.tracking import FlushTracker, PersistTracker
+from repro.core.tracking import FlushTracker, PersistTracker, ThresholdBook
 
 __all__ = [
     "CLIENTS_DIR",
@@ -38,6 +37,7 @@ __all__ = [
     "RecoveryManager",
     "SERVERS_DIR",
     "ServerRecoveryAgent",
+    "ThresholdBook",
     "client_path",
     "pending_path",
     "server_path",

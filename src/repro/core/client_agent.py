@@ -6,10 +6,11 @@ periodically advances T_F(c) and publishes it.  The transactional client
 calls :meth:`note_commit` / :meth:`note_flushed`; everything else is
 background work.
 
-Heartbeat processing cost is modelled explicitly: the drain holds the
-tracker lock for ``fixed + entries * per_entry`` seconds, stalling any
-transaction that needs the lock meanwhile -- the contention Figure 2(b)
-sweeps.
+The tracker's queues are synchronized data structures: every touch holds
+the agent's capacity-1 lock.  Heartbeat processing cost is modelled
+explicitly: the drain holds the lock for ``fixed + entries * per_entry``
+seconds, stalling any transaction that needs the lock meanwhile -- the
+contention Figure 2(b) sweeps.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.core.tracking import FlushTracker
 from repro.errors import ZkError
 from repro.sim.events import Interrupt
 from repro.sim.node import Node
+from repro.sim.resource import Resource
 from repro.zk.client import ZkClient
 
 
@@ -40,6 +42,7 @@ class ClientRecoveryAgent:
         self.client_id = client_id or host.addr
         self.settings = settings or RecoverySettings()
         self.tracker: Optional[FlushTracker] = None
+        self.lock = Resource(host.kernel, capacity=1)
         self._running = False
         self.alerts_raised = 0
         self._consecutive_failures = 0
@@ -64,7 +67,7 @@ class ClientRecoveryAgent:
             pass
         except Exception:
             pass  # RemoteError(NoNode): no global state published yet
-        self.tracker = FlushTracker(self.host.kernel, initial_tf=initial_tf)
+        self.tracker = FlushTracker(initial_tf=initial_tf)
         yield from self.zk.create(
             client_path(self.client_id), data=self._payload()
         )
@@ -91,11 +94,13 @@ class ClientRecoveryAgent:
 
     def note_commit(self, commit_ts: int, token: Optional[int] = None):
         """A commit timestamp was received (FQ.enqueue)."""
-        yield from self.tracker.note_commit(commit_ts, token)
+        yield from self.lock.use(0.0)
+        self.tracker.note_commit(commit_ts, token)
 
     def note_flushed(self, commit_ts: int):
         """A write-set finished flushing (FQ'.enqueue)."""
-        yield from self.tracker.note_flushed(commit_ts)
+        yield from self.lock.use(0.0)
+        self.tracker.note_flushed(commit_ts)
 
     @property
     def tf(self) -> int:
@@ -114,7 +119,7 @@ class ClientRecoveryAgent:
         )
         # Lock contention: while the queues drain, the client's regular
         # operations on them stall (synchronized queues).
-        yield from tracker.lock.use(cost)
+        yield from self.lock.use(cost)
         tracker.advance()
         payload = self._payload()
         if tracker.in_flight > self.settings.queue_alert_threshold:

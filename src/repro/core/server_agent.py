@@ -47,7 +47,7 @@ class ServerRecoveryAgent:
         self.server = server
         self.settings = settings or RecoverySettings()
         self.rm_addr = rm_addr
-        self.tracker = PersistTracker(server.kernel)
+        self.tracker = PersistTracker()
         #: Which server incarnation the tracker state belongs to.  Set by
         #: :meth:`_start` once the recovered T_P is seeded; observers (the
         #: invariant monitor) skip samples whose epoch does not match the

@@ -671,6 +671,7 @@ def run_chaos(
     )
     report.metrics = cluster.metrics_snapshot()
     report.events = cluster.kernel.event_count
+    cluster.kernel.raise_for_bugs()
     note(
         f"audit: {report.acknowledged} acknowledged, "
         f"{len(report.violations)} violations"

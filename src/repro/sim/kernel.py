@@ -19,7 +19,7 @@ import itertools
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.errors import ScheduleError, SimulationError
+from repro.errors import ReproError, ScheduleError, SimulationError
 from repro.sim.events import AllOf, Event, Interrupt, NORMAL, Timeout
 from repro.sim.process import ProcGen, Process
 from repro.sim.rng import SeededRng
@@ -109,6 +109,17 @@ class Kernel:
     def _note_process_failure(self, process: Process, exc: BaseException) -> None:
         if not isinstance(exc, Interrupt):
             self.dead_processes.append((process, exc))
+
+    def raise_for_bugs(self, since: int = 0) -> None:
+        """Raise :class:`SimulationError` if a process recorded in
+        :attr:`dead_processes` from index ``since`` on died of anything but
+        a :class:`ReproError`: a bug in the code it ran, which a
+        ``defuse()`` would otherwise turn into a quietly shorter run."""
+        for process, exc in self.dead_processes[since:]:
+            if not isinstance(exc, ReproError):
+                raise SimulationError(
+                    f"process {process.name!r} died of {exc!r}"
+                ) from exc
 
     # ------------------------------------------------------------------
     # execution

@@ -146,6 +146,7 @@ class WorkloadDriver:
         )
         self._stop_at = start + duration
 
+        dead_before = len(kernel.dead_processes)
         n_threads = self.settings.n_clients
         per_thread_rate = (target_tps / n_threads) if target_tps else None
         threads = []
@@ -167,6 +168,7 @@ class WorkloadDriver:
             threads.append(proc)
 
         kernel.run(until=self._stop_at + drain)
+        kernel.raise_for_bugs(since=dead_before)
         result.finished_at = min(kernel.now, self._stop_at)
         return result
 

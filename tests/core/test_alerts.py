@@ -34,8 +34,8 @@ def test_stuck_flushes_raise_alerts():
 
     assert handle.agent.tracker.in_flight >= 6  # nothing could flush
     assert handle.agent.alerts_raised > 0
-    assert len(cluster.rm.alerts) > 0
-    assert cluster.rm.alerts[0]["component"] == "alerter"
+    assert len(cluster.rm.book.alerts) > 0
+    assert cluster.rm.book.alerts[0]["component"] == "alerter"
 
 
 def test_no_alerts_in_healthy_operation():
@@ -52,4 +52,4 @@ def test_no_alerts_in_healthy_operation():
     cluster.run(commits())
     cluster.run_until(cluster.kernel.now + 2.0)
     assert handle.agent.alerts_raised == 0
-    assert cluster.rm.alerts == []
+    assert cluster.rm.book.alerts == []

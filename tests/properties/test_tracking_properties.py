@@ -4,11 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.tracking import FlushTracker, PersistTracker
-from repro.sim import Kernel
-
-
-def drive(kernel, gen):
-    return kernel.run_until_complete(kernel.process(gen))
 
 
 @st.composite
@@ -27,12 +22,11 @@ def commit_flush_schedules(draw):
 @settings(max_examples=200, deadline=None)
 def test_tf_is_exactly_the_longest_flushed_prefix(schedule):
     commit_ts, flushed = schedule
-    k = Kernel()
-    tracker = FlushTracker(k)
+    tracker = FlushTracker()
     for ts in commit_ts:
-        drive(k, tracker.note_commit(ts))
+        tracker.note_commit(ts)
     for ts in flushed:
-        drive(k, tracker.note_flushed(ts))
+        tracker.note_flushed(ts)
         tracker.advance()
     # Model: T_F(c) is the largest ts such that every commit <= it flushed.
     flushed_set = set(flushed)
@@ -55,8 +49,7 @@ def test_tf_is_exactly_the_longest_flushed_prefix(schedule):
 def test_tf_monotonic_and_bounded_under_arbitrary_call_sequences(events):
     """T_F never decreases and never passes an unflushed commit, no matter
     how commits/flushes/heartbeat-drains interleave."""
-    k = Kernel()
-    tracker = FlushTracker(k)
+    tracker = FlushTracker()
     next_ts = 1
     committed = []
     flushed = set()
@@ -64,7 +57,7 @@ def test_tf_monotonic_and_bounded_under_arbitrary_call_sequences(events):
     for kind, arg in events:
         if kind == "commit":
             committed.append(next_ts)
-            drive(k, tracker.note_commit(next_ts))
+            tracker.note_commit(next_ts)
             next_ts += 1
         elif kind == "flush":
             pending = [ts for ts in committed if ts not in flushed]
@@ -72,7 +65,7 @@ def test_tf_monotonic_and_bounded_under_arbitrary_call_sequences(events):
                 continue
             ts = pending[arg % len(pending)]
             flushed.add(ts)
-            drive(k, tracker.note_flushed(ts))
+            tracker.note_flushed(ts)
         else:
             tracker.advance()
             assert tracker.tf >= last_tf, "T_F must be monotone"
@@ -97,8 +90,7 @@ def test_tf_monotonic_and_bounded_under_arbitrary_call_sequences(events):
 def test_persist_tracker_report_never_exceeds_unpersisted_inheritance(ops):
     """Whenever an inherited T_P is outstanding (not yet covered by a
     completed sync), the reported value must not exceed it."""
-    k = Kernel()
-    tracker = PersistTracker(k)
+    tracker = PersistTracker()
     outstanding = None  # lowest piggyback not yet covered by a sync
     max_tf_seen = 0
     for kind, arg in ops:

@@ -73,3 +73,24 @@ def test_driver_requires_a_client_machine():
     cluster = make_cluster(seed=68)
     with pytest.raises(Exception):
         WorkloadDriver(cluster, n_client_nodes=0)
+
+
+def test_a_bug_in_a_driver_thread_fails_the_run():
+    """Driver threads are defused, so without the post-run check a bug in
+    client code would only make the result quietly short."""
+    from repro.errors import SimulationError
+
+    cluster = make_cluster(seed=67, n_clients=2, n_rows=500)
+    driver = WorkloadDriver(cluster)
+    real = driver._run_ycsb_ops
+    calls = []
+
+    def buggy(handle, ctx, ops):
+        calls.append(ctx)
+        if len(calls) == 5:
+            raise AttributeError("'NoneType' object has no attribute 'row'")
+        return real(handle, ctx, ops)
+
+    driver._run_ycsb_ops = buggy
+    with pytest.raises(SimulationError, match=r"ycsb-thread-\d.*AttributeError"):
+        driver.run(duration=2.0, target_tps=20.0)
