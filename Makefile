@@ -105,9 +105,9 @@ host-profile:
 	$(PYTHON) tools/host_profile.py $(W) $(if $(SEED),--seed $(SEED))
 
 # Python calls per committed transaction of workload W, by function and
-# by file, from one untraced measured window under cProfile
-# (tools/host_calls.py); the window runs twice and the target exits 1 if
-# the two counts differ.  W is required.
+# by file, from one untraced measured window and the export read after it
+# under cProfile (tools/host_calls.py); both run twice and the target
+# exits 1 if the two counts differ.  W is required.
 host-calls:
 	$(if $(W),,$(error W=<workload> is required))
 	$(PYTHON) tools/host_calls.py $(W) $(if $(SEED),--seed $(SEED))

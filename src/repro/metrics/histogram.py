@@ -10,18 +10,50 @@ import math
 from typing import List
 
 
+def percentile(ordered: List[float], p: float) -> float:
+    """Exact ``p``-th percentile (0-100) of ascending ``ordered``, 0.0 if empty.
+
+    Linear interpolation between the two nearest ranks."""
+    if not 0 <= p <= 100:
+        raise ValueError(f"percentile must be in [0, 100], got {p}")
+    if not ordered:
+        return 0.0
+    rank = (p / 100.0) * (len(ordered) - 1)
+    low = math.floor(rank)
+    high = math.ceil(rank)
+    if low == high:
+        return ordered[low]
+    frac = rank - low
+    return ordered[low] * (1 - frac) + ordered[high] * frac
+
+
+def summarize(samples: List[float]) -> dict:
+    """``{count, mean, p50, p95, p99, max}`` of ``samples`` (seconds).
+
+    The mean is summed in the list's order; the list is then sorted in
+    place for the percentiles.
+    """
+    mean = sum(samples) / len(samples) if samples else 0.0
+    samples.sort()
+    return {
+        "count": len(samples),
+        "mean": mean,
+        "p50": percentile(samples, 50),
+        "p95": percentile(samples, 95),
+        "p99": percentile(samples, 99),
+        "max": samples[-1] if samples else 0.0,
+    }
+
+
 class LatencyHistogram:
     """Collects samples; answers mean/percentile/max queries."""
 
     def __init__(self, name: str = "latency") -> None:
         self.name = name
         self._samples: List[float] = []
-        self._sorted = True
 
     def record(self, value: float) -> None:
         """Add one sample (seconds)."""
-        if self._samples and value < self._samples[-1]:
-            self._sorted = False
         self._samples.append(value)
 
     @property
@@ -32,44 +64,18 @@ class LatencyHistogram:
     @property
     def mean(self) -> float:
         """Arithmetic mean (0.0 when empty)."""
-        if not self._samples:
-            return 0.0
-        return sum(self._samples) / len(self._samples)
+        return sum(self._samples) / len(self._samples) if self._samples else 0.0
 
     @property
     def maximum(self) -> float:
         """Largest sample (0.0 when empty)."""
-        return max(self._samples) if self._samples else 0.0
+        return max(self._samples, default=0.0)
 
     def percentile(self, p: float) -> float:
         """Exact percentile via linear interpolation; ``p`` in [0, 100]."""
-        if not 0 <= p <= 100:
-            raise ValueError(f"percentile must be in [0, 100], got {p}")
-        if not self._samples:
-            return 0.0
-        self._ensure_sorted()
-        if len(self._samples) == 1:
-            return self._samples[0]
-        rank = (p / 100.0) * (len(self._samples) - 1)
-        low = math.floor(rank)
-        high = math.ceil(rank)
-        if low == high:
-            return self._samples[low]
-        frac = rank - low
-        return self._samples[low] * (1 - frac) + self._samples[high] * frac
-
-    def _ensure_sorted(self) -> None:
-        if not self._sorted:
-            self._samples.sort()
-            self._sorted = True
+        self._samples.sort()
+        return percentile(self._samples, p)
 
     def summary(self) -> dict:
         """All headline statistics in one dict (times in seconds)."""
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
-            "max": self.maximum,
-        }
+        return summarize(self._samples)

@@ -7,12 +7,17 @@ can be linked into a per-transaction tree.
 
 A *span* is one timed stage of work: it opens at ``kernel.now`` and may
 carry a transaction key (``"<client>:<txn>"``) and a parent span.  It
-then either *ends* -- its duration goes into a per-stage histogram and
-the span into :meth:`SpanTracer.spans` -- or is *abandoned*: counted per
-stage under ``truncated``, never timed.  A span that a crash cuts off
-does neither and is not reported at all.  Spans are output only: no
-product code reads one, and this module derives ``commit.reply`` itself
-when a committed ``commit.rpc`` span ends.
+then either *ends* -- it is timed under its stage and kept for
+:meth:`SpanTracer.spans` -- or is *abandoned*: counted per stage under
+``truncated``, never timed.  A span that a crash cuts off does neither
+and is not reported at all.  Spans are output only: no product code
+reads one, and this module derives ``commit.reply`` itself for each
+committed ``commit.rpc`` span.
+
+While the simulation runs the tracer only stamps and keeps.  Stage
+durations, ``commit.reply`` and the retention are one pass over the
+ended spans, in end order, when :meth:`SpanTracer.spans` or
+:meth:`SpanTracer.stage_summary` is read or ``max_records`` are pending.
 
 Stage taxonomy (see ``docs/OBSERVABILITY.md`` for the full catalogue)::
 
@@ -42,20 +47,22 @@ bit-identical summaries.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from functools import partial
 from typing import Callable, Deque, Dict, List, Optional
 
-from repro.metrics.histogram import LatencyHistogram
+from repro.metrics.histogram import summarize
 
 #: A commit's TM-side stages.  Their per-transaction totals are kept
-#: until the transaction's ``commit.rpc`` span ends, which subtracts
-#: them to derive ``commit.reply``.
-_SUMMED_STAGES = ("commit.certify", "commit.log_append")
+#: until the transaction's ``commit.rpc`` span is folded, which
+#: subtracts them to derive ``commit.reply``.
+_SUMMED_STAGES = _CERTIFY, _LOG_APPEND = ("commit.certify", "commit.log_append")
 
 #: The commit stages whose per-transaction durations sum exactly to the
 #: end-to-end ``commit.rpc`` latency.
 COMMIT_STAGES = _SUMMED_STAGES + ("commit.reply",)
+
+_new_span = object.__new__
 
 
 class Span:
@@ -63,25 +70,6 @@ class Span:
 
     __slots__ = ("span_id", "stage", "txn", "parent_id", "start", "end_time",
                  "tags", "_tracer")
-
-    def __init__(
-        self,
-        tracer: "SpanTracer",
-        span_id: int,
-        stage: str,
-        txn: Optional[str],
-        parent_id: Optional[int],
-        start: float,
-        tags: dict,
-    ) -> None:
-        self._tracer = tracer
-        self.span_id = span_id
-        self.stage = stage
-        self.txn = txn
-        self.parent_id = parent_id
-        self.start = start
-        self.end_time: Optional[float] = None
-        self.tags = tags
 
     @property
     def open(self) -> bool:
@@ -91,9 +79,7 @@ class Span:
     @property
     def duration(self) -> Optional[float]:
         """Elapsed sim-time seconds, or ``None`` while still open."""
-        if self.end_time is None:
-            return None
-        return self.end_time - self.start
+        return None if self.end_time is None else self.end_time - self.start
 
     def child(self, stage: str, **tags: object) -> "Span":
         """Open a child span (same txn key unless overridden via tags)."""
@@ -105,11 +91,22 @@ class Span:
         ``txn`` names the transaction when it was not known at
         :meth:`SpanTracer.begin`.  A no-op after :meth:`abandon`.
         """
-        if self.end_time is None and self._tracer is not None:
+        tracer = self._tracer
+        if self.end_time is None and tracer is not None:
+            self.end_time = tracer._clock()
             if txn is not None:
                 self.txn = txn
-            self.tags.update(tags)
-            self._tracer._finish(self)
+            if tags:
+                self.tags.update(tags)
+            # A committed commit's reply takes its span id now, as if derived now.
+            if (self.stage == "commit.rpc" and self.txn is not None
+                    and self.tags.get("outcome") == "committed"):
+                tracer._reply_ids[self.span_id] = tracer._next_id
+                tracer._next_id += 1
+            tracer._pending.append(self)
+            tracer._room -= 1
+            if not tracer._room:
+                tracer._fold()
         return self
 
     def abandon(self) -> None:
@@ -119,7 +116,8 @@ class Span:
         later :meth:`end` records nothing.
         """
         if self.end_time is None and self._tracer is not None:
-            self._tracer._abandon(self)
+            truncated = self._tracer._truncated
+            truncated[self.stage] = truncated.get(self.stage, 0) + 1
             self._tracer = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -130,91 +128,88 @@ class Span:
 class SpanTracer:
     """Collects spans from every node sharing one simulation kernel."""
 
-    def __init__(
-        self,
-        clock: Callable[[], float],
-        max_records: int = 200_000,
-    ) -> None:
+    def __init__(self, clock: Callable[[], float], max_records: int = 200_000) -> None:
         self._clock = clock
         self._next_id = 1
-        # The newest ``max_records`` finished spans; the per-stage
-        # histograms count every span, kept or not.
+        # Ended spans not yet folded, in end order, and how many more
+        # end before a fold.
+        self._pending: List[Span] = []
+        self._room = max_records
+        # Reserved commit.reply ids by the span id of their commit.rpc.
+        self._reply_ids: Dict[int, int] = {}
+        # Folded: the newest ``max_records`` spans, and every span's
+        # duration by stage, kept or not.
         self._finished: Deque[Span] = deque(maxlen=max_records)
-        self._stage_hist: Dict[str, LatencyHistogram] = {}
+        self._durations: Dict[str, List[float]] = defaultdict(list)
         self._truncated: Dict[str, int] = {}
         # Running duration totals per (txn, stage) of _SUMMED_STAGES; the
-        # transaction's commit.rpc span pops them as it ends, so they hold
-        # only transactions still in flight.
-        self._txn_stage_sums: Dict[tuple, float] = {}
+        # transaction's commit.rpc span pops them as it is folded, so
+        # they hold only transactions whose commit has not been folded.
+        self._txn_stage_sums: Dict[tuple, float] = defaultdict(float)
 
-    def begin(
-        self,
-        stage: str,
-        txn: Optional[str] = None,
-        parent: Optional[Span] = None,
-        **tags: object,
-    ) -> Span:
+    def begin(self, stage: str, txn: Optional[str] = None,
+              parent: Optional[Span] = None, **tags: object) -> Span:
         """Open a span for ``stage`` at the current sim time."""
-        span = Span(
-            tracer=self,
-            span_id=self._next_id,
-            stage=stage,
-            txn=txn,
-            parent_id=parent.span_id if parent is not None else None,
-            start=self._clock(),
-            tags=tags,
-        )
+        span = _new_span(Span)
+        span._tracer = self
+        span.span_id = self._next_id
         self._next_id += 1
+        span.stage = stage
+        span.txn = txn
+        span.parent_id = parent.span_id if parent is not None else None
+        span.start = self._clock()
+        span.end_time = None
+        span.tags = tags
         return span
 
-    def _finish(self, span: Span) -> None:
-        end = span.end_time = self._clock()
-        duration = end - span.start
-        stage = span.stage
-        self._record_duration(stage, duration)
-        self._finished.append(span)
-        txn = span.txn
-        if txn is None:
-            return
+    def _fold(self) -> None:
+        """Time, sum and keep the pending spans in end order, deriving
+        each committed commit's ``commit.reply`` -- what the client saw
+        beyond the TM's certify and log append: network round trip, TM
+        queueing and client bookkeeping."""
+        pending, self._pending = self._pending, []
+        self._room = self._finished.maxlen
+        durations = self._durations
+        finished = self._finished
         sums = self._txn_stage_sums
-        if stage in _SUMMED_STAGES:
-            key = (txn, stage)
-            sums[key] = sums.get(key, 0.0) + duration
-        elif stage == "commit.rpc":
-            accounted = sum(sums.pop((txn, s), 0.0) for s in _SUMMED_STAGES)
-            if span.tags.get("outcome") == "committed":
-                self._derive_reply(span, max(duration - accounted, 0.0))
-
-    def _derive_reply(self, rpc: Span, remainder: float) -> None:
-        """Append ``commit.reply``: what the client saw of a committed
-        ``commit.rpc`` beyond the TM's certify and log append -- network
-        round trip, TM queueing and client bookkeeping."""
-        end = rpc.end_time
-        reply = Span(self, self._next_id, "commit.reply", rpc.txn,
-                     rpc.span_id, end - remainder, {})
-        self._next_id += 1
-        reply.end_time = end
-        self._record_duration("commit.reply", remainder)
-        self._finished.append(reply)
-
-    def _abandon(self, span: Span) -> None:
-        truncated = self._truncated
-        truncated[span.stage] = truncated.get(span.stage, 0) + 1
-
-    def _record_duration(self, stage: str, duration: float) -> None:
-        hist = self._stage_hist.get(stage)
-        if hist is None:
-            hist = self._stage_hist[stage] = LatencyHistogram(stage)
-        hist.record(duration)
+        reply_ids = self._reply_ids
+        kept = 0  # pending[:kept] is in ``finished``
+        for i, span in enumerate(pending):
+            stage = span.stage
+            duration = span.end_time - span.start
+            durations[stage].append(duration)
+            txn = span.txn
+            if txn is None:
+                continue
+            if stage in _SUMMED_STAGES:
+                sums[txn, stage] += duration
+            elif stage == "commit.rpc":
+                accounted = (sums.pop((txn, _CERTIFY), 0.0)
+                             + sums.pop((txn, _LOG_APPEND), 0.0))
+                reply_id = reply_ids.pop(span.span_id, None)
+                if reply_id is not None:
+                    remainder = max(duration - accounted, 0.0)
+                    end = span.end_time
+                    reply = _new_span(Span)
+                    reply._tracer = self
+                    reply.span_id = reply_id
+                    reply.stage = "commit.reply"
+                    reply.txn = txn
+                    reply.parent_id = span.span_id
+                    reply.start = end - remainder
+                    reply.end_time = end
+                    reply.tags = {}
+                    durations["commit.reply"].append(remainder)
+                    finished.extend(pending[kept:i + 1])
+                    finished.append(reply)
+                    kept = i + 1
+        finished.extend(pending[kept:])
 
     # -- export -----------------------------------------------------------
 
-    def spans(
-        self,
-        txn: Optional[str] = None,
-        stage: Optional[str] = None,
-    ) -> List[Span]:
+    def spans(self, txn: Optional[str] = None, stage: Optional[str] = None) -> List[Span]:
         """Finished spans, optionally filtered by txn key and/or stage."""
+        self._fold()
         out = self._finished
         if txn is not None:
             out = [s for s in out if s.txn == txn]
@@ -228,14 +223,11 @@ class SpanTracer:
         Stages with abandoned spans additionally report a ``truncated``
         count.
         """
-        truncated = self._truncated
+        self._fold()
+        durations, truncated = self._durations, self._truncated
         summary = {}
-        for stage in sorted(set(self._stage_hist) | set(truncated)):
-            hist = self._stage_hist.get(stage)
-            entry = hist.summary() if hist is not None else {
-                "count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0,
-                "p99": 0.0, "max": 0.0,
-            }
+        for stage in sorted(set(durations) | set(truncated)):
+            entry = summarize(durations.get(stage, []))
             if stage in truncated:
                 entry["truncated"] = truncated[stage]
             summary[stage] = entry

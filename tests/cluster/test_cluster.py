@@ -202,6 +202,7 @@ def _tm_crash_restart_resumes_commits(isolation, log_shards):
     assert third.commit_ts > second.commit_ts
 
 
+@pytest.mark.kills_process
 def test_failed_tm_restart_fails_the_run():
     """A restart that raises must not vanish into a defused process."""
     from repro.errors import SimulationError

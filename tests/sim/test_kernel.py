@@ -145,6 +145,7 @@ def test_interrupt_finished_process_is_noop():
     k.run()
 
 
+@pytest.mark.kills_process
 def test_unhandled_process_exception_escalates_in_strict_mode():
     k = Kernel(strict=True)
 
@@ -157,6 +158,7 @@ def test_unhandled_process_exception_escalates_in_strict_mode():
         k.run()
 
 
+@pytest.mark.kills_process
 def test_handled_process_exception_does_not_escalate():
     k = Kernel(strict=True)
     caught = []
@@ -177,6 +179,7 @@ def test_handled_process_exception_does_not_escalate():
     assert caught == ["bug"]
 
 
+@pytest.mark.kills_process
 def test_non_strict_mode_swallows_process_failures():
     k = Kernel(strict=False)
 
@@ -372,6 +375,7 @@ def test_run_restores_the_callers_collector_setting(enabled):
         assert gc.isenabled() is enabled
 
 
+@pytest.mark.kills_process
 @pytest.mark.parametrize("enabled", [True, False])
 def test_run_restores_the_collector_setting_when_it_raises(enabled):
     k = Kernel(strict=True)

@@ -159,6 +159,7 @@ def test_crash_interrupts_spawned_processes():
     assert trace == [1.0, 2.0, 3.0]
 
 
+@pytest.mark.kills_process
 def test_handler_dying_of_a_base_exception_sends_no_reply_and_escalates():
     """Only an Exception becomes a RemoteError and only an Interrupt ends a
     handler quietly: anything else kills its process, unanswered."""

@@ -271,6 +271,7 @@ def test_defused_failing_forked_child_does_not_escalate():
     assert [p for p, _e in k.dead_processes] == [proc]
 
 
+@pytest.mark.kills_process
 def test_child_failing_in_its_first_step_can_be_defused_by_the_forker():
     """The failure is queued, not raised into ``fork()``: the forker gets
     the process back and its ``defuse()`` lands before the kernel looks."""

@@ -122,6 +122,7 @@ def test_truncate_drops_strictly_below():
     assert log.store.truncate(up_to_ts=3) == 0  # idempotent
 
 
+@pytest.mark.kills_process
 def test_out_of_order_append_rejected():
     k, log = make_log()
     append_all(k, log, [record(5)])

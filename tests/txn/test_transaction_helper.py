@@ -39,6 +39,7 @@ def test_transaction_commits_and_returns_body_result():
     assert handle.txn.metrics()["counters"]["committed"] == 1
 
 
+@pytest.mark.kills_process
 def test_transaction_auto_aborts_on_body_exception():
     cluster = make()
     handle = cluster.add_client()

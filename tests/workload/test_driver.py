@@ -75,6 +75,7 @@ def test_driver_requires_a_client_machine():
         WorkloadDriver(cluster, n_client_nodes=0)
 
 
+@pytest.mark.kills_process
 def test_a_bug_in_a_driver_thread_fails_the_run():
     """Driver threads are defused, so without the post-run check a bug in
     client code would only make the result quietly short."""
